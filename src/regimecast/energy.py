@@ -7,6 +7,12 @@ log density under a regime is the sum of the selected potentials. Training
 maximizes the sum over rows and variables of the log conditional of each
 variable given the rest, which needs no partition function: the conditional
 normalizes over one variable's grid using only the factors that read it.
+
+Because every net input is a bin center, each net is a finite table over
+its scope grid. Fitting exploits this: the distinct scope cells the data's
+sweeps reach form one small design per net, each step evaluates every net
+once on its design, gathers the conditional logits by cell index, and
+scatters their gradient back onto the cells before one backward pass.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite
+from .errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite, require_keys
 from .fileio import fingerprint, graph_to_dict, parse_graph
 from .model import IfmStructure, RegimeVector
 from .nets import (
@@ -174,22 +179,19 @@ def log_unnorm(model: EnergyModel, x_bins, regime: RegimeVector):
     return float(out[0]) if single else out
 
 
-def _swept_design(grid: Grid, bins: np.ndarray, scope, r: int) -> np.ndarray:
-    """Inputs for one factor with variable r swept over its whole grid.
+def _prepare(model: EnergyModel, datasets):
+    """Cell designs per net and, per sweep, indices into them.
 
-    Row blocks are per data row, candidate bin cycling fastest, matching
-    reshape(n, nbins[r]) downstream.
+    Sweeping variable r of a row over its bins reads, for every factor k on
+    r, the cells of k's scope grid that agree with the row off r. Per net
+    key, the distinct cells any sweep reaches become one design of bin
+    centers; per dataset and variable, each factor on r gets an
+    (n, nbins[r]) index into its net's design. Returns (designs, sweeps)
+    with sweeps[d] a list of (r, observed bins, [(key, index)]).
     """
-    n = bins.shape[0]
-    br = grid.nbins[r]
-    x = np.repeat(grid.center_rows(bins, scope), br, axis=0)
-    x[:, list(scope).index(r)] = np.tile(grid.centers[r], n)
-    return x
-
-
-def _prepare(model: EnergyModel, datasets) -> list:
-    """Per dataset and variable, the swept designs of every factor reading it."""
-    prep = []
+    nbins = model.grid.nbins
+    flats = {}
+    raw = []
     for ds in datasets:
         model.ifm.space.check_regime(ds.regime)
         if ds.x.shape[1] != model.ifm.m:
@@ -202,60 +204,85 @@ def _prepare(model: EnergyModel, datasets) -> list:
                 if r not in f.var_scope:
                     continue
                 key = (k, ds.regime.project(f.intv_scope))
-                entries.append((key, _swept_design(model.grid, bins, f.var_scope, r)))
+                dims = [nbins[j] for j in f.var_scope]
+                pos = f.var_scope.index(r)
+                cells = bins[:, f.var_scope]
+                cells[:, pos] = 0
+                stride = int(np.prod(dims[pos + 1:], dtype=int))
+                flat = (np.ravel_multi_index(cells.T, dims)[:, None]
+                        + stride * np.arange(nbins[r]))
+                parts = flats.setdefault(key, [])
+                entries.append((key, len(parts), flat.shape))
+                parts.append(flat.ravel())
             per_var.append((r, bins[:, r].copy(), entries))
-        prep.append(per_var)
-    return prep
+        raw.append(per_var)
+
+    designs = {}
+    inverse = {}
+    for key, parts in flats.items():
+        cells, inv = np.unique(np.concatenate(parts), return_inverse=True)
+        scope = model.ifm.factors[key[0]].var_scope
+        coords = np.unravel_index(cells, [nbins[j] for j in scope])
+        designs[key] = np.column_stack(
+            [model.grid.centers[j][c] for j, c in zip(scope, coords)])
+        inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
+
+    sweeps = [
+        [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
+         for r, obs, entries in per_var]
+        for per_var in raw
+    ]
+    return designs, sweeps
 
 
-def _slice_prep(prep, row_sets) -> list:
-    """Restrict prepared designs to chosen rows (for minibatch steps)."""
-    out = []
-    for per_var, rows in zip(prep, row_sets):
-        sliced = []
-        for r, obs, entries in per_var:
-            n = obs.shape[0]
-            cut = []
-            for key, x in entries:
-                br = x.shape[0] // n
-                cut.append((key, x.reshape(n, br, -1)[rows].reshape(len(rows) * br, -1)))
-            sliced.append((r, obs[rows], cut))
-        out.append(sliced)
-    return out
+def _slice_prep(prep, row_sets):
+    """Restrict the sweeps to chosen rows (for minibatch steps)."""
+    designs, sweeps = prep
+    sliced = [
+        [(r, obs[rows], [(key, idx[rows]) for key, idx in entries])
+         for r, obs, entries in per_var]
+        for per_var, rows in zip(sweeps, row_sets)
+    ]
+    return designs, sliced
 
 
 def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
+    designs, sweeps = prep
+    vals = {}
+    hidden = {}
+    for key, x in designs.items():
+        vals[key], hidden[key] = mlp_forward(model.nets[key], x)
+    dvals = {key: np.zeros(v.shape[0]) for key, v in vals.items()} if want_grad else None
     total = 0.0
-    grads = {key: zero_grads(net) for key, net in model.nets.items()} if want_grad else None
-    for per_var in prep:
+    for per_var in sweeps:
         for r, obs, entries in per_var:
             n = obs.shape[0]
-            br = model.grid.nbins[r]
-            logits = np.zeros((n, br))
-            caches = []
-            for key, x in entries:
-                net = model.nets[key]
-                vals, h = mlp_forward(net, x)
-                logits += vals.reshape(n, br)
-                if want_grad:
-                    caches.append((key, net, x, h))
-            lse = logsumexp(logits, axis=1)
+            logits = np.zeros((n, model.grid.nbins[r]))
+            for key, idx in entries:
+                logits += vals[key][idx]
+            top = logits.max(axis=1, keepdims=True)
+            p = np.exp(logits - top)
+            norm = p.sum(axis=1)
+            lse = top[:, 0] + np.log(norm)
             rows = np.arange(n)
             total += float(np.sum(logits[rows, obs] - lse))
             if want_grad:
-                dl = -np.exp(logits - lse[:, None])
+                dl = -p / norm[:, None]
                 dl[rows, obs] += 1.0
-                dout = dl.reshape(-1)
-                for key, net, x, h in caches:
-                    for acc, g in zip(grads[key], mlp_backward(net, x, h, dout)):
-                        acc += g
+                for key, idx in entries:
+                    dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
+                                              minlength=dvals[key].size)
     if not np.isfinite(total):
         raise NonFinite("pseudo-log-likelihood is not finite")
-    if want_grad:
-        for key, gs in grads.items():
-            for g in gs:
-                if not np.all(np.isfinite(g)):
-                    raise NonFinite(f"gradient for net {key} is not finite")
+    if not want_grad:
+        return total, None
+    grads = {key: zero_grads(net) for key, net in model.nets.items()}
+    for key, x in designs.items():
+        grads[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[key])
+    for key, gs in grads.items():
+        for g in gs:
+            if not np.all(np.isfinite(g)):
+                raise NonFinite(f"gradient for net {key} is not finite")
     return total, grads
 
 
@@ -289,6 +316,10 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     that many rows (without replacement) from every dataset using the given
     seed, and the full objective is logged once per epoch.
 
+    The cell designs (see the module docstring) are built once per call
+    from all rows; a minibatch step only selects rows of the cell indices,
+    so every step runs each net forward and backward once on its design.
+
     Args:
         model: initialized model to start from.
         datasets: RegimeDataset list covering the training regimes.
@@ -306,7 +337,7 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     opt = Adam(params, lr=lr, maximize=True)
     prep = _prepare(trained, datasets)
     rng = np.random.default_rng(seed)
-    sizes = [per_var[0][1].shape[0] if per_var else 0 for per_var in prep]
+    sizes = [per_var[0][1].shape[0] if per_var else 0 for per_var in prep[1]]
 
     objectives = []
     regressions = []
@@ -397,26 +428,42 @@ def model_to_dict(model: EnergyModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> EnergyModel:
+    """Rebuild a model; ModelFormatError on missing keys, bad shapes or non-finite weights."""
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not an energy model file")
     if obj.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+    require_keys(obj, ("seed", "hidden", "graph", "grid", "nets"), "model file")
+    require_keys(obj["grid"], ("edges",), "model grid")
     ifm = parse_graph(obj["graph"])
-    grid = Grid(tuple(np.asarray(e, dtype=float) for e in obj["grid"]["edges"]))
+    try:
+        grid = Grid(tuple(np.asarray(e, dtype=float) for e in obj["grid"]["edges"]))
+    except (TypeError, ValueError):
+        raise ModelFormatError("grid edges must be numeric arrays") from None
     if grid.m != ifm.m:
         raise ModelFormatError("grid and graph disagree on the variable count")
+    if not isinstance(obj["nets"], list):
+        raise ModelFormatError("model nets must be a list")
     nets = {}
     for entry in obj["nets"]:
-        nets[(int(entry["factor"]), tuple(int(v) for v in entry["value"]))] = mlp_from_dict(entry)
+        require_keys(entry, ("factor", "value"), "net entry")
+        try:
+            key = (int(entry["factor"]), tuple(int(v) for v in entry["value"]))
+        except (TypeError, ValueError):
+            raise ModelFormatError("net factor and value must be integers") from None
+        nets[key] = mlp_from_dict(entry)
     expected = expected_net_keys(ifm)
     if sorted(nets) != sorted(expected):
         raise ModelFormatError("net inventory does not match the graph")
-    hidden = int(obj["hidden"])
+    try:
+        hidden, seed = int(obj["hidden"]), int(obj["seed"])
+    except (TypeError, ValueError):
+        raise ModelFormatError("hidden and seed must be integers") from None
     for key, net in nets.items():
         k = key[0]
         if net.hidden != hidden or net.in_dim != len(ifm.factors[k].var_scope):
             raise ModelFormatError(f"net {key} has the wrong shape")
-    return EnergyModel(ifm, grid, hidden, nets, int(obj["seed"]))
+    return EnergyModel(ifm, grid, hidden, nets, seed)
 
 
 def save_model(path, model: EnergyModel) -> None:

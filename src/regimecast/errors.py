@@ -47,3 +47,12 @@ class UnknownStructure(DomainError):
 
 class ModelFormatError(DomainError):
     """Persisted model file is malformed or from an incompatible version."""
+
+
+def require_keys(obj, keys, what: str) -> None:
+    """Raise ModelFormatError unless obj is a dict holding every key."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ModelFormatError(f"{what} is missing {', '.join(map(repr, missing))}")

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyModel, log_ratio_rows
-from .errors import InsufficientData, InvalidSpec, MissingOutcome, ModelFormatError, NonFinite
+from .errors import (
+    InsufficientData,
+    InvalidSpec,
+    MissingOutcome,
+    ModelFormatError,
+    NonFinite,
+    require_keys,
+)
 from .model import RegimeDataset, RegimeVector
 from .nets import Adam, init_mlp, mlp_backward, mlp_forward, mlp_from_dict, mlp_to_dict
 from .sampling import gibbs_sample
@@ -303,6 +310,7 @@ def outcome_from_dict(obj: dict) -> OutcomeModel:
         raise ModelFormatError("not an outcome model file")
     if obj.get("format_version") != OUTCOME_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+    require_keys(obj, ("m", "seed"), "outcome file")
     net = mlp_from_dict(obj)
     if net.in_dim != int(obj["m"]):
         raise ModelFormatError("net width does not match the variable count")

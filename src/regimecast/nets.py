@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ModelFormatError, require_keys
+
 
 @dataclass
 class Mlp:
@@ -83,15 +85,21 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(obj: dict) -> Mlp:
-    w1 = np.asarray(obj["w1"], dtype=float)
-    if w1.ndim != 2:
-        w1 = w1.reshape(len(obj["b1"]), -1)
-    return Mlp(
-        w1,
-        np.asarray(obj["b1"], dtype=float),
-        np.asarray(obj["w2"], dtype=float),
-        np.asarray(obj["b2"], dtype=float),
-    )
+    """Rebuild a net; ModelFormatError on missing keys, bad shapes or non-finite weights."""
+    require_keys(obj, ("w1", "b1", "w2", "b2"), "net")
+    try:
+        w1, b1, w2, b2 = (np.asarray(obj[k], dtype=float) for k in ("w1", "b1", "w2", "b2"))
+    except (TypeError, ValueError):
+        raise ModelFormatError("net weights must be numeric arrays") from None
+    # a flat w1 is read row-major as (hidden, in_dim)
+    if w1.ndim != 2 and b1.size and w1.size % b1.size == 0:
+        w1 = w1.reshape(b1.size, -1)
+    if (w1.ndim != 2 or b1.ndim != 1 or w1.shape[0] != b1.size
+            or w2.shape != b1.shape or b2.shape != ()):
+        raise ModelFormatError("net weights have inconsistent shapes")
+    if not all(np.all(np.isfinite(p)) for p in (w1, b1, w2, b2)):
+        raise ModelFormatError("net weights must be finite")
+    return Mlp(w1, b1, w2, b2)
 
 
 class Adam:

@@ -84,7 +84,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     centers = model.grid.centers
     rng = np.random.default_rng(seed)
 
-    # per variable: the factors reading it, with either a table or the net
+    # per variable: the factors reading it, with either a table or the net;
+    # a factor reading several variables shares one table across their plans
+    tables = {}
     plans = []
     for r in range(m):
         entries = []
@@ -95,7 +97,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
             for j in f.var_scope:
                 size *= nbins[j]
             if size <= table_cap:
-                entries.append((f.var_scope, f.var_scope.index(r), _factor_table(model, k, regime), None))
+                if k not in tables:
+                    tables[k] = _factor_table(model, k, regime)
+                entries.append((f.var_scope, f.var_scope.index(r), tables[k], None))
             else:
                 entries.append((f.var_scope, f.var_scope.index(r), None, model.net_for(k, regime)))
         plans.append(entries)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import spearmanr
 
 from . import algebraic, estimators
 from .energy import EnergyModel, Grid, discretize, fit as fit_energy, new_model
@@ -352,6 +351,9 @@ def rcor(estimates, truths) -> float:
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or est.size < 2:
         raise InvalidSpec("need two equal-length vectors of length >= 2")
+    # imported here: scipy.stats costs most of the package's import time
+    from scipy.stats import spearmanr
+
     return float(spearmanr(est, tru).statistic)
 
 

@@ -148,6 +148,16 @@ def test_exit_codes(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_model_file_without_graph_is_rejected_input(workspace, tmp_path, capsys):
+    obj = json.loads((workspace / "model.json").read_text())
+    del obj["graph"]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["sample", "--model", str(bad), "--regime", "1,1,1", "--n", "3",
+                 "--seed", "0", "--out", str(tmp_path / "draws.csv")]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_fit_output_matches_the_model_schema(workspace):
     obj = json.loads((workspace / "model.json").read_text())
     jsonschema.validate(obj, schema("energy_model"))

@@ -5,6 +5,9 @@ import pytest
 
 from regimecast.energy import (
     Grid,
+    _pll_from_prep,
+    _prepare,
+    _slice_prep,
     discretize,
     expected_net_keys,
     fit,
@@ -140,6 +143,65 @@ def test_pseudo_loglik_matches_brute_force():
     data = rand_datasets(model, rng, n=6)
     assert pseudo_loglik(model, data) == pytest.approx(
         brute_pseudo_loglik(model, data), rel=1e-10)
+
+
+def random_structure_model(seed):
+    """Two or three variables, a 2-level and a 3-level switch, random scopes.
+
+    Factor 0 is always switched by the 3-level intervention, so its level-2
+    net is one no dataset below reaches.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    space = InterventionSpace(("a", "b"), (2, 3))
+    factors = [FactorSpec((0, 1), (1,))]
+    for j in range(m):
+        switched = tuple(sorted(rng.choice(2, size=int(rng.integers(0, 3)), replace=False)))
+        factors.append(FactorSpec((j,), switched))
+    if m == 3:
+        factors.append(FactorSpec((0, 1, 2), (0,)))
+    factors.append(FactorSpec((m - 1,), (0,)))
+    ifm = IfmStructure(m, space, tuple(factors))
+    grid = Grid(tuple(np.linspace(-1.0, 1.0, int(b) + 1) for b in rng.integers(2, 5, size=m)))
+    model = new_model(ifm, grid, hidden=3, seed=seed, out_scale=0.9)
+    data = [RegimeDataset(RegimeVector(levels), rng.uniform(-1.0, 1.0, size=(int(n), m)))
+            for levels, n in zip([(0, 0), (1, 0), (0, 1), (1, 1)], rng.integers(3, 9, size=4))]
+    return model, data
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
+    model, data = random_structure_model(seed)
+    prep = _prepare(model, data)
+    assert _pll_from_prep(model, prep, False)[0] == pytest.approx(
+        brute_pseudo_loglik(model, data), rel=1e-10)
+
+    rng = np.random.default_rng(seed + 100)
+    rows = [rng.choice(ds.n, size=2, replace=False) for ds in data]
+    sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
+    got, grads = _pll_from_prep(model, _slice_prep(prep, rows), True)
+    assert got == pytest.approx(brute_pseudo_loglik(model, sub), rel=1e-10)
+    want = pll_gradient(model, sub)
+    for key in model.nets:
+        for g, w in zip(grads[key], want[key]):
+            assert np.allclose(g, w, rtol=1e-10, atol=1e-12)
+
+
+def test_gradient_of_an_unreached_net_is_exactly_zero():
+    model, data = random_structure_model(5)
+    unreached = (0, (2,))
+    assert all(ds.regime.project((1,)) != (2,) for ds in data)
+    grads = pll_gradient(model, data)
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads[unreached])
+    assert any(np.any(g != 0.0) for g in grads[(0, (1,))])
+
+
+def test_fit_objectives_are_bit_identical_across_calls():
+    model, data = random_structure_model(6)
+    for batch in (None, 3):
+        _, first = fit(model, data, steps=12, lr=3e-2, batch=batch, seed=8)
+        _, second = fit(model, data, steps=12, lr=3e-2, batch=batch, seed=8)
+        assert first.objectives == second.objectives
 
 
 def test_pll_gradient_matches_finite_differences():
@@ -296,3 +358,34 @@ def test_model_from_dict_rejects_tampering():
     bad["nets"][0]["w1"] = [[0.0]]
     with pytest.raises(ModelFormatError):
         model_from_dict(bad)
+
+
+def test_model_from_dict_rejects_missing_keys_nonfinite_weights_and_bad_shapes():
+    obj = model_to_dict(rand_model(seed=59))
+
+    def with_net(**changes):
+        nets = [dict(n) for n in obj["nets"]]
+        nets[1].update(changes)
+        return {**obj, "nets": nets}
+
+    missing = [{k: v for k, v in obj.items() if k != drop}
+               for drop in ("graph", "grid", "nets", "hidden", "seed")]
+    missing.append({**obj, "grid": {}})
+    missing.append({**obj, "nets": [{k: v for k, v in n.items() if k != "b1"}
+                                    for n in obj["nets"]]})
+    net = obj["nets"][1]
+    nonfinite = [with_net(w2=[float("nan")] + net["w2"][1:]),
+                 with_net(b1=[float("inf")] + net["b1"][1:]),
+                 with_net(b2=float("-inf"))]
+    flat_w1 = np.ravel(net["w1"]).tolist()
+    shapes = [with_net(w1=flat_w1[:-1]),  # size not a multiple of the width
+              with_net(w1=[[0.0, 1.0], [2.0]]),  # ragged
+              with_net(w2=net["w2"][:-1]),
+              with_net(b2=[0.0, 0.0])]
+    for bad in missing + nonfinite + shapes:
+        with pytest.raises(ModelFormatError):
+            model_from_dict(bad)
+    # a flat w1 of the right size is still read row-major
+    back = model_from_dict(with_net(w1=flat_w1))
+    key = (obj["nets"][1]["factor"], tuple(obj["nets"][1]["value"]))
+    assert np.array_equal(back.nets[key].w1, np.asarray(net["w1"]))

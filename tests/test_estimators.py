@@ -278,3 +278,13 @@ def test_outcome_model_round_trip(tmp_path):
         outcome_from_dict({**obj, "format_version": 9})
     with pytest.raises(ModelFormatError):
         outcome_from_dict({**obj, "m": 3})
+
+
+def test_outcome_from_dict_rejects_missing_keys_and_nonfinite_weights():
+    rng = np.random.default_rng(27)
+    obj = outcome_to_dict(fit_outcome(make_data(rng, [(0, 0)], n=20), hidden=3, steps=5))
+    for drop in ("m", "seed", "w1"):
+        with pytest.raises(ModelFormatError):
+            outcome_from_dict({k: v for k, v in obj.items() if k != drop})
+    with pytest.raises(ModelFormatError):
+        outcome_from_dict({**obj, "b2": float("nan")})
