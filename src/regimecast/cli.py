@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, algebraic, junction
-from .errors import ConditionsNotMet, DomainError
+from .errors import ConditionsNotMet, DomainError, InvalidSpec
 from .estimators import (
     conformal_band,
     estimate_covshift,
@@ -82,20 +82,23 @@ def _regime_key(regime: RegimeVector) -> str:
 def _load_train(path, space) -> RegimeSet:
     """Training regimes from JSON: a list of level vectors, an object with
     a "regimes" list, or a data manifest (its level values are used)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict):
-        entries = obj["regimes"] if "regimes" in obj else list(obj.values())
-    else:
-        entries = obj
-    regimes = []
-    for entry in entries:
-        if isinstance(entry, str):
-            regimes.append(parse_regime_text(entry, space))
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if isinstance(obj, dict):
+            entries = obj["regimes"] if "regimes" in obj else list(obj.values())
         else:
-            regime = RegimeVector(tuple(int(v) for v in entry))
-            space.check_regime(regime)
-            regimes.append(regime)
+            entries = obj
+        regimes = []
+        for entry in entries:
+            if isinstance(entry, str):
+                regimes.append(parse_regime_text(entry, space))
+            else:
+                regime = RegimeVector(tuple(int(v) for v in entry))
+                space.check_regime(regime)
+                regimes.append(regime)
+    except (TypeError, ValueError) as exc:  # includes json.JSONDecodeError
+        raise InvalidSpec(f"{path}: not a list of training regimes ({exc})") from None
     return RegimeSet.of([r.levels for r in regimes])
 
 
@@ -112,39 +115,24 @@ def _conditions_dict(report: junction.ConditionReport) -> dict:
     }
 
 
-def _certificate(cert, train, target, route, conditions=None, support=None) -> dict:
+def _certificate(train, target, route, conditions, cert=None, reason=None,
+                 support=None) -> dict:
+    """Certificate JSON; `cert` None means the target was not identified."""
     out = {
         "format": CERT_FORMAT,
         "format_version": FORMAT_VERSION,
-        "identifiable": True,
+        "identifiable": cert is not None,
         "route": route,
         "target": _regime_key(target),
         "train": [_regime_key(r) for r in train],
-        "exponents": [float(q) for q in cert.exponents],
-        "solution_dim": cert.solution_dim,
-        "reason": None,
+        "exponents": None if cert is None else [float(q) for q in cert.exponents],
+        "solution_dim": None if cert is None else cert.solution_dim,
+        "reason": reason,
     }
     if conditions is not None:
         out["conditions"] = conditions
     if support is not None:
         out["support"] = support
-    return out
-
-
-def _no_certificate(train, target, route, reason, conditions=None) -> dict:
-    out = {
-        "format": CERT_FORMAT,
-        "format_version": FORMAT_VERSION,
-        "identifiable": False,
-        "route": route,
-        "target": _regime_key(target),
-        "train": [_regime_key(r) for r in train],
-        "exponents": None,
-        "solution_dim": None,
-        "reason": reason,
-    }
-    if conditions is not None:
-        out["conditions"] = conditions
     return out
 
 
@@ -162,24 +150,22 @@ def _cmd_identify(args) -> int:
         try:
             cert = junction.message_passing_identify(norm, train, target)
         except ConditionsNotMet as exc:
-            _emit(_no_certificate(train, target, "junction-tree", str(exc), conditions),
-                  args.out)
-            return 0
-        result = _certificate(cert, train, target, "junction-tree", conditions)
+            result = _certificate(train, target, "junction-tree", conditions, reason=str(exc))
+        else:
+            result = _certificate(train, target, "junction-tree", conditions, cert)
     else:
         solved = algebraic.solve_pr(norm, train, target)
         if isinstance(solved, algebraic.Unidentifiable):
-            _emit(_no_certificate(train, target, "algebraic", solved.reason, conditions),
-                  args.out)
-            return 0
-        if args.reduce:
+            result = _certificate(train, target, "algebraic", conditions, reason=solved.reason)
+        elif args.reduce:
             kept = algebraic.greedy_reduce(norm, train, target)
             solved = algebraic.solve_pr(norm, kept, target)
             support = [_regime_key(r) for r in kept]
             # exponents stay aligned with "train", which is the kept set here
-            result = _certificate(solved, kept, target, "algebraic", conditions, support)
+            result = _certificate(kept, target, "algebraic", conditions, solved,
+                                  support=support)
         else:
-            result = _certificate(solved, train, target, "algebraic", conditions)
+            result = _certificate(train, target, "algebraic", conditions, solved)
     _emit(result, args.out)
     return 0
 
@@ -293,7 +279,10 @@ def _cmd_benchmark(args) -> int:
     config = {}
     if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidSpec(f"{args.config}: {exc}") from None
     report = run_benchmark(config, jobs=args.jobs)
     report.write_json(args.out)
     if args.csv:

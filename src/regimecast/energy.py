@@ -9,7 +9,8 @@ variable given the rest, which needs no partition function: the conditional
 normalizes over one variable's grid using only the factors that read it.
 
 Because every net input is a bin center, each net is a finite table over
-its scope grid. Fitting exploits this: the distinct scope cells the data's
+its scope grid; `factor_table` tabulates it, and sampling reads those
+tables. Fitting exploits the same fact: the distinct scope cells the data's
 sweeps reach form one small design per net, each step evaluates every net
 once on its design, gathers the conditional logits by cell index, and
 scatters their gradient back onto the cells before one backward pass.
@@ -76,10 +77,13 @@ class Grid:
         return tuple(e.size - 1 for e in self.edges)
 
     def bin_rows(self, x: np.ndarray) -> np.ndarray:
-        """Map raw rows (n, m) to bin indices; out-of-range values clip."""
+        """Map raw rows (n, m) to bin indices; out-of-range values clip,
+        non-finite ones are rejected."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.m:
             raise InvalidSpec(f"rows have {x.shape[1]} columns, grid has {self.m}")
+        if not np.all(np.isfinite(x)):
+            raise InvalidSpec("rows hold non-finite values")
         out = np.empty(x.shape, dtype=int)
         for j, e in enumerate(self.edges):
             out[:, j] = np.clip(np.searchsorted(e, x[:, j], side="right") - 1, 0, e.size - 2)
@@ -177,6 +181,16 @@ def log_unnorm(model: EnergyModel, x_bins, regime: RegimeVector):
         vals, _ = mlp_forward(net, model.grid.center_rows(bins, f.var_scope))
         out += vals
     return float(out[0]) if single else out
+
+
+def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray:
+    """Potential of factor k over the full grid of the variables it reads."""
+    f = model.ifm.factors[k]
+    centers = [model.grid.centers[j] for j in f.var_scope]
+    mesh = np.meshgrid(*centers, indexing="ij")
+    feats = np.column_stack([g.reshape(-1) for g in mesh])
+    vals, _ = mlp_forward(model.net_for(k, regime), feats)
+    return vals.reshape([c.size for c in centers])
 
 
 def _prepare(model: EnergyModel, datasets):
@@ -312,9 +326,11 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     """Ascend the pseudo-log-likelihood with Adam; returns (model, FitLog).
 
     The input model is untouched; a copy is trained. Full-batch by default,
-    in which case one step is one epoch. With `batch` set, each step draws
-    that many rows (without replacement) from every dataset using the given
-    seed, and the full objective is logged once per epoch.
+    in which case one step is one epoch and logs its own objective, taken
+    before its update. With `batch` set, each step draws that many rows
+    (without replacement) from every dataset using the given seed, and the
+    full objective is logged after each epoch and after the last step.
+    With zero steps the log holds the starting objective.
 
     The cell designs (see the module docstring) are built once per call
     from all rows; a minibatch step only selects rows of the cell indices,
@@ -347,34 +363,25 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
             regressions.append(len(objectives))
         objectives.append(value)
 
-    if batch is None:
-        for step in range(steps):
-            try:
-                obj, grads = _pll_from_prep(trained, prep, True)
-            except NonFinite as exc:
-                raise NonFinite(f"{exc} (step {step})") from None
-            log_obj(obj)
-            opt.step([g for key in keys for g in grads[key]])
-        objectives_full = objectives
-    else:
-        if batch < 1:
-            raise InvalidSpec("batch must be >= 1")
-        per_epoch = max(1, -(-max(sizes) // batch))
-        for step in range(steps):
-            rows = [rng.choice(n, size=min(batch, n), replace=False) for n in sizes]
-            sub = _slice_prep(prep, rows)
-            try:
-                _, grads = _pll_from_prep(trained, sub, True)
-            except NonFinite as exc:
-                raise NonFinite(f"{exc} (step {step})") from None
-            opt.step([g for key in keys for g in grads[key]])
-            if (step + 1) % per_epoch == 0 or step + 1 == steps:
-                log_obj(_pll_from_prep(trained, prep, False)[0])
-        objectives_full = objectives
+    if batch is not None and batch < 1:
+        raise InvalidSpec("batch must be >= 1")
+    per_epoch = 1 if batch is None else max(1, -(-max(sizes) // batch))
+    for step in range(steps):
+        sub = prep if batch is None else _slice_prep(
+            prep, [rng.choice(n, size=min(batch, n), replace=False) for n in sizes])
+        try:
+            obj, grads = _pll_from_prep(trained, sub, True)
+        except NonFinite as exc:
+            raise NonFinite(f"{exc} (step {step})") from None
+        if batch is None:
+            log_obj(obj)  # the full objective before this step's update
+        opt.step([g for key in keys for g in grads[key]])
+        if batch is not None and ((step + 1) % per_epoch == 0 or step + 1 == steps):
+            log_obj(_pll_from_prep(trained, prep, False)[0])
 
-    if not objectives_full:
-        objectives_full = [_pll_from_prep(trained, prep, False)[0]]
-    return trained, FitLog(tuple(objectives_full), tuple(regressions), steps, lr, batch)
+    if not objectives:
+        objectives.append(_pll_from_prep(trained, prep, False)[0])
+    return trained, FitLog(tuple(objectives), tuple(regressions), steps, lr, batch)
 
 
 def log_ratio_rows(model: EnergyModel, x, num: RegimeVector, den: RegimeVector) -> np.ndarray:

@@ -166,15 +166,26 @@ def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate
     return Estimate(mu, se, per_regime=tuple(per))
 
 
+def covshift_outcome(model: EnergyModel, datasets, target: RegimeVector, hidden: int,
+                     steps: int, lr: float, seed: int) -> OutcomeModel:
+    """Refit the outcome net with each regime's rows weighted toward the target.
+
+    Weights are the per-regime self-normalized density ratios of
+    regime_weights (as in estimate_ipw); `seed` seeds fit_outcome.
+    """
+    weights = [regime_weights(model, ds, target) for ds in datasets]
+    return fit_outcome(datasets, hidden=hidden, steps=steps, lr=lr, seed=seed,
+                       weights=weights)
+
+
 def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
                       nsamples: int = 2000, seed: int = 0, burn: int = 500,
                       thin: int = 5, hidden: int = 15, steps: int = 2000,
                       lr: float = 1e-2) -> Estimate:
     """Refit the outcome net under target-regime weights, then average it.
 
-    Rows are reweighted by self-normalized density ratios toward the target
-    regime (per regime, as in estimate_ipw) before the squared-error refit,
-    then the estimate proceeds as in estimate_direct.
+    The refit is covshift_outcome; the estimate then proceeds as in
+    estimate_direct.
     """
     model.ifm.space.check_regime(target)
     if not datasets:
@@ -182,9 +193,7 @@ def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
     rng = np.random.default_rng(seed)
     fit_seed = int(rng.integers(2 ** 63))
     gibbs_seed = int(rng.integers(2 ** 63))
-    weights = [regime_weights(model, ds, target) for ds in datasets]
-    outcome = fit_outcome(datasets, hidden=hidden, steps=steps, lr=lr,
-                          seed=fit_seed, weights=weights)
+    outcome = covshift_outcome(model, datasets, target, hidden, steps, lr, fit_seed)
     return estimate_direct(model, outcome, target, nsamples=nsamples,
                            seed=gibbs_seed, burn=burn, thin=thin)
 

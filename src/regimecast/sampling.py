@@ -2,50 +2,42 @@
 sampling everywhere else.
 
 Conditionals of one variable given the rest involve only the factors that
-read it, so each Gibbs update sums a handful of precomputed factor tables
-along one axis, normalizes over that variable's bins, and draws.
+read it, so each Gibbs update sums a handful of `energy.factor_table`
+tables along one axis, normalizes over that variable's bins, and draws.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .energy import EnergyModel
+from .energy import EnergyModel, factor_table
 from .errors import GridTooLarge, InvalidSpec
 from .model import RegimeVector
 from .nets import mlp_forward
 
+# grids and factors up to this many cells are tabulated
 CELL_CAP = 1_000_000
 
 
-def _factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray:
-    """Potential of factor k over the full grid of the variables it reads."""
-    f = model.ifm.factors[k]
-    centers = [model.grid.centers[j] for j in f.var_scope]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    feats = np.column_stack([g.reshape(-1) for g in mesh])
-    vals, _ = mlp_forward(model.net_for(k, regime), feats)
-    return vals.reshape([c.size for c in centers])
-
-
-def exact_density(model: EnergyModel, regime: RegimeVector, cap: int = CELL_CAP) -> np.ndarray:
-    """Normalized probability table over the full grid, cell count capped.
+def exact_density(model: EnergyModel, regime: RegimeVector) -> np.ndarray:
+    """Normalized probability table over the full grid.
 
     Returns an array with one axis per variable, summing to 1, obtained by
     broadcasting every factor table into the joint log table and taking a
-    softmax over all cells.
+    softmax over all cells. Raises GridTooLarge when the grid has more than
+    CELL_CAP cells.
     """
     model.ifm.space.check_regime(regime)
     nbins = model.grid.nbins
-    cells = 1
-    for b in nbins:
-        cells *= b
-    if cells > cap:
-        raise GridTooLarge(f"{cells} cells exceed the cap of {cap}")
+    cells = math.prod(nbins)
+    if cells > CELL_CAP:
+        raise GridTooLarge(f"{cells} cells exceed the cap of {CELL_CAP}")
 
     logp = np.zeros(nbins)
     for k, f in enumerate(model.ifm.factors):
-        table = _factor_table(model, k, regime)
+        table = factor_table(model, k, regime)
         shape = [nbins[j] if j in f.var_scope else 1 for j in range(model.ifm.m)]
         logp += table.reshape(shape)
     logp -= logp.max()
@@ -55,15 +47,15 @@ def exact_density(model: EnergyModel, regime: RegimeVector, cap: int = CELL_CAP)
 
 
 def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
-                 burn: int = 500, thin: int = 5, seed: int = 0,
-                 table_cap: int = 200_000) -> np.ndarray:
+                 burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
     """Systematic-scan Gibbs sampler; returns (n, m) rows of bin centers.
 
     One scan updates variables 0..m-1 in order from their full conditionals.
     The first `burn` scans are discarded, then every `thin`-th scan is kept.
     The chain starts from every variable's middle bin and is a deterministic
-    function of the seed. Factor tables are precomputed when they fit under
-    `table_cap` cells; larger factors are evaluated on the fly.
+    function of the seed. Factors of up to CELL_CAP cells are tabulated once
+    per call (`energy.factor_table`); larger factors, such as five variables
+    at 20 bins, are evaluated on the fly for each update.
 
     Args:
         model: fitted (or constructed) energy model.
@@ -93,12 +85,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
         for k, f in enumerate(model.ifm.factors):
             if r not in f.var_scope:
                 continue
-            size = 1
-            for j in f.var_scope:
-                size *= nbins[j]
-            if size <= table_cap:
+            if math.prod(nbins[j] for j in f.var_scope) <= CELL_CAP:
                 if k not in tables:
-                    tables[k] = _factor_table(model, k, regime)
+                    tables[k] = factor_table(model, k, regime)
                 entries.append((f.var_scope, f.var_scope.index(r), tables[k], None))
             else:
                 entries.append((f.var_scope, f.var_scope.index(r), None, model.net_for(k, regime)))

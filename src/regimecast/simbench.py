@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import algebraic, estimators
 from .energy import EnergyModel, Grid, discretize, fit as fit_energy, new_model
@@ -367,6 +366,9 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
     """
     if bundle.dag is None:
         raise InvalidSpec(f"structure {bundle.name!r} has no DAG")
+    # imported here: scipy.special costs about half the package's import time
+    from scipy.special import expit
+
     rng = np.random.default_rng(seed)
     space = bundle.ifm.space
     mean_nets, scale_nets = [], []
@@ -453,6 +455,8 @@ _METHODS = ("ifm_direct", "ifm_ipw", "ifm_covshift", "ridge", "dag_direct")
 
 def resolve_config(config: dict) -> dict:
     """Overlay user settings on the defaults, rejecting unknown keys."""
+    if not isinstance(config, dict):
+        raise InvalidSpec("benchmark config must be a JSON object")
     unknown = set(config) - set(DEFAULT_CONFIG)
     if unknown:
         raise InvalidSpec(f"unknown benchmark config keys: {sorted(unknown)}")
@@ -557,13 +561,10 @@ def _run_problem(args):
             elif meth == "ifm_covshift":
                 shift_rng = np.random.default_rng(seeds["covshift"])
                 for t in targets:
-                    weights = [
-                        estimators.regime_weights(sh["model"], ds, t) for ds in datasets_y
-                    ]
-                    refit = estimators.fit_outcome(
-                        datasets_y, hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"],
-                        lr=cfg["outcome_lr"], seed=int(shift_rng.integers(2 ** 63)),
-                        weights=weights,
+                    refit = estimators.covshift_outcome(
+                        sh["model"], datasets_y, t, cfg["outcome_hidden"],
+                        cfg["outcome_steps"], cfg["outcome_lr"],
+                        int(shift_rng.integers(2 ** 63)),
                     )
                     est[t] = float(estimators.predict_outcome(refit, sh["draws_fit"][t]).mean())
             elif meth == "ridge":

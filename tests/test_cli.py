@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from regimecast import cli
 from regimecast.cli import main
 from regimecast.fileio import graph_to_dict, write_dataset_csv
 from regimecast.model import (
@@ -140,12 +141,38 @@ def test_exit_codes(workspace, tmp_path, capsys):
                  "--train", str(workspace / "train.json"), "--target", "9,9,9"]) == 2
     assert main(["validate", "--graph", str(tmp_path / "absent.json")]) == 2
 
-    # internal: train file holds a number, not regimes
+    # rejected input: train file holds a number, not regimes
     bad = tmp_path / "bad.json"
     bad.write_text("5")
     assert main(["identify", "--graph", str(workspace / "graph.json"),
-                 "--train", str(bad), "--target", "1,1,1"]) == 3
+                 "--train", str(bad), "--target", "1,1,1"]) == 2
     capsys.readouterr()
+
+
+def test_unexpected_failure_is_an_internal_error(workspace, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "_cmd_validate", boom)
+    assert main(["validate", "--graph", str(workspace / "graph.json")]) == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"regimes": 5}', '[["x"]]', "[5]"])
+def test_malformed_train_file_is_rejected_input(workspace, tmp_path, capsys, text):
+    bad = tmp_path / "train.json"
+    bad.write_text(text)
+    assert main(["identify", "--graph", str(workspace / "graph.json"),
+                 "--train", str(bad), "--target", "1,1,1"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "5"])
+def test_malformed_benchmark_config_is_rejected_input(tmp_path, capsys, text):
+    bad = tmp_path / "config.json"
+    bad.write_text(text)
+    assert main(["benchmark", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_model_file_without_graph_is_rejected_input(workspace, tmp_path, capsys):

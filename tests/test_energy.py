@@ -8,6 +8,7 @@ from regimecast.energy import (
     _pll_from_prep,
     _prepare,
     _slice_prep,
+    density_ratio,
     discretize,
     expected_net_keys,
     fit,
@@ -21,7 +22,7 @@ from regimecast.energy import (
     save_model,
     load_model,
 )
-from regimecast.errors import DegenerateVariable, InvalidSpec, ModelFormatError
+from regimecast.errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite
 from regimecast.model import (
     FactorSpec,
     IfmStructure,
@@ -73,6 +74,16 @@ def test_grid_validation_and_binning():
     assert g.bin_rows(x)[:, 0].tolist() == [0, 1, 0, 1, 1, 0, 1]
     centers = g.center_rows(np.array([[0], [1]]))
     assert centers[:, 0].tolist() == [0.5, 1.5]
+
+
+def test_bin_rows_rejects_non_finite_values():
+    g = Grid((np.linspace(0.0, 1.0, 5),))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidSpec):
+            g.bin_rows([[bad]])
+    model = rand_model(seed=1)
+    with pytest.raises(InvalidSpec):
+        density_ratio(model, np.array([np.nan, 1.0]), RegimeVector((1, 0)), RegimeVector((0, 0)))
 
 
 def test_discretize_pools_datasets_and_rejects_constants():
@@ -266,6 +277,30 @@ def test_fit_minibatch_logs_per_epoch_and_is_seeded():
     assert all(np.array_equal(trained.nets[k].w1, same.nets[k].w1) for k in trained.nets)
     assert any(not np.array_equal(trained.nets[k].w1, other.nets[k].w1)
                for k in trained.nets)
+
+
+def test_fit_loop_edge_cases():
+    model = rand_model(seed=2, out_scale=0.0)
+    data = rand_datasets(model, np.random.default_rng(19), n=24)
+    start = pseudo_loglik(model, data)
+    for batch in (None, 8):
+        _, log = fit(model, data, steps=0, batch=batch)
+        assert log.objectives == (start,)
+    # 24 rows, batch 8: epochs end after steps 3, 6 and 9; step 10 is the last
+    trained, log = fit(model, data, steps=10, lr=3e-2, batch=8, seed=4)
+    assert len(log.objectives) == 4
+    assert log.objectives[-1] == pseudo_loglik(trained, data)
+    with pytest.raises(InvalidSpec):
+        fit(model, data, steps=1, batch=0)
+
+
+@pytest.mark.parametrize("batch", [None, 8])
+def test_fit_names_the_step_of_a_non_finite_objective(batch):
+    model = rand_model(seed=3)
+    data = rand_datasets(model, np.random.default_rng(5), n=24)
+    model.nets[(0, (0,))].w1[0, 0] = np.nan
+    with pytest.raises(NonFinite, match=r"\(step 0\)"):
+        fit(model, data, steps=3, lr=1e-2, batch=batch)
 
 
 def test_fit_recovers_one_dim_histograms():

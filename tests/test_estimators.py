@@ -11,10 +11,12 @@ from regimecast.errors import (
     InvalidSpec,
     MissingOutcome,
     ModelFormatError,
+    NonFinite,
 )
 from regimecast.estimators import (
     ConformalBand,
     conformal_band,
+    covshift_outcome,
     estimate_covshift,
     estimate_direct,
     estimate_ipw,
@@ -90,6 +92,24 @@ def test_fit_outcome_weights_select_the_data():
                           weights=[np.ones(60), np.zeros(60)])
     preds = predict_outcome(outcome, data[1].x)
     assert np.all(np.abs(preds - 1.0) < 0.05)
+
+
+def test_fit_outcome_names_the_diverging_step():
+    rng = np.random.default_rng(4)
+    data = make_data(rng, [(0, 0)], n=20)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"\(step 1\)"):
+        fit_outcome(data, hidden=3, steps=5, lr=1e200)
+
+
+def test_covshift_outcome_is_the_weighted_refit():
+    model = make_model(seed=6)
+    data = make_data(np.random.default_rng(5), [(0, 0), (1, 0)], n=30)
+    target = RegimeVector((1, 1))
+    got = covshift_outcome(model, data, target, 4, 20, 1e-2, 7)
+    want = fit_outcome(data, hidden=4, steps=20, lr=1e-2, seed=7,
+                       weights=[regime_weights(model, ds, target) for ds in data])
+    for a, b in zip(got.net.params(), want.net.params()):
+        assert np.array_equal(a, b)
 
 
 def test_predict_outcome_checks_width():

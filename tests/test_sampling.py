@@ -11,6 +11,7 @@ from regimecast.model import (
     InterventionSpace,
     RegimeVector,
 )
+from regimecast import sampling
 from regimecast.sampling import exact_density, gibbs_sample
 
 from conftest import tv
@@ -42,11 +43,13 @@ def test_exact_density_matches_cellwise_softmax():
         assert np.allclose(dens.reshape(-1), want)
 
 
-def test_exact_density_respects_cell_cap():
+def test_exact_density_respects_cell_cap(monkeypatch):
     model = make_model()
+    monkeypatch.setattr(sampling, "CELL_CAP", 5)
     with pytest.raises(GridTooLarge):
-        exact_density(model, RegimeVector((0, 0)), cap=5)
-    exact_density(model, RegimeVector((0, 0)), cap=6)
+        exact_density(model, RegimeVector((0, 0)))
+    monkeypatch.setattr(sampling, "CELL_CAP", 6)
+    exact_density(model, RegimeVector((0, 0)))
 
 
 def test_gibbs_argument_validation():
@@ -74,12 +77,13 @@ def test_gibbs_rows_are_bin_centers_and_seeded():
     assert not np.array_equal(x, other)
 
 
-def test_gibbs_table_and_direct_paths_agree():
+def test_gibbs_table_and_direct_paths_agree(monkeypatch):
     model = make_model(seed=3)
     r = RegimeVector((0, 1))
     cached = gibbs_sample(model, r, 200, burn=50, thin=1, seed=4)
-    # table_cap 0 forces per-step net evaluation
-    direct = gibbs_sample(model, r, 200, burn=50, thin=1, seed=4, table_cap=0)
+    # a cap of 0 cells forces per-update net evaluation
+    monkeypatch.setattr(sampling, "CELL_CAP", 0)
+    direct = gibbs_sample(model, r, 200, burn=50, thin=1, seed=4)
     assert np.allclose(cached, direct)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regimecast.errors import DomainError, InvalidSpec, UnknownStructure
+from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
 from regimecast.simbench import (
@@ -223,12 +223,22 @@ def test_fit_dag_returns_a_working_simulator():
     assert x.shape == (25, 11) and np.all(np.isfinite(x))
 
 
+def test_fit_dag_names_the_diverging_step():
+    b = builtin_structure("sachs")
+    truth = make_dag_truth(b, seed=1)
+    data = [RegimeDataset(r, truth.sample(r, 30, seed=2)) for r in list(b.train)[:2]]
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"node 0 .*\(step 2\)"):
+        fit_dag(b, data, hidden=3, steps=5, lr=1e200, seed=3)
+
+
 def test_resolve_config_checks_keys_and_values():
     cfg = resolve_config({})
     assert cfg == DEFAULT_CONFIG
     assert resolve_config({"bins": 12})["bins"] == 12
     with pytest.raises(InvalidSpec):
         resolve_config({"binz": 12})
+    with pytest.raises(InvalidSpec):
+        resolve_config(5)
     with pytest.raises(InvalidSpec):
         resolve_config({"methods": ["gradient_boosting"]})
     with pytest.raises(InvalidSpec):
