@@ -39,9 +39,6 @@ class SymbolIndex:
     def __len__(self):
         return len(self.entries)
 
-    def row_of(self, factor: int, value: tuple) -> int:
-        return self.entries.index((factor, value))
-
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:

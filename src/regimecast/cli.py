@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, algebraic, junction
-from .errors import ConditionsNotMet, DomainError, InvalidSpec
+from .errors import ConditionsNotMet, DomainError
 from .estimators import (
     conformal_band,
     estimate_covshift,
@@ -40,10 +40,13 @@ from .fileio import (
     fingerprint,
     load_graph,
     load_manifest,
+    load_train,
     parse_regime_text,
+    read_json,
+    regime_text,
     write_dataset_csv,
 )
-from .model import RegimeDataset, RegimeSet, RegimeVector, normalize_factors, sigma_graph
+from .model import RegimeDataset, normalize_factors, sigma_graph
 from .sampling import gibbs_sample
 from .simbench import run_benchmark
 
@@ -75,40 +78,13 @@ def _emit(obj, out) -> None:
         print(text)
 
 
-def _regime_key(regime: RegimeVector) -> str:
-    return ",".join(str(v) for v in regime.levels)
-
-
-def _load_train(path, space) -> RegimeSet:
-    """Training regimes from JSON: a list of level vectors, an object with
-    a "regimes" list, or a data manifest (its level values are used)."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        if isinstance(obj, dict):
-            entries = obj["regimes"] if "regimes" in obj else list(obj.values())
-        else:
-            entries = obj
-        regimes = []
-        for entry in entries:
-            if isinstance(entry, str):
-                regimes.append(parse_regime_text(entry, space))
-            else:
-                regime = RegimeVector(tuple(int(v) for v in entry))
-                space.check_regime(regime)
-                regimes.append(regime)
-    except (TypeError, ValueError) as exc:  # includes json.JSONDecodeError
-        raise InvalidSpec(f"{path}: not a list of training regimes ({exc})") from None
-    return RegimeSet.of([r.levels for r in regimes])
-
-
 def _conditions_dict(report: junction.ConditionReport) -> dict:
     return {
         "passed": report.passed,
         "cliques": [
             {
                 "interventions": list(entry.clique),
-                "missing": [_regime_key(r) for r in entry.missing],
+                "missing": [regime_text(r) for r in entry.missing],
             }
             for entry in report.entries
         ],
@@ -123,8 +99,8 @@ def _certificate(train, target, route, conditions, cert=None, reason=None,
         "format_version": FORMAT_VERSION,
         "identifiable": cert is not None,
         "route": route,
-        "target": _regime_key(target),
-        "train": [_regime_key(r) for r in train],
+        "target": regime_text(target),
+        "train": [regime_text(r) for r in train],
         "exponents": None if cert is None else [float(q) for q in cert.exponents],
         "solution_dim": None if cert is None else cert.solution_dim,
         "reason": reason,
@@ -138,7 +114,7 @@ def _certificate(train, target, route, conditions, cert=None, reason=None,
 
 def _cmd_identify(args) -> int:
     ifm = load_graph(args.graph)
-    train = _load_train(args.train, ifm.space)
+    train = load_train(args.train, ifm.space)
     target = parse_regime_text(args.target, ifm.space)
     norm = normalize_factors(ifm)
 
@@ -160,7 +136,7 @@ def _cmd_identify(args) -> int:
         elif args.reduce:
             kept = algebraic.greedy_reduce(norm, train, target)
             solved = algebraic.solve_pr(norm, kept, target)
-            support = [_regime_key(r) for r in kept]
+            support = [regime_text(r) for r in kept]
             # exponents stay aligned with "train", which is the kept set here
             result = _certificate(kept, target, "algebraic", conditions, solved,
                                   support=support)
@@ -229,7 +205,7 @@ def _cmd_estimate(args) -> int:
         "format": ESTIMATE_FORMAT,
         "format_version": FORMAT_VERSION,
         "method": args.method,
-        "target": _regime_key(target),
+        "target": regime_text(target),
         "mu_hat": est.mu,
         "se": est.se,
         "per_regime": None,
@@ -237,7 +213,7 @@ def _cmd_estimate(args) -> int:
     }
     if est.per_regime is not None:
         result["per_regime"] = [
-            {"regime": _regime_key(r.regime), "mu": r.mu, "var_proxy": r.var_proxy}
+            {"regime": regime_text(r.regime), "mu": r.mu, "var_proxy": r.var_proxy}
             for r in est.per_regime
         ]
     if args.alpha is not None:
@@ -264,7 +240,7 @@ def _cmd_conformal(args) -> int:
     _emit({
         "format": BAND_FORMAT,
         "format_version": FORMAT_VERSION,
-        "target": _regime_key(target),
+        "target": regime_text(target),
         "alpha": band.alpha,
         "center": band.center,
         "half_width": _finite_or_none(band.half_width),
@@ -276,13 +252,7 @@ def _cmd_conformal(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpec(f"{args.config}: {exc}") from None
+    config = read_json(args.config) if args.config else {}
     report = run_benchmark(config, jobs=args.jobs)
     report.write_json(args.out)
     if args.csv:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite, require_keys
-from .fileio import fingerprint, graph_to_dict, parse_graph
+from .fileio import (check_format, fingerprint, graph_to_dict, parse_graph, read_int,
+                     read_json, read_list)
 from .model import IfmStructure, RegimeVector
 from .nets import (
     Adam,
@@ -40,9 +41,6 @@ from .nets import (
 
 MODEL_FORMAT = "regimecast-energy-model"
 FORMAT_VERSION = 1
-
-# one potential net per (factor, level pattern); the net itself is a plain MLP
-PotentialNet = Mlp
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,10 +434,7 @@ def model_to_dict(model: EnergyModel) -> dict:
 
 def model_from_dict(obj: dict) -> EnergyModel:
     """Rebuild a model; ModelFormatError on missing keys, bad shapes or non-finite weights."""
-    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
-        raise ModelFormatError("not an energy model file")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+    check_format(obj, MODEL_FORMAT, FORMAT_VERSION)
     require_keys(obj, ("seed", "hidden", "graph", "grid", "nets"), "model file")
     require_keys(obj["grid"], ("edges",), "model grid")
     ifm = parse_graph(obj["graph"])
@@ -449,23 +444,18 @@ def model_from_dict(obj: dict) -> EnergyModel:
         raise ModelFormatError("grid edges must be numeric arrays") from None
     if grid.m != ifm.m:
         raise ModelFormatError("grid and graph disagree on the variable count")
-    if not isinstance(obj["nets"], list):
-        raise ModelFormatError("model nets must be a list")
     nets = {}
-    for entry in obj["nets"]:
+    for entry in read_list(obj["nets"], "model nets", ModelFormatError):
         require_keys(entry, ("factor", "value"), "net entry")
-        try:
-            key = (int(entry["factor"]), tuple(int(v) for v in entry["value"]))
-        except (TypeError, ValueError):
-            raise ModelFormatError("net factor and value must be integers") from None
+        value = read_list(entry["value"], "net value", ModelFormatError)
+        key = (read_int(entry["factor"], "net factor", ModelFormatError),
+               tuple(read_int(v, "net value", ModelFormatError) for v in value))
         nets[key] = mlp_from_dict(entry)
     expected = expected_net_keys(ifm)
     if sorted(nets) != sorted(expected):
         raise ModelFormatError("net inventory does not match the graph")
-    try:
-        hidden, seed = int(obj["hidden"]), int(obj["seed"])
-    except (TypeError, ValueError):
-        raise ModelFormatError("hidden and seed must be integers") from None
+    hidden = read_int(obj["hidden"], "model hidden", ModelFormatError)
+    seed = read_int(obj["seed"], "model seed", ModelFormatError)
     for key, net in nets.items():
         k = key[0]
         if net.hidden != hidden or net.in_dim != len(ifm.factors[k].var_scope):
@@ -479,9 +469,4 @@ def save_model(path, model: EnergyModel) -> None:
 
 
 def load_model(path) -> EnergyModel:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from None
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path, ModelFormatError))

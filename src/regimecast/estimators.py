@@ -24,6 +24,7 @@ from .errors import (
     NonFinite,
     require_keys,
 )
+from .fileio import check_format, read_int, read_json
 from .model import RegimeDataset, RegimeVector
 from .nets import Adam, init_mlp, mlp_backward, mlp_forward, mlp_from_dict, mlp_to_dict
 from .sampling import gibbs_sample
@@ -315,15 +316,14 @@ def outcome_to_dict(outcome: OutcomeModel) -> dict:
 
 
 def outcome_from_dict(obj: dict) -> OutcomeModel:
-    if not isinstance(obj, dict) or obj.get("format") != OUTCOME_FORMAT:
-        raise ModelFormatError("not an outcome model file")
-    if obj.get("format_version") != OUTCOME_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+    check_format(obj, OUTCOME_FORMAT, OUTCOME_FORMAT_VERSION)
     require_keys(obj, ("m", "seed"), "outcome file")
+    m = read_int(obj["m"], "outcome m", ModelFormatError)
+    seed = read_int(obj["seed"], "outcome seed", ModelFormatError)
     net = mlp_from_dict(obj)
-    if net.in_dim != int(obj["m"]):
+    if net.in_dim != m:
         raise ModelFormatError("net width does not match the variable count")
-    return OutcomeModel(net, int(obj["m"]), int(obj["seed"]))
+    return OutcomeModel(net, m, seed)
 
 
 def save_outcome(path, outcome: OutcomeModel) -> None:
@@ -332,9 +332,4 @@ def save_outcome(path, outcome: OutcomeModel) -> None:
 
 
 def load_outcome(path) -> OutcomeModel:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from None
-    return outcome_from_dict(obj)
+    return outcome_from_dict(read_json(path, ModelFormatError))

@@ -4,6 +4,10 @@ A graph spec is JSON naming the variables, the interventions (with level
 counts), and the factors by name. Data arrives as one CSV per regime whose
 header carries variable names plus an optional final "y" column, tied
 together by a manifest JSON object mapping file path to level vector.
+
+This module is the one input boundary: JSON files, integer fields and level
+vectors are decoded here, so malformed input is a DomainError naming the
+file or field.
 """
 
 from __future__ import annotations
@@ -11,21 +15,78 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, ModelFormatError
 from .model import (
     FactorSpec,
     IfmStructure,
     InterventionSpace,
     RegimeDataset,
+    RegimeSet,
     RegimeVector,
 )
 
 _INTV_KEYS = {"name", "cardinality", "baseline"}
 _FACTOR_KEYS = {"variables", "interventions"}
+
+
+def read_json(path, error=InvalidSpec):
+    """Decode a JSON file; a syntax error raises `error` naming the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise error(f"{path}: {exc}") from None
+
+
+def read_int(value, what: str, error=InvalidSpec) -> int:
+    """An integer field: ints and integral floats pass, anything else raises `error`."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def read_list(value, what: str, error=InvalidSpec):
+    """A JSON list field; anything else raises `error`."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def check_format(obj, fmt: str, version: int) -> None:
+    """Raise ModelFormatError unless obj is a `fmt` file at `version`."""
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise ModelFormatError(f"not a {fmt} file")
+    if obj.get("format_version") != version:
+        raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+
+
+def parse_levels(value, space: InterventionSpace, what: str) -> RegimeVector:
+    """A level vector from "1,0,1" text or a JSON integer list, checked
+    against the space; InvalidSpec names `what` on any defect."""
+    try:
+        if isinstance(value, str):
+            try:
+                levels = [int(part) for part in value.split(",")]
+            except ValueError:
+                raise InvalidSpec(f"cannot parse {value!r}") from None
+        else:
+            levels = [read_int(v, "level") for v in read_list(value, "level vector")]
+        regime = RegimeVector(tuple(levels))
+        space.check_regime(regime)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{what}: {exc}") from None
+    return regime
+
+
+def regime_text(regime: RegimeVector) -> str:
+    """The "1,0,1" form of a regime, as certificates and reports key it."""
+    return ",".join(str(v) for v in regime.levels)
 
 
 def parse_graph(obj) -> IfmStructure:
@@ -36,13 +97,13 @@ def parse_graph(obj) -> IfmStructure:
         if key not in obj:
             raise InvalidSpec(f"graph spec missing {key!r}")
 
-    var_names = tuple(str(v) for v in obj["variables"])
+    var_names = tuple(str(v) for v in read_list(obj["variables"], "graph variables"))
     if len(set(var_names)) != len(var_names):
         raise InvalidSpec("variable names must be unique")
     var_index = {name: i for i, name in enumerate(var_names)}
 
     names, cards = [], []
-    for entry in obj["interventions"]:
+    for entry in read_list(obj["interventions"], "graph interventions"):
         if not isinstance(entry, dict) or "name" not in entry or "cardinality" not in entry:
             raise InvalidSpec("each intervention needs 'name' and 'cardinality'")
         unknown = set(entry) - _INTV_KEYS
@@ -52,20 +113,21 @@ def parse_graph(obj) -> IfmStructure:
         if entry.get("baseline", 0) != 0:
             raise InvalidSpec(f"intervention {entry['name']!r} relabels the baseline level")
         names.append(str(entry["name"]))
-        cards.append(int(entry["cardinality"]))
+        cards.append(read_int(entry["cardinality"], f"intervention {entry['name']!r} cardinality"))
     space = InterventionSpace(tuple(names), tuple(cards))
     intv_index = {name: i for i, name in enumerate(space.names)}
 
     factors = []
-    for entry in obj["factors"]:
+    for entry in read_list(obj["factors"], "graph factors"):
         if not isinstance(entry, dict):
             raise InvalidSpec("each factor must be a JSON object")
         unknown = set(entry) - _FACTOR_KEYS
         if unknown:
             raise InvalidSpec(f"unknown factor keys {sorted(unknown)}")
+        scope = {key: read_list(entry.get(key, []), f"factor {key}") for key in _FACTOR_KEYS}
         try:
-            vs = tuple(sorted(var_index[str(v)] for v in entry.get("variables", [])))
-            fs = tuple(sorted(intv_index[str(s)] for s in entry.get("interventions", [])))
+            vs = tuple(sorted(var_index[str(v)] for v in scope["variables"]))
+            fs = tuple(sorted(intv_index[str(s)] for s in scope["interventions"]))
         except KeyError as exc:
             raise InvalidSpec(f"factor references unknown name {exc.args[0]!r}") from None
         factors.append(FactorSpec(vs, fs))
@@ -74,12 +136,7 @@ def parse_graph(obj) -> IfmStructure:
 
 
 def load_graph(path) -> IfmStructure:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"graph spec {path}: {exc}") from None
-    return parse_graph(obj)
+    return parse_graph(read_json(path))
 
 
 def graph_to_dict(ifm: IfmStructure) -> dict:
@@ -150,20 +207,15 @@ def write_dataset_csv(path, ifm: IfmStructure, dataset: RegimeDataset) -> None:
 
 def load_manifest(path, ifm: IfmStructure) -> list:
     """Load every dataset named by a manifest, in the manifest's own order."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"manifest {path}: {exc}") from None
+    obj = read_json(path)
     if not isinstance(obj, dict) or not obj:
-        raise InvalidSpec("manifest must be a non-empty JSON object of file -> levels")
+        raise InvalidSpec(f"manifest {path} must be a non-empty JSON object of file -> levels")
 
     base = os.path.dirname(os.path.abspath(path))
     datasets = []
     seen = set()
     for rel, levels in obj.items():
-        regime = RegimeVector(tuple(int(v) for v in levels))
-        ifm.space.check_regime(regime)
+        regime = parse_levels(levels, ifm.space, f"manifest {path} entry {rel!r}")
         if regime in seen:
             raise InvalidSpec(f"manifest repeats regime {regime.levels}")
         seen.add(regime)
@@ -174,12 +226,15 @@ def load_manifest(path, ifm: IfmStructure) -> list:
     return datasets
 
 
+def load_train(path, space: InterventionSpace) -> RegimeSet:
+    """Training regimes from JSON: a list of level vectors, an object with
+    a "regimes" list, or a data manifest (its level values are used)."""
+    obj = read_json(path)
+    entries = obj.get("regimes", list(obj.values())) if isinstance(obj, dict) else obj
+    what = f"train file {path}"
+    return RegimeSet.of([parse_levels(e, space, what).levels for e in read_list(entries, what)])
+
+
 def parse_regime_text(text, space: InterventionSpace) -> RegimeVector:
     """Parse a comma-separated level vector like "1,0,1"."""
-    try:
-        levels = tuple(int(part) for part in str(text).split(","))
-    except ValueError:
-        raise InvalidSpec(f"cannot parse regime {text!r}") from None
-    regime = RegimeVector(levels)
-    space.check_regime(regime)
-    return regime
+    return parse_levels(str(text), space, "regime")

@@ -53,12 +53,6 @@ class InterventionSpace:
             if not 0 <= lev < self.cardinalities[i]:
                 raise InvalidSpec(f"level {lev} out of range for intervention {self.names[i]!r}")
 
-    def n_regimes(self) -> int:
-        n = 1
-        for c in self.cardinalities:
-            n *= c
-        return n
-
     def all_regimes(self) -> "RegimeSet":
         combos = itertools.product(*[range(c) for c in self.cardinalities])
         return RegimeSet(tuple(RegimeVector(c) for c in combos))
@@ -255,15 +249,6 @@ class SigmaGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors(self, v: int) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.d)]

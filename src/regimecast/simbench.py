@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ import numpy as np
 from . import algebraic, estimators
 from .energy import EnergyModel, Grid, discretize, fit as fit_energy, new_model
 from .errors import DegenerateVariable, InvalidSpec, NonFinite, UnknownStructure
+from .fileio import read_int, read_list, regime_text
 from .model import (
     FactorSpec,
     IfmStructure,
@@ -454,14 +456,27 @@ _METHODS = ("ifm_direct", "ifm_ipw", "ifm_covshift", "ridge", "dag_direct")
 
 
 def resolve_config(config: dict) -> dict:
-    """Overlay user settings on the defaults, rejecting unknown keys."""
+    """Overlay user settings on the defaults, rejecting unknown keys and
+    values whose type differs from the default's."""
     if not isinstance(config, dict):
         raise InvalidSpec("benchmark config must be a JSON object")
     unknown = set(config) - set(DEFAULT_CONFIG)
     if unknown:
         raise InvalidSpec(f"unknown benchmark config keys: {sorted(unknown)}")
     cfg = dict(DEFAULT_CONFIG)
-    cfg.update(config)
+    for key, value in config.items():
+        default, what = DEFAULT_CONFIG[key], f"benchmark config {key!r}"
+        if isinstance(default, int):
+            value = read_int(value, what)
+        elif isinstance(default, float):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
+        elif isinstance(default, list):
+            read_list(value, what)
+        elif not isinstance(value, str):
+            raise InvalidSpec(f"{what} must be a string, got {value!r}")
+        cfg[key] = value
     cfg["methods"] = list(cfg["methods"])
     for meth in cfg["methods"]:
         if meth not in _METHODS:
@@ -502,10 +517,6 @@ def _stage(name: str):
     except Exception as exc:
         exc.args = (f"{name}: {exc}",) + exc.args[1:]
         raise
-
-
-def _regime_key(regime: RegimeVector) -> str:
-    return ",".join(str(v) for v in regime.levels)
 
 
 _SHARED = None
@@ -580,7 +591,7 @@ def _run_problem(args):
                 for t in targets:
                     est[t] = float(estimators.predict_outcome(onet, sh["draws_dag"][t]).mean())
 
-        entry = {"estimates": {_regime_key(t): est[t] for t in targets}}
+        entry = {"estimates": {regime_text(t): est[t] for t in targets}}
         if targets:
             ests = [est[t] for t in targets]
             trus = [mu_true[t] for t in targets]
@@ -594,7 +605,7 @@ def _run_problem(args):
     return {
         "problem": p,
         "truth": {
-            _regime_key(t): {"mu": mu_true[t], "var": var_true[t]} for t in targets
+            regime_text(t): {"mu": mu_true[t], "var": var_true[t]} for t in targets
         },
         "methods": methods,
     }
@@ -657,7 +668,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             if isinstance(result, algebraic.PrTransformation):
                 targets.append(t)
             else:
-                unidentifiable.append({"regime": _regime_key(t), "reason": result.reason})
+                unidentifiable.append({"regime": regime_text(t), "reason": result.reason})
 
     with _stage("simulate training data"):
         datasets = []
@@ -723,7 +734,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     for pb in problems:
         for meth in cfg["methods"]:
             for t in targets:
-                key = _regime_key(t)
+                key = regime_text(t)
                 csv_rows.append((
                     pb["problem"], meth, key,
                     pb["methods"][meth]["estimates"][key],
@@ -736,9 +747,9 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         "format_version": REPORT_FORMAT_VERSION,
         "config": cfg,
         "structure": bundle.name,
-        "train_regimes": [_regime_key(r) for r in bundle.train],
-        "test_regimes": [_regime_key(r) for r in bundle.test],
-        "scored_regimes": [_regime_key(t) for t in targets],
+        "train_regimes": [regime_text(r) for r in bundle.train],
+        "test_regimes": [regime_text(r) for r in bundle.test],
+        "scored_regimes": [regime_text(t) for t in targets],
         "unidentifiable": unidentifiable,
         "problems": problems,
         "summary": summary,

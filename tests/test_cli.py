@@ -158,7 +158,8 @@ def test_unexpected_failure_is_an_internal_error(workspace, monkeypatch, capsys)
     assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"regimes": 5}', '[["x"]]', "[5]"])
+@pytest.mark.parametrize("text", ["{not json", '{"regimes": 5}', '[["x"]]', "[5]",
+                                  "[[0.9, 1, 0]]", "[[true, 0, 0]]"])
 def test_malformed_train_file_is_rejected_input(workspace, tmp_path, capsys, text):
     bad = tmp_path / "train.json"
     bad.write_text(text)
@@ -167,7 +168,7 @@ def test_malformed_train_file_is_rejected_input(workspace, tmp_path, capsys, tex
     assert "internal error" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{not json", "5"])
+@pytest.mark.parametrize("text", ["{not json", "5", '{"n_problems": "1"}'])
 def test_malformed_benchmark_config_is_rejected_input(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text)
@@ -183,6 +184,40 @@ def test_model_file_without_graph_is_rejected_input(workspace, tmp_path, capsys)
     assert main(["sample", "--model", str(bad), "--regime", "1,1,1", "--n", "3",
                  "--seed", "0", "--out", str(tmp_path / "draws.csv")]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["graph", "manifest", "model", "outcome"])
+def test_malformed_field_is_rejected_input(workspace, tmp_path, capsys, kind):
+    files = {k: workspace / f"{k}.json" for k in ("graph", "manifest", "model", "outcome")}
+    obj = json.loads(files[kind].read_text())
+    if kind == "graph":
+        obj["interventions"][0]["cardinality"] = 2.5
+        named = "cardinality"
+    elif kind == "manifest":
+        # absolute CSV paths, so the copy need not sit beside the data
+        obj = {str(workspace / rel): levels for rel, levels in obj.items()}
+        obj[str(workspace / "data_0.csv")] = [0.9, 0, 0]
+        named = "data_0.csv"
+    elif kind == "model":
+        obj["seed"] = 1.5
+        named = "model seed"
+    else:
+        obj["m"] = "x"
+        named = "outcome m"
+    files[kind] = tmp_path / f"{kind}.json"
+    files[kind].write_text(json.dumps(obj))
+    argv = {
+        "graph": ["validate", "--graph", files["graph"]],
+        "manifest": ["validate", "--graph", files["graph"], "--data-manifest", files["manifest"]],
+        "model": ["sample", "--model", files["model"], "--regime", "1,1,1", "--n", "3",
+                  "--seed", "0", "--out", tmp_path / "draws.csv"],
+        "outcome": ["estimate", "--model", files["model"], "--data-manifest", files["manifest"],
+                    "--target", "1,1,1", "--outcome", files["outcome"], "--seed", "0",
+                    "--nsamples", "10", "--burn", "2"],
+    }[kind]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and named in err
 
 
 def test_fit_output_matches_the_model_schema(workspace):

@@ -308,3 +308,6 @@ def test_outcome_from_dict_rejects_missing_keys_and_nonfinite_weights():
             outcome_from_dict({k: v for k, v in obj.items() if k != drop})
     with pytest.raises(ModelFormatError):
         outcome_from_dict({**obj, "b2": float("nan")})
+    for key, value in (("m", "x"), ("seed", 1.5)):
+        with pytest.raises(ModelFormatError, match=f"outcome {key} must be an integer"):
+            outcome_from_dict({**obj, key: value})

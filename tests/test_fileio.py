@@ -67,6 +67,18 @@ def test_parse_graph_rejects_unknown_keys():
     bad["interventions"][0]["color"] = "red"
     with pytest.raises(InvalidSpec):
         parse_graph(bad)
+    for card in (2.5, "x", None):
+        bad = json.loads(json.dumps(GRAPH))
+        bad["interventions"][0]["cardinality"] = card
+        with pytest.raises(InvalidSpec, match="cardinality"):
+            parse_graph(bad)
+    for key in ("variables", "factors"):
+        with pytest.raises(InvalidSpec, match=key):
+            parse_graph({**GRAPH, key: 5})
+    bad = json.loads(json.dumps(GRAPH))
+    bad["factors"][0]["variables"] = 5
+    with pytest.raises(InvalidSpec):
+        parse_graph(bad)
 
 
 def test_fingerprint_is_stable_and_sensitive():
@@ -138,6 +150,14 @@ def test_manifest_order_and_errors(tmp_path):
     mpath.write_text(json.dumps({"missing.csv": [0, 0]}))
     with pytest.raises(InvalidSpec):
         load_manifest(mpath, ifm)
+
+    for levels in ([0.9, 0], 5, None):
+        mpath.write_text(json.dumps({"d1.csv": levels}))
+        with pytest.raises(InvalidSpec, match="d1.csv"):
+            load_manifest(mpath, ifm)
+    # level vectors may also be written as text, as in train files
+    mpath.write_text(json.dumps({"d2.csv": "0,2"}))
+    assert load_manifest(mpath, ifm)[0].regime.levels == (0, 2)
 
 
 def test_parse_regime_text():

@@ -243,6 +243,12 @@ def test_resolve_config_checks_keys_and_values():
         resolve_config({"methods": ["gradient_boosting"]})
     with pytest.raises(InvalidSpec):
         resolve_config({"truth": "linear"})
+    # values must have the type of the key's default; integral floats count as integers
+    for bad in ({"n_problems": "1"}, {"bins": 2.5}, {"signal_range": 5}, {"seed": None},
+                {"fit_lr": "x"}, {"structure": 5}):
+        with pytest.raises(InvalidSpec, match=next(iter(bad))):
+            resolve_config(bad)
+    assert resolve_config({"bins": 12.0, "fit_lr": 1})["bins"] == 12
     with pytest.raises(InvalidSpec):
         run_benchmark({"structure": "chain3", "methods": ["dag_direct"]})
 
