@@ -9,8 +9,9 @@ variable given the rest, which needs no partition function: the conditional
 normalizes over one variable's grid using only the factors that read it.
 
 Because every net input is a bin center, each net is a finite table over
-its scope grid; `factor_table` tabulates it, and sampling reads those
-tables. Fitting exploits the same fact: the distinct scope cells the data's
+its scope grid; `factor_table` caches it on the model, and densities, ratios
+and sampling read it (`potentials` runs the net only above `CELL_CAP` cells).
+Fitting exploits the same fact: the distinct scope cells the data's
 sweeps reach form one small design per net, each step evaluates every net
 once on its design, gathers the conditional logits by cell index, and
 scatters their gradient back onto the cells before one backward pass.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +43,9 @@ from .nets import (
 
 MODEL_FORMAT = "regimecast-energy-model"
 FORMAT_VERSION = 1
+
+# grids and factor scopes up to this many cells are tabulated
+CELL_CAP = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +117,18 @@ def discretize(datasets, bins: int = 20) -> Grid:
 
 @dataclass(eq=False)
 class EnergyModel:
-    """Potential nets keyed by (factor index, level pattern over its scope)."""
+    """Potential nets keyed by (factor index, level pattern over its scope).
+
+    `tables` caches each net's `factor_table` with the net object it was built
+    from; editing a net's arrays in place after a table read is unsupported.
+    """
 
     ifm: IfmStructure
     grid: Grid
     hidden: int
     nets: dict
     seed: int
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def net_for(self, k: int, regime: RegimeVector) -> Mlp:
         return self.nets[(k, regime.project(self.ifm.factors[k].intv_scope))]
@@ -174,21 +184,39 @@ def log_unnorm(model: EnergyModel, x_bins, regime: RegimeVector):
     single = np.asarray(x_bins).ndim == 1
     bins = _check_bins(model, x_bins)
     out = np.zeros(bins.shape[0])
-    for k, f in enumerate(model.ifm.factors):
-        net = model.net_for(k, regime)
-        vals, _ = mlp_forward(net, model.grid.center_rows(bins, f.var_scope))
-        out += vals
+    for k in range(len(model.ifm.factors)):
+        out += potentials(model, k, regime, bins)
     return float(out[0]) if single else out
 
 
+def tabulated(model: EnergyModel, scope) -> bool:
+    """Whether the grid over these variables has at most CELL_CAP cells."""
+    return math.prod(model.grid.nbins[j] for j in scope) <= CELL_CAP
+
+
 def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray:
-    """Potential of factor k over the full grid of the variables it reads."""
+    """Potential of factor k over its variables' full grid; cached, read-only."""
     f = model.ifm.factors[k]
-    centers = [model.grid.centers[j] for j in f.var_scope]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    feats = np.column_stack([g.reshape(-1) for g in mesh])
-    vals, _ = mlp_forward(model.net_for(k, regime), feats)
-    return vals.reshape([c.size for c in centers])
+    key = (k, regime.project(f.intv_scope))
+    net, table = model.tables.get(key, (None, None))
+    if net is not model.nets[key]:
+        net = model.nets[key]
+        centers = [model.grid.centers[j] for j in f.var_scope]
+        mesh = np.meshgrid(*centers, indexing="ij")
+        feats = np.column_stack([g.reshape(-1) for g in mesh])
+        table = mlp_forward(net, feats)[0].reshape([c.size for c in centers])
+        table.flags.writeable = False
+        model.tables[key] = (net, table)
+    return table
+
+
+def potentials(model: EnergyModel, k: int, regime: RegimeVector, bins: np.ndarray) -> np.ndarray:
+    """Factor k's potential at rows of bin indices (n, m), from its table
+    or, for scopes too large to tabulate, from its net on bin centers."""
+    scope = model.ifm.factors[k].var_scope
+    if tabulated(model, scope):
+        return factor_table(model, k, regime)[tuple(bins[:, scope].T)]
+    return mlp_forward(model.net_for(k, regime), model.grid.center_rows(bins, scope))[0]
 
 
 def _prepare(model: EnergyModel, datasets):
@@ -390,13 +418,9 @@ def log_ratio_rows(model: EnergyModel, x, num: RegimeVector, den: RegimeVector) 
     bins = model.grid.bin_rows(xm)
     delta = np.zeros(bins.shape[0])
     for k, f in enumerate(model.ifm.factors):
-        key_n = (k, num.project(f.intv_scope))
-        key_d = (k, den.project(f.intv_scope))
-        if key_n == key_d:
-            continue
-        feats = model.grid.center_rows(bins, f.var_scope)
-        delta += mlp_forward(model.nets[key_n], feats)[0]
-        delta -= mlp_forward(model.nets[key_d], feats)[0]
+        if num.project(f.intv_scope) != den.project(f.intv_scope):
+            delta += potentials(model, k, num, bins)
+            delta -= potentials(model, k, den, bins)
     return delta
 
 

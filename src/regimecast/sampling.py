@@ -2,38 +2,32 @@
 sampling everywhere else.
 
 Conditionals of one variable given the rest involve only the factors that
-read it, so each Gibbs update sums a handful of `energy.factor_table`
-tables along one axis, normalizes over that variable's bins, and draws.
+read it, so each Gibbs update sums a slice of each one's cached
+`energy.factor_table` (or, above the cap, its `energy.potentials`) along
+that variable's axis, normalizes over its bins, and draws.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .energy import EnergyModel, factor_table
+from .energy import EnergyModel, factor_table, potentials, tabulated
 from .errors import GridTooLarge, InvalidSpec
 from .model import RegimeVector
-from .nets import mlp_forward
-
-# grids and factors up to this many cells are tabulated
-CELL_CAP = 1_000_000
 
 
 def exact_density(model: EnergyModel, regime: RegimeVector) -> np.ndarray:
     """Normalized probability table over the full grid.
 
     Returns an array with one axis per variable, summing to 1, obtained by
-    broadcasting every factor table into the joint log table and taking a
-    softmax over all cells. Raises GridTooLarge when the grid has more than
-    CELL_CAP cells.
+    broadcasting every cached factor table into the joint log table and
+    taking a softmax over all cells. Raises GridTooLarge when the full grid
+    is too large to tabulate (`energy.tabulated`).
     """
     model.ifm.space.check_regime(regime)
     nbins = model.grid.nbins
-    cells = math.prod(nbins)
-    if cells > CELL_CAP:
-        raise GridTooLarge(f"{cells} cells exceed the cap of {CELL_CAP}")
+    if not tabulated(model, range(model.ifm.m)):
+        raise GridTooLarge(f"{np.prod(nbins)} grid cells are too many to tabulate")
 
     logp = np.zeros(nbins)
     for k, f in enumerate(model.ifm.factors):
@@ -53,9 +47,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     One scan updates variables 0..m-1 in order from their full conditionals.
     The first `burn` scans are discarded, then every `thin`-th scan is kept.
     The chain starts from every variable's middle bin and is a deterministic
-    function of the seed. Factors of up to CELL_CAP cells are tabulated once
-    per call (`energy.factor_table`); larger factors, such as five variables
-    at 20 bins, are evaluated on the fly for each update.
+    function of the seed. Factors small enough to tabulate read their
+    cached `energy.factor_table`; larger ones, such as five variables at 20
+    bins, go through `energy.potentials` on the swept bin rows of each update.
 
     Args:
         model: fitted (or constructed) energy model.
@@ -76,22 +70,13 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     centers = model.grid.centers
     rng = np.random.default_rng(seed)
 
-    # per variable: the factors reading it, with either a table or the net;
-    # a factor reading several variables shares one table across their plans
-    tables = {}
-    plans = []
-    for r in range(m):
-        entries = []
-        for k, f in enumerate(model.ifm.factors):
-            if r not in f.var_scope:
-                continue
-            if math.prod(nbins[j] for j in f.var_scope) <= CELL_CAP:
-                if k not in tables:
-                    tables[k] = factor_table(model, k, regime)
-                entries.append((f.var_scope, f.var_scope.index(r), tables[k], None))
-            else:
-                entries.append((f.var_scope, f.var_scope.index(r), None, model.net_for(k, regime)))
-        plans.append(entries)
+    # per variable: the factors reading it, with their table (None above the cap)
+    plans = [
+        [(k, f.var_scope, f.var_scope.index(r),
+          factor_table(model, k, regime) if tabulated(model, f.var_scope) else None)
+         for k, f in enumerate(model.ifm.factors) if r in f.var_scope]
+        for r in range(m)
+    ]
 
     state = np.array([b // 2 for b in nbins], dtype=int)
     out = np.empty((n, m))
@@ -101,7 +86,7 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
         scan += 1
         for r in range(m):
             logits = np.zeros(nbins[r])
-            for scope, pos, table, net in plans[r]:
+            for k, scope, pos, table in plans[r]:
                 if table is not None:
                     idx = tuple(
                         slice(None) if j == pos else state[scope[j]]
@@ -109,11 +94,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
                     )
                     logits += table[idx]
                 else:
-                    feats = np.tile(
-                        np.array([centers[j][state[j]] for j in scope]), (nbins[r], 1)
-                    )
-                    feats[:, pos] = centers[r]
-                    logits += mlp_forward(net, feats)[0]
+                    swept = np.tile(state, (nbins[r], 1))
+                    swept[:, r] = np.arange(nbins[r])
+                    logits += potentials(model, k, regime, swept)
             logits -= logits.max()
             probs = np.exp(logits)
             cum = np.cumsum(probs)

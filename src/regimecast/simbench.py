@@ -346,16 +346,26 @@ def prmse(estimates, truths, truth_variances) -> float:
     return float(np.mean((est - tru) ** 2 / var))
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the average of their ranks."""
+    order = np.argsort(v, kind="stable")
+    _, first, counts = np.unique(v[order], return_index=True, return_counts=True)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def rcor(estimates, truths) -> float:
-    """Spearman rank correlation with average ranks on ties."""
+    """Spearman rank correlation with average ranks on ties; nan when an
+    input is constant or holds a nan."""
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape or est.ndim != 1 or est.size < 2:
         raise InvalidSpec("need two equal-length vectors of length >= 2")
-    # imported here: scipy.stats costs most of the package's import time
-    from scipy.stats import spearmanr
-
-    return float(spearmanr(est, tru).statistic)
+    if np.isnan(est).any() or np.isnan(tru).any():
+        return float("nan")
+    with np.errstate(invalid="ignore"):  # a constant input has no spread
+        return float(np.corrcoef(_average_ranks(est), _average_ranks(tru))[0, 1])
 
 
 def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 1500,
@@ -368,9 +378,6 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
     """
     if bundle.dag is None:
         raise InvalidSpec(f"structure {bundle.name!r} has no DAG")
-    # imported here: scipy.special costs about half the package's import time
-    from scipy.special import expit
-
     rng = np.random.default_rng(seed)
     space = bundle.ifm.space
     mean_nets, scale_nets = [], []
@@ -401,7 +408,8 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
                     if not np.isfinite(nll):
                         raise NonFinite(f"node {k} likelihood diverged (step {step})")
                     dmu = -(resid / g ** 2) / len(tvals)
-                    draw_ = (1.0 / g - resid ** 2 / g ** 3) * expit(raw) / len(tvals)
+                    dsoft = 1.0 / (1.0 + np.exp(-raw))  # softplus' = logistic
+                    draw_ = (1.0 / g - resid ** 2 / g ** 3) * dsoft / len(tvals)
                     grads = mlp_backward(mnet, feats, hm, dmu) + mlp_backward(snet, feats, hs, draw_)
                     opt.step(grads)
             means.append(mnet)
@@ -454,10 +462,25 @@ DEFAULT_CONFIG = {
 
 _METHODS = ("ifm_direct", "ifm_ipw", "ifm_covshift", "ridge", "dag_direct")
 
+# smallest value of each integer key: sizes, widths and thinning need one,
+# seeds and step or burn counts may be zero
+_AT_LEAST = {
+    **dict.fromkeys(("n_problems", "n_baseline", "n_regime", "mc_samples", "bins",
+                     "truth_bins", "hidden", "truth_hidden", "outcome_hidden", "dag_hidden",
+                     "gibbs_n", "gibbs_thin", "truth_thin"), 1),
+    **dict.fromkeys(("seed", "fit_steps", "outcome_steps", "dag_steps", "gibbs_burn",
+                     "truth_burn"), 0),
+}
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
 
 def resolve_config(config: dict) -> dict:
-    """Overlay user settings on the defaults, rejecting unknown keys and
-    values whose type differs from the default's."""
+    """Overlay user settings on the defaults, rejecting unknown keys, values
+    whose type differs from the default's, and values out of range."""
     if not isinstance(config, dict):
         raise InvalidSpec("benchmark config must be a JSON object")
     unknown = set(config) - set(DEFAULT_CONFIG)
@@ -468,15 +491,21 @@ def resolve_config(config: dict) -> dict:
         default, what = DEFAULT_CONFIG[key], f"benchmark config {key!r}"
         if isinstance(default, int):
             value = read_int(value, what)
+            if value < _AT_LEAST[key]:
+                raise InvalidSpec(f"{what} must be >= {_AT_LEAST[key]}, got {value}")
         elif isinstance(default, float):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not _finite_number(value):
                 raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
         elif isinstance(default, list):
             read_list(value, what)
         elif not isinstance(value, str):
             raise InvalidSpec(f"{what} must be a string, got {value!r}")
         cfg[key] = value
+    lo_hi = cfg["signal_range"]
+    if not (len(lo_hi) == 2 and all(map(_finite_number, lo_hi))
+            and 0 <= lo_hi[0] <= lo_hi[1] < 1):
+        raise InvalidSpec("benchmark config 'signal_range' must be two finite numbers "
+                          f"with 0 <= lo <= hi < 1, got {lo_hi!r}")
     cfg["methods"] = list(cfg["methods"])
     for meth in cfg["methods"]:
         if meth not in _METHODS:
@@ -717,7 +746,10 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             problems = list(pool.map(_run_problem, tasks))
     else:
         _set_shared(shared)
-        problems = [_run_problem(task) for task in tasks]
+        try:
+            problems = [_run_problem(task) for task in tasks]
+        finally:
+            _set_shared(None)
     problems.sort(key=lambda entry: entry["problem"])
 
     summary = {}

@@ -168,7 +168,8 @@ def test_malformed_train_file_is_rejected_input(workspace, tmp_path, capsys, tex
     assert "internal error" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{not json", "5", '{"n_problems": "1"}'])
+@pytest.mark.parametrize("text", ["{not json", "5", '{"n_problems": "1"}',
+                                  '{"signal_range": ["a", "b"]}'])
 def test_malformed_benchmark_config_is_rejected_input(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text)

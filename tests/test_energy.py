@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regimecast import energy
 from regimecast.energy import (
     Grid,
     _pll_from_prep,
@@ -11,6 +12,7 @@ from regimecast.energy import (
     density_ratio,
     discretize,
     expected_net_keys,
+    factor_table,
     fit,
     log_ratio_rows,
     log_unnorm,
@@ -131,6 +133,44 @@ def test_log_unnorm_matches_direct_net_sum():
     assert log_unnorm(model, bins[0], r) == pytest.approx(want[0])
     with pytest.raises(InvalidSpec):
         log_unnorm(model, np.array([[0, 5]]), r)
+
+
+def test_factor_tables_are_cached_per_net_object():
+    model = rand_model(seed=7)
+    r = RegimeVector((1, 0))
+    table = factor_table(model, 1, r)
+    assert factor_table(model, 1, r) is table
+    assert not table.flags.writeable
+    assert model.copy().tables == {}
+    assert model_from_dict(model_to_dict(model)).tables == {}
+    data = rand_datasets(model, np.random.default_rng(8), n=4)
+    assert fit(model, data, steps=1)[0].tables == {}
+
+    # replacing a net rebuilds its table on the next read, and every reader follows
+    cells = np.indices(model.grid.nbins).reshape(2, -1).T
+    old_logp, old_dens = log_unnorm(model, cells, r), exact_density(model, r)
+    key = (1, (0,))
+    net = model.nets[key]
+    model.nets[key] = type(net)(**{**net.__dict__, "w2": net.w2 + 0.5})
+    rebuilt = factor_table(model, 1, r)
+    assert not np.array_equal(rebuilt, table)
+    assert np.array_equal(rebuilt, factor_table(model.copy(), 1, r))
+    assert not np.allclose(log_unnorm(model, cells, r), old_logp)
+    assert not np.allclose(exact_density(model, r), old_dens)
+
+
+def test_row_lookups_match_on_the_table_and_net_paths(monkeypatch):
+    model = rand_model(seed=9)
+    x = np.random.default_rng(10).uniform([-1.0, 0.0], [1.0, 2.0], size=(40, 2))
+    bins = model.grid.bin_rows(x)
+    num, den = RegimeVector((1, 1)), RegimeVector((0, 0))
+    tables = log_unnorm(model, bins, num), log_ratio_rows(model, x, num, den)
+    assert model.tables
+    # a cap of 0 cells sends every factor through its net on bin centers
+    monkeypatch.setattr(energy, "CELL_CAP", 0)
+    nets = log_unnorm(model, bins, num), log_ratio_rows(model, x, num, den)
+    for a, b in zip(tables, nets):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def brute_pseudo_loglik(model, datasets):

@@ -11,7 +11,7 @@ from regimecast.model import (
     InterventionSpace,
     RegimeVector,
 )
-from regimecast import sampling
+from regimecast import energy
 from regimecast.sampling import exact_density, gibbs_sample
 
 from conftest import tv
@@ -45,10 +45,10 @@ def test_exact_density_matches_cellwise_softmax():
 
 def test_exact_density_respects_cell_cap(monkeypatch):
     model = make_model()
-    monkeypatch.setattr(sampling, "CELL_CAP", 5)
+    monkeypatch.setattr(energy, "CELL_CAP", 5)
     with pytest.raises(GridTooLarge):
         exact_density(model, RegimeVector((0, 0)))
-    monkeypatch.setattr(sampling, "CELL_CAP", 6)
+    monkeypatch.setattr(energy, "CELL_CAP", 6)
     exact_density(model, RegimeVector((0, 0)))
 
 
@@ -82,7 +82,7 @@ def test_gibbs_table_and_direct_paths_agree(monkeypatch):
     r = RegimeVector((0, 1))
     cached = gibbs_sample(model, r, 200, burn=50, thin=1, seed=4)
     # a cap of 0 cells forces per-update net evaluation
-    monkeypatch.setattr(sampling, "CELL_CAP", 0)
+    monkeypatch.setattr(energy, "CELL_CAP", 0)
     direct = gibbs_sample(model, r, 200, burn=50, thin=1, seed=4)
     assert np.allclose(cached, direct)
 

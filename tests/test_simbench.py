@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regimecast import simbench
 from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
@@ -190,8 +191,23 @@ def test_prmse_and_rcor_hand_values():
     assert rcor([3.0, 2.0, 1.0], [10.0, 20.0, 30.0]) == pytest.approx(-1.0)
     # ties get average ranks
     assert rcor([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(np.sqrt(3) / 2)
+    assert np.isnan(rcor([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+    assert np.isnan(rcor([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]))
     with pytest.raises(InvalidSpec):
         rcor([1.0], [1.0])
+
+
+def test_rcor_matches_scipy_spearmanr():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(59)
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        # integer draws give ties, normal draws none
+        a = rng.integers(0, 4, n).astype(float) if trial % 2 else rng.normal(size=n)
+        b = rng.integers(0, 4, n).astype(float) if trial % 3 else rng.normal(size=n)
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            continue
+        assert rcor(a, b) == pytest.approx(stats.spearmanr(a, b).statistic, rel=0, abs=1e-14)
 
 
 def test_ridge_ranks_regimes_on_an_additive_truth():
@@ -243,23 +259,34 @@ def test_resolve_config_checks_keys_and_values():
         resolve_config({"methods": ["gradient_boosting"]})
     with pytest.raises(InvalidSpec):
         resolve_config({"truth": "linear"})
-    # values must have the type of the key's default; integral floats count as integers
+    # values must have the type of the key's default (integral floats count as
+    # integers) and lie in the key's range
     for bad in ({"n_problems": "1"}, {"bins": 2.5}, {"signal_range": 5}, {"seed": None},
-                {"fit_lr": "x"}, {"structure": 5}):
+                {"fit_lr": "x"}, {"structure": 5},
+                {"signal_range": ["a", "b"]}, {"signal_range": [0.5]},
+                {"signal_range": [0.8, 0.6]}, {"signal_range": [0.2, 1.0]},
+                {"signal_range": [-0.1, 0.5]}, {"signal_range": [0.1, float("nan")]},
+                {"n_problems": -1}, {"bins": 0}, {"mc_samples": 0}, {"hidden": 0},
+                {"gibbs_thin": 0}, {"truth_thin": 0}, {"gibbs_burn": -1},
+                {"fit_steps": -1}, {"seed": -1}):
         with pytest.raises(InvalidSpec, match=next(iter(bad))):
             resolve_config(bad)
     assert resolve_config({"bins": 12.0, "fit_lr": 1})["bins"] == 12
+    edge = {"signal_range": [0.0, 0.0], "fit_steps": 0, "gibbs_burn": 0, "seed": 0}
+    assert resolve_config(edge) == {**DEFAULT_CONFIG, **edge}
     with pytest.raises(InvalidSpec):
         run_benchmark({"structure": "chain3", "methods": ["dag_direct"]})
 
 
 def test_benchmark_errors_name_the_failing_stage():
-    with pytest.raises(DomainError, match="simulate training data"):
-        run_benchmark({**TINY_CONFIG, "truth_thin": 0})
+    with pytest.raises(DomainError, match="build truth"):
+        run_benchmark({**TINY_CONFIG, "truth_span": 0.0})
 
 
 def test_run_benchmark_is_deterministic(tmp_path):
     first = run_benchmark(TINY_CONFIG)
+    # the shared per-run state is released with the run
+    assert simbench._SHARED is None
     second = run_benchmark(TINY_CONFIG)
 
     assert first.data["format"] == REPORT_FORMAT
