@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, algebraic, junction
-from .errors import ConditionsNotMet, DomainError
+from .errors import ConditionsNotMet, DomainError, InvalidSpec
 from .estimators import (
     conformal_band,
     estimate_covshift,
@@ -47,7 +47,7 @@ from .fileio import (
     write_dataset_csv,
 )
 from .model import RegimeDataset, normalize_factors, sigma_graph
-from .sampling import gibbs_sample
+from .sampling import sample
 from .simbench import run_benchmark
 
 CERT_FORMAT = "regimecast-certificate"
@@ -153,6 +153,12 @@ def _cmd_fit(args) -> int:
     model0 = new_model(ifm, grid, hidden=args.hidden, seed=args.seed)
     model, log = fit_energy(model0, datasets, steps=args.steps, lr=args.lr,
                             batch=args.batch)
+    outcome = None
+    if args.outcome_out:
+        outcome = fit_outcome(datasets, hidden=args.outcome_hidden,
+                              steps=args.outcome_steps, lr=args.outcome_lr,
+                              seed=args.seed)
+    # nothing is written unless both fits succeeded
     save_model(args.out, model)
     summary = {
         "model": str(args.out),
@@ -161,10 +167,7 @@ def _cmd_fit(args) -> int:
         "objective_end": log.objectives[-1],
         "regressions": len(log.regressions),
     }
-    if args.outcome_out:
-        outcome = fit_outcome(datasets, hidden=args.outcome_hidden,
-                              steps=args.outcome_steps, lr=args.outcome_lr,
-                              seed=args.seed)
+    if outcome is not None:
         save_outcome(args.outcome_out, outcome)
         summary["outcome_model"] = str(args.outcome_out)
     _emit(summary, None)
@@ -174,8 +177,7 @@ def _cmd_fit(args) -> int:
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
     regime = parse_regime_text(args.regime, model.ifm.space)
-    draws = gibbs_sample(model, regime, args.n, burn=args.burn, thin=args.thin,
-                         seed=args.seed)
+    draws = sample(model, regime, args.n, burn=args.burn, thin=args.thin, seed=args.seed)
     write_dataset_csv(args.out, model.ifm, RegimeDataset(regime, draws))
     return 0
 
@@ -313,12 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome-lr", type=float, default=1e-2)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("sample", help="draw rows from a fitted model under a regime")
+    p = sub.add_parser("sample", help="draw rows from a fitted model under a regime: exact "
+                       "iid draws when the grid can be tabulated, Gibbs chains otherwise")
     p.add_argument("--model", required=True)
     p.add_argument("--regime", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--burn", type=int, default=500)
-    p.add_argument("--thin", type=int, default=5)
+    p.add_argument("--burn", type=int, default=500,
+                   help="scans each Gibbs chain discards (Gibbs grids only)")
+    p.add_argument("--thin", type=int, default=5,
+                   help="scans between kept Gibbs scans (Gibbs grids only)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -375,6 +380,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # fit, sample, estimate and conformal take a seed; the generators need it >= 0
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InvalidSpec(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

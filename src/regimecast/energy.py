@@ -33,6 +33,7 @@ from .model import IfmStructure, RegimeVector
 from .nets import (
     Adam,
     Mlp,
+    check_schedule,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -153,8 +154,6 @@ def new_model(ifm: IfmStructure, grid: Grid, hidden: int = 15, seed: int = 0,
     """Fresh model; with out_scale 0 every regime starts exactly uniform."""
     if grid.m != ifm.m:
         raise InvalidSpec(f"grid covers {grid.m} variables, structure has {ifm.m}")
-    if hidden < 1:
-        raise InvalidSpec("hidden width must be >= 1")
     rng = np.random.default_rng(seed)
     nets = {}
     for key in expected_net_keys(ifm):
@@ -371,8 +370,13 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         seed: minibatch shuffling seed; unused in full-batch mode.
 
     Raises:
+        InvalidSpec: negative steps, a learning rate that is not finite and
+            positive, or a batch below 1.
         NonFinite: objective or gradient became NaN/inf (step reported).
     """
+    check_schedule(steps, lr)
+    if batch is not None and batch < 1:
+        raise InvalidSpec("batch must be >= 1")
     trained = model.copy()
     keys = sorted(trained.nets)
     params = [p for key in keys for p in trained.nets[key].params()]
@@ -389,8 +393,6 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
             regressions.append(len(objectives))
         objectives.append(value)
 
-    if batch is not None and batch < 1:
-        raise InvalidSpec("batch must be >= 1")
     per_epoch = 1 if batch is None else max(1, -(-max(sizes) // batch))
     for step in range(steps):
         sub = prep if batch is None else _slice_prep(

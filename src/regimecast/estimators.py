@@ -26,8 +26,9 @@ from .errors import (
 )
 from .fileio import check_format, read_int, read_json
 from .model import RegimeDataset, RegimeVector
-from .nets import Adam, init_mlp, mlp_backward, mlp_forward, mlp_from_dict, mlp_to_dict
-from .sampling import gibbs_sample
+from .nets import (Adam, check_schedule, init_mlp, mlp_backward, mlp_forward, mlp_from_dict,
+                   mlp_to_dict)
+from .sampling import sample
 
 OUTCOME_FORMAT = "regimecast-outcome-model"
 OUTCOME_FORMAT_VERSION = 1
@@ -55,8 +56,11 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
 
     Rows pool across regimes; `weights`, when given, is one nonnegative
     array per dataset and the loss normalizes by the total weight. The
-    output layer starts at zero, so zero steps means the constant 0.
+    output layer starts at zero, so zero steps means the constant 0. A
+    hidden width below 1, negative steps, or a learning rate that is not
+    finite and positive raise InvalidSpec.
     """
+    check_schedule(steps, lr)
     if not datasets:
         raise InsufficientData("no datasets")
     for ds in datasets:
@@ -116,10 +120,12 @@ def estimate_direct(model: EnergyModel, outcome: OutcomeModel, target: RegimeVec
                     thin: int = 5) -> Estimate:
     """Average the outcome net over model samples from the target regime.
 
-    The standard error is the plain Monte Carlo one; Gibbs autocorrelation
-    makes it optimistic, which is acceptable for its reporting role.
+    The draws come from `sampling.sample`. The standard error is the plain
+    iid Monte Carlo one: exact for the iid draws of a tabulable grid, and
+    optimistic under the autocorrelation of Gibbs draws, which is
+    acceptable for its reporting role.
     """
-    draws = gibbs_sample(model, target, nsamples, burn=burn, thin=thin, seed=seed)
+    draws = sample(model, target, nsamples, burn=burn, thin=thin, seed=seed)
     preds = predict_outcome(outcome, draws)
     se = float(preds.std(ddof=1) / np.sqrt(len(preds))) if len(preds) > 1 else 0.0
     return Estimate(float(preds.mean()), se)
@@ -193,10 +199,10 @@ def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
         raise InsufficientData("no datasets")
     rng = np.random.default_rng(seed)
     fit_seed = int(rng.integers(2 ** 63))
-    gibbs_seed = int(rng.integers(2 ** 63))
+    draw_seed = int(rng.integers(2 ** 63))
     outcome = covshift_outcome(model, datasets, target, hidden, steps, lr, fit_seed)
     return estimate_direct(model, outcome, target, nsamples=nsamples,
-                           seed=gibbs_seed, burn=burn, thin=thin)
+                           seed=draw_seed, burn=burn, thin=thin)
 
 
 @dataclass(frozen=True)

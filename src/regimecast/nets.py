@@ -7,11 +7,12 @@ Zero-input nets are allowed and reduce to a learnable constant path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelFormatError, require_keys
+from .errors import InvalidSpec, ModelFormatError, require_keys
 
 
 @dataclass
@@ -41,8 +42,10 @@ def init_mlp(in_dim: int, hidden: int, rng: np.random.Generator, out_scale: floa
 
     With out_scale 0 the net is identically zero, which downstream code
     relies on (a zero potential is the uniform distribution, a zero
-    regressor predicts 0).
+    regressor predicts 0). Raises InvalidSpec for a hidden width below 1.
     """
+    if hidden < 1:
+        raise InvalidSpec("hidden width must be >= 1")
     bound = 1.0 / np.sqrt(max(in_dim, 1))
     w1 = rng.uniform(-bound, bound, size=(hidden, in_dim))
     b1 = rng.uniform(-bound, bound, size=hidden)
@@ -100,6 +103,14 @@ def mlp_from_dict(obj: dict) -> Mlp:
     if not all(np.all(np.isfinite(p)) for p in (w1, b1, w2, b2)):
         raise ModelFormatError("net weights must be finite")
     return Mlp(w1, b1, w2, b2)
+
+
+def check_schedule(steps: int, lr: float) -> None:
+    """InvalidSpec unless steps >= 0 and lr is a finite positive number."""
+    if steps < 0:
+        raise InvalidSpec(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidSpec(f"learning rate must be finite and > 0, got {lr}")
 
 
 class Adam:

@@ -1,10 +1,14 @@
-"""Drawing from a fitted model: exact enumeration for small grids, Gibbs
-sampling everywhere else.
+"""Drawing from a fitted model: exact iid draws when the grid is small enough
+to enumerate, multi-chain Gibbs sampling everywhere else.
 
-Conditionals of one variable given the rest involve only the factors that
-read it, so each Gibbs update sums a slice of each one's cached
-`energy.factor_table` (or, above the cap, its `energy.potentials`) along
-that variable's axis, normalizes over its bins, and draws.
+`sample` is the one entry point. When the whole grid has at most
+`energy.CELL_CAP` cells it tabulates `exact_density` and draws cells by
+inverse CDF, with no burn-in and no autocorrelation. Otherwise it runs
+`gibbs_sample`, which moves `CHAINS` chains in lockstep. Conditionals of one
+variable given the rest involve only the factors that read it, so each
+update gathers, for every chain at once, a slice of each such factor's
+cached `energy.factor_table` (or, above the cap, its `energy.potentials`)
+along that variable's axis, normalizes over its bins, and draws.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import numpy as np
 from .energy import EnergyModel, factor_table, potentials, tabulated
 from .errors import GridTooLarge, InvalidSpec
 from .model import RegimeVector
+
+# chains gibbs_sample runs in lockstep
+CHAINS = 32
 
 
 def exact_density(model: EnergyModel, regime: RegimeVector) -> np.ndarray:
@@ -40,70 +47,93 @@ def exact_density(model: EnergyModel, regime: RegimeVector) -> np.ndarray:
     return p
 
 
-def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
-                 burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
-    """Systematic-scan Gibbs sampler; returns (n, m) rows of bin centers.
-
-    One scan updates variables 0..m-1 in order from their full conditionals.
-    The first `burn` scans are discarded, then every `thin`-th scan is kept.
-    The chain starts from every variable's middle bin and is a deterministic
-    function of the seed. Factors small enough to tabulate read their
-    cached `energy.factor_table`; larger ones, such as five variables at 20
-    bins, go through `energy.potentials` on the swept bin rows of each update.
-
-    Args:
-        model: fitted (or constructed) energy model.
-        regime: intervention levels to sample under.
-        n: number of rows to return.
-        burn: scans discarded before collecting.
-        thin: scans between kept rows (>= 1).
-        seed: generator seed.
-    """
-    model.ifm.space.check_regime(regime)
+def _check_draws(n: int, burn: int, thin: int) -> None:
     if n < 1:
         raise InvalidSpec("need n >= 1 samples")
     if burn < 0 or thin < 1:
         raise InvalidSpec("need burn >= 0 and thin >= 1")
 
+
+def sample(model: EnergyModel, regime: RegimeVector, n: int,
+           burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
+    """Draw (n, m) rows of bin centers from the model under a regime.
+
+    When the full grid can be tabulated (`energy.tabulated`), the rows are
+    n iid cells of `exact_density`, drawn by inverse CDF from one uniform
+    per row; `burn` and `thin` are checked but unused. Otherwise the rows
+    come from `gibbs_sample` with the same arguments. Either way the rows
+    are a deterministic function of the seed.
+    """
+    _check_draws(n, burn, thin)
+    if not tabulated(model, range(model.ifm.m)):
+        return gibbs_sample(model, regime, n, burn=burn, thin=thin, seed=seed)
+    cum = np.cumsum(exact_density(model, regime).ravel())
+    u = np.random.default_rng(seed).random(n) * cum[-1]
+    # rounding can push u onto cum[-1]; keep the index in range
+    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    return model.grid.center_rows(np.column_stack(np.unravel_index(cells, model.grid.nbins)))
+
+
+def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
+                 burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
+    """Systematic-scan Gibbs sampler over min(n, CHAINS) lockstep chains;
+    returns (n, m) rows of bin centers.
+
+    One scan updates variables 0..m-1 in order from their full conditionals,
+    in every chain at once, from one uniform per chain and update. Each
+    chain starts from every variable's middle bin and discards its first
+    `burn` scans; after that every `thin`-th scan keeps the state of all
+    chains. Rows come out scan by scan (chain 0..C-1 within a scan) and are
+    cut at n, so the last kept scan may contribute only some chains. The
+    draws are a deterministic function of the seed. Factors small enough
+    to tabulate read their cached `energy.factor_table`; larger ones, such
+    as five variables at 20 bins, go through `energy.potentials` on the
+    swept bin rows of every chain.
+
+    Args:
+        model: fitted (or constructed) energy model.
+        regime: intervention levels to sample under.
+        n: number of rows to return.
+        burn: scans each chain discards before collecting.
+        thin: scans between kept scans (>= 1).
+        seed: generator seed.
+    """
+    model.ifm.space.check_regime(regime)
+    _check_draws(n, burn, thin)
+
     m = model.ifm.m
     nbins = model.grid.nbins
-    centers = model.grid.centers
     rng = np.random.default_rng(seed)
+    chains = min(n, CHAINS)
 
-    # per variable: the factors reading it, with their table (None above the cap)
+    # per variable r, each factor reading it: (factor, its table with r's axis
+    # moved last or None above the cap, the variables indexing the other axes)
     plans = [
-        [(k, f.var_scope, f.var_scope.index(r),
-          factor_table(model, k, regime) if tabulated(model, f.var_scope) else None)
+        [(k, np.moveaxis(factor_table(model, k, regime), f.var_scope.index(r), -1)
+          if tabulated(model, f.var_scope) else None,
+          [j for j in f.var_scope if j != r])
          for k, f in enumerate(model.ifm.factors) if r in f.var_scope]
         for r in range(m)
     ]
 
-    state = np.array([b // 2 for b in nbins], dtype=int)
-    out = np.empty((n, m))
-    kept = 0
-    scan = 0
-    while kept < n:
-        scan += 1
+    state = np.tile([b // 2 for b in nbins], (chains, 1))
+    kept_scans = -(-n // chains)
+    out = np.empty((kept_scans, chains, m), dtype=int)
+    for scan in range(1, burn + kept_scans * thin + 1):
         for r in range(m):
-            logits = np.zeros(nbins[r])
-            for k, scope, pos, table in plans[r]:
+            logits = np.zeros((chains, nbins[r]))
+            for k, table, others in plans[r]:
                 if table is not None:
-                    idx = tuple(
-                        slice(None) if j == pos else state[scope[j]]
-                        for j in range(len(scope))
-                    )
-                    logits += table[idx]
+                    logits += table[tuple(state[:, j] for j in others)]
                 else:
-                    swept = np.tile(state, (nbins[r], 1))
-                    swept[:, r] = np.arange(nbins[r])
-                    logits += potentials(model, k, regime, swept)
-            logits -= logits.max()
-            probs = np.exp(logits)
-            cum = np.cumsum(probs)
-            # rounding can push u onto cum[-1]; keep the index in range
-            u = rng.random() * cum[-1]
-            state[r] = min(int(np.searchsorted(cum, u, side="right")), nbins[r] - 1)
+                    swept = np.repeat(state, nbins[r], axis=0)
+                    swept[:, r] = np.tile(np.arange(nbins[r]), chains)
+                    logits += potentials(model, k, regime, swept).reshape(chains, nbins[r])
+            logits -= logits.max(axis=1, keepdims=True)
+            cum = np.cumsum(np.exp(logits), axis=1)
+            u = rng.random(chains) * cum[:, -1]
+            # the count of cum <= u is searchsorted(side="right"), kept in range
+            state[:, r] = np.minimum((cum <= u[:, None]).sum(axis=1), nbins[r] - 1)
         if scan > burn and (scan - burn) % thin == 0:
-            out[kept] = [centers[j][state[j]] for j in range(m)]
-            kept += 1
-    return out
+            out[(scan - burn) // thin - 1] = state
+    return model.grid.center_rows(out.reshape(-1, m)[:n])

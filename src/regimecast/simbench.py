@@ -35,8 +35,8 @@ from .model import (
     RegimeVector,
     normalize_factors,
 )
-from .nets import Adam, init_mlp, mlp_backward, mlp_forward
-from .sampling import gibbs_sample
+from .nets import Adam, check_schedule, init_mlp, mlp_backward, mlp_forward
+from .sampling import sample
 
 REPORT_FORMAT = "regimecast-benchmark-report"
 REPORT_FORMAT_VERSION = 1
@@ -254,7 +254,7 @@ class IfmTruth:
 
     def sample(self, regime: RegimeVector, n: int, seed: int = 0,
                burn: int = 500, thin: int = 5) -> np.ndarray:
-        return gibbs_sample(self.model, regime, n, burn=burn, thin=thin, seed=seed)
+        return sample(self.model, regime, n, burn=burn, thin=thin, seed=seed)
 
 
 def make_ifm_truth(bundle: StructureBundle, seed: int = 0, bins: int = 20,
@@ -378,6 +378,7 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
     """
     if bundle.dag is None:
         raise InvalidSpec(f"structure {bundle.name!r} has no DAG")
+    check_schedule(steps, lr)
     rng = np.random.default_rng(seed)
     space = bundle.ifm.space
     mean_nets, scale_nets = [], []
@@ -715,7 +716,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         mc_x, draws_fit, draws_dag = {}, {}, {}
         for t, ms, gs in zip(targets, mc_seeds, gibbs_seeds):
             mc_x[t] = truth.sample(t, cfg["mc_samples"], seed=ms, **samp_opts)
-            draws_fit[t] = gibbs_sample(
+            draws_fit[t] = sample(
                 model, t, cfg["gibbs_n"], burn=cfg["gibbs_burn"],
                 thin=cfg["gibbs_thin"], seed=gs,
             )

@@ -149,6 +149,46 @@ def test_exit_codes(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_is_rejected_input(workspace, tmp_path, capsys):
+    graph = ["--graph", str(workspace / "graph.json")]
+    data = ["--data-manifest", str(workspace / "manifest.json")]
+    model = ["--model", str(workspace / "model.json")]
+    commands = [
+        ["fit"] + graph + data + ["--out", str(tmp_path / "m.json"), "--steps", "1"],
+        ["sample"] + model + ["--regime", "1,1,1", "--n", "5", "--out", str(tmp_path / "s.csv")],
+        ["estimate"] + model + data + ["--target", "1,1,1", "--method", "direct",
+                                       "--outcome", str(workspace / "outcome.json")],
+        ["conformal"] + model + data + ["--target", "1,1,1", "--alpha", "0.2"],
+    ]
+    for argv in commands:
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_bad_training_settings_are_rejected_input(workspace, tmp_path, capsys):
+    fit = ["fit", "--graph", str(workspace / "graph.json"),
+           "--data-manifest", str(workspace / "manifest.json"),
+           "--out", str(tmp_path / "m.json"), "--outcome-out", str(tmp_path / "o.json"),
+           "--bins", "4", "--hidden", "3", "--seed", "0", "--outcome-steps", "2"]
+    for extra, says in [(["--steps", "1", "--lr", "nan"], "learning rate"),
+                        (["--steps", "1", "--lr", "0"], "learning rate"),
+                        (["--steps", "-1"], "steps must be >= 0"),
+                        (["--steps", "1", "--outcome-steps", "-2"], "steps must be >= 0"),
+                        (["--steps", "1", "--outcome-lr", "inf"], "learning rate"),
+                        (["--steps", "1", "--outcome-hidden", "0"], "hidden width")]:
+        assert main(fit + extra) == 2
+        assert says in capsys.readouterr().err
+        # nothing is written when either fit is refused
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "o.json").exists()
+
+    assert main(["conformal", "--model", str(workspace / "model.json"),
+                 "--data-manifest", str(workspace / "manifest.json"),
+                 "--target", "1,1,1", "--alpha", "0.2", "--seed", "1",
+                 "--hidden", "0"]) == 2
+    assert "hidden width" in capsys.readouterr().err
+
+
 def test_unexpected_failure_is_an_internal_error(workspace, monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("unexpected")

@@ -334,6 +334,15 @@ def test_fit_loop_edge_cases():
         fit(model, data, steps=1, batch=0)
 
 
+def test_fit_rejects_negative_steps_and_bad_rates():
+    model = rand_model(seed=2)
+    data = rand_datasets(model, np.random.default_rng(19), n=8)
+    for kwargs in ({"steps": -1}, {"lr": float("nan")}, {"lr": float("inf")},
+                   {"lr": 0.0}, {"lr": -1e-3}):
+        with pytest.raises(InvalidSpec):
+            fit(model, data, **{"steps": 1, **kwargs})
+
+
 @pytest.mark.parametrize("batch", [None, 8])
 def test_fit_names_the_step_of_a_non_finite_objective(batch):
     model = rand_model(seed=3)

@@ -84,6 +84,14 @@ def test_fit_outcome_validation():
         fit_outcome(data, weights=[np.zeros(5), np.zeros(5)])
 
 
+def test_fit_outcome_rejects_bad_width_steps_and_rate():
+    data = make_data(np.random.default_rng(3), [(0, 0)], n=5)
+    for kwargs in ({"hidden": 0}, {"steps": -2}, {"lr": float("nan")},
+                   {"lr": float("inf")}, {"lr": 0.0}, {"lr": -1e-2}):
+        with pytest.raises(InvalidSpec):
+            fit_outcome(data, **{"steps": 1, **kwargs})
+
+
 def test_fit_outcome_weights_select_the_data():
     rng = np.random.default_rng(2)
     data = make_data(rng, [(0, 0)], n=60, fn=lambda x: np.full(len(x), 1.0))

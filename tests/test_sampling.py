@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regimecast.energy import Grid, log_unnorm, new_model
+from regimecast.energy import Grid, factor_table, log_unnorm, new_model
 from regimecast.errors import GridTooLarge, InvalidSpec
 from regimecast.model import (
     FactorSpec,
@@ -12,7 +12,7 @@ from regimecast.model import (
     RegimeVector,
 )
 from regimecast import energy
-from regimecast.sampling import exact_density, gibbs_sample
+from regimecast.sampling import CHAINS, exact_density, gibbs_sample, sample
 
 from conftest import tv
 
@@ -97,3 +97,90 @@ def test_gibbs_approaches_exact_density():
     np.add.at(emp, (bins[:, 0], bins[:, 1]), 1.0)
     emp /= emp.sum()
     assert tv(dens, emp) < 0.03
+
+
+def empirical(model, x):
+    bins = model.grid.bin_rows(x)
+    emp = np.zeros(model.grid.nbins)
+    np.add.at(emp, (bins[:, 0], bins[:, 1]), 1.0)
+    return emp / emp.sum()
+
+
+def test_sample_draws_exact_cells_on_tabulable_grids():
+    model = make_model(seed=5)
+    r = RegimeVector((1, 1))
+    x = sample(model, r, 20_000, seed=6)
+    assert x.shape == (20_000, 2)
+    assert tv(exact_density(model, r), empirical(model, x)) < 0.02
+
+    # no burn-in or thinning on the exact path, and the seed alone decides
+    assert np.array_equal(x, sample(model, r, 20_000, burn=0, thin=1, seed=6))
+    assert np.array_equal(x, sample(model, r, 20_000, burn=900, thin=7, seed=6))
+    assert not np.array_equal(x, sample(model, r, 20_000, seed=7))
+
+
+def test_sample_switches_to_gibbs_above_the_cell_cap(monkeypatch):
+    model = make_model(seed=2)
+    r = RegimeVector((1, 0))
+    exact = sample(model, r, 60, burn=20, thin=2, seed=9)
+    # the full grid has 3 x 2 cells
+    monkeypatch.setattr(energy, "CELL_CAP", 5)
+    drawn = sample(model, r, 60, burn=20, thin=2, seed=9)
+    assert np.array_equal(drawn, gibbs_sample(model, r, 60, burn=20, thin=2, seed=9))
+    assert not np.array_equal(drawn, exact)
+
+
+def test_gibbs_returns_exactly_n_rows_scan_by_scan():
+    model = make_model(seed=4)
+    r = RegimeVector((0, 1))
+    for n in (1, 3, CHAINS - 1, CHAINS, CHAINS + 1, 3 * CHAINS + 7):
+        assert gibbs_sample(model, r, n, burn=5, thin=2, seed=1).shape == (n, 2)
+    # with all CHAINS chains running, a longer run only appends kept scans
+    full = gibbs_sample(model, r, 3 * CHAINS, burn=5, thin=2, seed=1)
+    for n in (CHAINS, CHAINS + 1, 2 * CHAINS + 5):
+        assert np.array_equal(gibbs_sample(model, r, n, burn=5, thin=2, seed=1), full[:n])
+
+
+def reference_gibbs(model, regime, n, burn, thin, seed):
+    """Chain-by-chain loop over the same uniforms as the lockstep sampler."""
+    nbins = model.grid.nbins
+    rng = np.random.default_rng(seed)
+    chains = min(n, CHAINS)
+    state = [[b // 2 for b in nbins] for _ in range(chains)]
+    rows = []
+    scan = 0
+    while len(rows) < n:
+        scan += 1
+        for r in range(model.ifm.m):
+            u = rng.random(chains)
+            for c in range(chains):
+                logits = np.zeros(nbins[r])
+                for k, f in enumerate(model.ifm.factors):
+                    if r in f.var_scope:
+                        idx = tuple(slice(None) if j == r else state[c][j] for j in f.var_scope)
+                        logits += factor_table(model, k, regime)[idx]
+                logits -= logits.max()
+                cum = np.cumsum(np.exp(logits))
+                state[c][r] = min(int(np.searchsorted(cum, u[c] * cum[-1], side="right")),
+                                  nbins[r] - 1)
+        if scan > burn and (scan - burn) % thin == 0:
+            rows.extend(list(s) for s in state)
+    return model.grid.center_rows(np.array(rows[:n]))
+
+
+def test_gibbs_chains_match_a_per_chain_reference():
+    model = make_model(seed=8)
+    r = RegimeVector((1, 1))
+    for n in (5, 2 * CHAINS + 6):
+        want = reference_gibbs(model, r, n, burn=4, thin=2, seed=3)
+        assert np.array_equal(gibbs_sample(model, r, n, burn=4, thin=2, seed=3), want)
+
+
+def test_sample_checks_its_arguments_on_the_exact_path():
+    model = make_model()
+    r = RegimeVector((0, 0))
+    for kwargs in ({"n": 0}, {"n": 5, "burn": -1}, {"n": 5, "thin": 0}):
+        with pytest.raises(InvalidSpec):
+            sample(model, r, **kwargs)
+    with pytest.raises(InvalidSpec):
+        sample(model, RegimeVector((2, 0)), 5)
