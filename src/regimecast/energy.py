@@ -71,18 +71,15 @@ class Grid:
             centers.append(c)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "centers", tuple(centers))
+        object.__setattr__(self, "nbins", tuple(e.size - 1 for e in edges))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def nbins(self) -> tuple:
-        return tuple(e.size - 1 for e in self.edges)
-
     def bin_rows(self, x: np.ndarray) -> np.ndarray:
-        """Map raw rows (n, m) to bin indices; out-of-range values clip,
-        non-finite ones are rejected."""
+        """Map raw rows (n, m) to bin indices; out-of-range values land in
+        the edge bins, non-finite ones are rejected."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.m:
             raise InvalidSpec(f"rows have {x.shape[1]} columns, grid has {self.m}")
@@ -90,7 +87,7 @@ class Grid:
             raise InvalidSpec("rows hold non-finite values")
         out = np.empty(x.shape, dtype=int)
         for j, e in enumerate(self.edges):
-            out[:, j] = np.clip(np.searchsorted(e, x[:, j], side="right") - 1, 0, e.size - 2)
+            out[:, j] = np.searchsorted(e[1:-1], x[:, j], side="right")
         return out
 
     def center_rows(self, bins: np.ndarray, scope=None) -> np.ndarray:

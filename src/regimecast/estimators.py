@@ -139,24 +139,18 @@ def regime_weights(model: EnergyModel, ds, target: RegimeVector) -> np.ndarray:
     return w / w.sum()
 
 
-def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate:
+def pool_ipw(datasets, weights) -> Estimate:
     """Pool per-regime self-normalized importance-weighted outcome means.
 
-    Each regime contributes mu_i = sum_j y_j w_j with weights summing to 1,
+    `weights` holds one array per dataset, each summing to 1, as
+    regime_weights gives them. Each regime contributes mu_i = sum_j y_j w_j
     and a variance proxy v_i = sum_j y_j^2 w_j^2; regimes pool by inverse
-    variance. When the target is itself a training regime, its weights are
-    uniform and mu_i is the plain sample mean. Regimes with a zero proxy
-    (all-zero outcomes) are left out of the pool; if every regime is left
-    out the unweighted mean of the mu_i is returned.
+    variance. Regimes with a zero proxy (all-zero outcomes) are left out of
+    the pool; if every regime is left out the unweighted mean of the mu_i is
+    returned.
     """
-    model.ifm.space.check_regime(target)
-    if not datasets:
-        raise InsufficientData("no datasets")
     per = []
-    for ds in datasets:
-        if ds.y is None:
-            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
-        w = regime_weights(model, ds, target)
+    for ds, w in zip(datasets, weights, strict=True):
         mu_i = float(np.sum(ds.y * w))
         v_i = float(np.sum((ds.y * w) ** 2))
         per.append(RegimeEstimate(ds.regime, mu_i, v_i))
@@ -173,16 +167,17 @@ def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate
     return Estimate(mu, se, per_regime=tuple(per))
 
 
-def covshift_outcome(model: EnergyModel, datasets, target: RegimeVector, hidden: int,
-                     steps: int, lr: float, seed: int) -> OutcomeModel:
-    """Refit the outcome net with each regime's rows weighted toward the target.
-
-    Weights are the per-regime self-normalized density ratios of
-    regime_weights (as in estimate_ipw); `seed` seeds fit_outcome.
-    """
-    weights = [regime_weights(model, ds, target) for ds in datasets]
-    return fit_outcome(datasets, hidden=hidden, steps=steps, lr=lr, seed=seed,
-                       weights=weights)
+def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate:
+    """pool_ipw over each regime's regime_weights toward the target. When the
+    target is itself a training regime, its weights are uniform and its mu_i
+    is the plain sample mean."""
+    model.ifm.space.check_regime(target)
+    if not datasets:
+        raise InsufficientData("no datasets")
+    for ds in datasets:
+        if ds.y is None:
+            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
+    return pool_ipw(datasets, [regime_weights(model, ds, target) for ds in datasets])
 
 
 def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
@@ -191,8 +186,9 @@ def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
                       lr: float = 1e-2) -> Estimate:
     """Refit the outcome net under target-regime weights, then average it.
 
-    The refit is covshift_outcome; the estimate then proceeds as in
-    estimate_direct.
+    The refit is fit_outcome with each regime's rows weighted by
+    regime_weights (as in estimate_ipw); the estimate then proceeds as in
+    estimate_direct. `seed` draws the refit's seed, then the draws' seed.
     """
     model.ifm.space.check_regime(target)
     if not datasets:
@@ -200,7 +196,8 @@ def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
     rng = np.random.default_rng(seed)
     fit_seed = int(rng.integers(2 ** 63))
     draw_seed = int(rng.integers(2 ** 63))
-    outcome = covshift_outcome(model, datasets, target, hidden, steps, lr, fit_seed)
+    outcome = fit_outcome(datasets, hidden=hidden, steps=steps, lr=lr, seed=fit_seed,
+                          weights=[regime_weights(model, ds, target) for ds in datasets])
     return estimate_direct(model, outcome, target, nsamples=nsamples,
                            seed=draw_seed, burn=burn, thin=thin)
 

@@ -472,6 +472,8 @@ _AT_LEAST = {
     **dict.fromkeys(("seed", "fit_steps", "outcome_steps", "dag_steps", "gibbs_burn",
                      "truth_burn"), 0),
 }
+# float keys that must be > 0
+_POSITIVE = ("fit_lr", "outcome_lr", "dag_lr")
 
 
 def _finite_number(value) -> bool:
@@ -497,6 +499,8 @@ def resolve_config(config: dict) -> dict:
         elif isinstance(default, float):
             if not _finite_number(value):
                 raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
+            if key in _POSITIVE and value <= 0:
+                raise InvalidSpec(f"{what} must be > 0, got {value!r}")
         elif isinstance(default, list):
             read_list(value, what)
         elif not isinstance(value, str):
@@ -562,7 +566,6 @@ def _run_problem(args):
     p, seeds = args
     sh = _SHARED
     cfg = sh["cfg"]
-    bundle = sh["bundle"]
     truth = sh["truth"]
     targets = sh["targets"]
 
@@ -598,14 +601,14 @@ def _run_problem(args):
                     est[t] = float(estimators.predict_outcome(onet, sh["draws_fit"][t]).mean())
             elif meth == "ifm_ipw":
                 for t in targets:
-                    est[t] = estimators.estimate_ipw(sh["model"], datasets_y, t).mu
+                    est[t] = estimators.pool_ipw(datasets_y, sh["weights"][t]).mu
             elif meth == "ifm_covshift":
                 shift_rng = np.random.default_rng(seeds["covshift"])
                 for t in targets:
-                    refit = estimators.covshift_outcome(
-                        sh["model"], datasets_y, t, cfg["outcome_hidden"],
-                        cfg["outcome_steps"], cfg["outcome_lr"],
-                        int(shift_rng.integers(2 ** 63)),
+                    refit = estimators.fit_outcome(
+                        datasets_y, hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"],
+                        lr=cfg["outcome_lr"], seed=int(shift_rng.integers(2 ** 63)),
+                        weights=sh["weights"][t],
                     )
                     est[t] = float(estimators.predict_outcome(refit, sh["draws_fit"][t]).mean())
             elif meth == "ridge":
@@ -646,9 +649,12 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
 
     Stages: build the structure, seed the truth, certify every test regime
     (unidentifiable ones are reported, never scored), simulate training X
-    once, fit the density model once, then score `n_problems` independent
-    outcome problems. With jobs > 1 problems run in worker processes; the
-    merge is by problem index so the report does not depend on jobs.
+    once, fit the density model once, draw evaluation samples, weigh the
+    training rows toward each scored regime once (when `ifm_ipw` or
+    `ifm_covshift` is asked for; both read these weights), then score
+    `n_problems` independent outcome problems. With jobs > 1 problems run in
+    worker processes; the merge is by problem index so the report does not
+    depend on jobs.
     """
     cfg = resolve_config(config)
     t_start = time.perf_counter()
@@ -728,17 +734,22 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             for t, gs in zip(targets, gibbs_seeds):
                 draws_dag[t] = fitted_dag.sample(t, cfg["gibbs_n"], seed=gs)
 
+    weights = {}
+    if {"ifm_ipw", "ifm_covshift"} & set(cfg["methods"]):
+        with _stage("weigh training rows"):
+            for t in targets:
+                weights[t] = [estimators.regime_weights(model, ds, t) for ds in datasets]
+
     shared = {
         "cfg": cfg,
-        "bundle": bundle,
         "truth": truth,
         "targets": targets,
         "datasets": datasets,
-        "model": model,
         "calib_x": calib_x,
         "mc_x": mc_x,
         "draws_fit": draws_fit,
         "draws_dag": draws_dag,
+        "weights": weights,
     }
     tasks = list(zip(range(cfg["n_problems"]), problem_seeds))
     if jobs > 1 and len(tasks) > 1:

@@ -78,6 +78,25 @@ def test_grid_validation_and_binning():
     assert centers[:, 0].tolist() == [0.5, 1.5]
 
 
+def test_bin_rows_matches_the_clipped_search():
+    rng = np.random.default_rng(0)
+    for nb in (1, 2, 5, 16):
+        edges = [np.cumsum(rng.uniform(0.05, 2.0, nb + 1)) - 3.0 for _ in range(3)]
+        g = Grid(tuple(edges))
+        # every edge, 1e-12 either side of it, interior points, and values
+        # far outside the grid
+        cols = [np.concatenate([e, e - 1e-12, e + 1e-12, rng.uniform(e[0], e[-1], 50),
+                                [-1e300, -1e6, e[0] - 1.0, e[-1] + 1.0, 1e6, 1e300]])
+                for e in g.edges]
+        x = np.column_stack([rng.permutation(c) for c in cols])
+        want = np.column_stack([
+            np.clip(np.searchsorted(e, x[:, j], side="right") - 1, 0, e.size - 2)
+            for j, e in enumerate(g.edges)
+        ])
+        assert np.array_equal(g.bin_rows(x), want)
+        assert g.nbins == (nb, nb, nb)
+
+
 def test_bin_rows_rejects_non_finite_values():
     g = Grid((np.linspace(0.0, 1.0, 5),))
     for bad in (np.nan, np.inf, -np.inf):

@@ -16,7 +16,6 @@ from regimecast.errors import (
 from regimecast.estimators import (
     ConformalBand,
     conformal_band,
-    covshift_outcome,
     estimate_covshift,
     estimate_direct,
     estimate_ipw,
@@ -24,6 +23,7 @@ from regimecast.estimators import (
     load_outcome,
     outcome_from_dict,
     outcome_to_dict,
+    pool_ipw,
     predict_outcome,
     regime_weights,
     save_outcome,
@@ -109,15 +109,19 @@ def test_fit_outcome_names_the_diverging_step():
         fit_outcome(data, hidden=3, steps=5, lr=1e200)
 
 
-def test_covshift_outcome_is_the_weighted_refit():
+def test_estimate_covshift_is_the_weighted_refit():
     model = make_model(seed=6)
     data = make_data(np.random.default_rng(5), [(0, 0), (1, 0)], n=30)
     target = RegimeVector((1, 1))
-    got = covshift_outcome(model, data, target, 4, 20, 1e-2, 7)
-    want = fit_outcome(data, hidden=4, steps=20, lr=1e-2, seed=7,
-                       weights=[regime_weights(model, ds, target) for ds in data])
-    for a, b in zip(got.net.params(), want.net.params()):
-        assert np.array_equal(a, b)
+    got = estimate_covshift(model, data, target, nsamples=60, seed=7, burn=10, thin=1,
+                            hidden=4, steps=20, lr=1e-2)
+    # estimate_covshift draws the refit's seed first, then the draws' seed
+    rng = np.random.default_rng(7)
+    fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
+    refit = fit_outcome(data, hidden=4, steps=20, lr=1e-2, seed=fit_seed,
+                        weights=[regime_weights(model, ds, target) for ds in data])
+    want = estimate_direct(model, refit, target, nsamples=60, seed=draw_seed, burn=10, thin=1)
+    assert got == want
 
 
 def test_predict_outcome_checks_width():
@@ -189,6 +193,17 @@ def test_estimate_ipw_pools_by_inverse_variance():
     assert est.mu == pytest.approx(want)
     assert est.se == pytest.approx(math.sqrt(1.0 / sum(inv)))
     assert [p.regime.levels for p in est.per_regime] == [(0, 0), (1, 0), (0, 1)]
+
+
+def test_pool_ipw_on_regime_weights_is_estimate_ipw():
+    model = make_model(seed=12)
+    rng = np.random.default_rng(13)
+    data = make_data(rng, [(0, 0), (1, 0), (0, 1)], n=20)
+    for target in (RegimeVector((1, 1)), RegimeVector((1, 0))):
+        weights = [regime_weights(model, ds, target) for ds in data]
+        assert pool_ipw(data, weights) == estimate_ipw(model, data, target)
+    with pytest.raises(ValueError):
+        pool_ipw(data, weights[:2])
 
 
 def test_estimate_ipw_skips_zero_variance_regimes():

@@ -268,7 +268,8 @@ def test_resolve_config_checks_keys_and_values():
                 {"signal_range": [-0.1, 0.5]}, {"signal_range": [0.1, float("nan")]},
                 {"n_problems": -1}, {"bins": 0}, {"mc_samples": 0}, {"hidden": 0},
                 {"gibbs_thin": 0}, {"truth_thin": 0}, {"gibbs_burn": -1},
-                {"fit_steps": -1}, {"seed": -1}):
+                {"fit_steps": -1}, {"seed": -1},
+                {"fit_lr": 0.0}, {"outcome_lr": -1e-3}, {"dag_lr": 0}):
         with pytest.raises(InvalidSpec, match=next(iter(bad))):
             resolve_config(bad)
     assert resolve_config({"bins": 12.0, "fit_lr": 1})["bins"] == 12
@@ -315,6 +316,28 @@ def test_run_benchmark_is_deterministic(tmp_path):
     assert len(lines) == 1 + len(first.csv_rows)
     first.write_json(tmp_path / "run.json")
     assert (tmp_path / "run.json").read_text().startswith("{")
+
+
+def test_run_benchmark_weighs_each_target_once(monkeypatch):
+    calls = []
+    weigh = simbench.estimators.regime_weights
+
+    def counted(model, ds, target):
+        calls.append((ds.regime, target))
+        return weigh(model, ds, target)
+
+    monkeypatch.setattr(simbench.estimators, "regime_weights", counted)
+    report = run_benchmark({**TINY_CONFIG, "methods": ["ifm_ipw", "ifm_covshift"],
+                            "outcome_steps": 5})
+    # one weight vector per (scored target, training regime), whatever the
+    # number of problems and of estimators reading it
+    n_targets, n_train = len(report.data["scored_regimes"]), len(report.data["train_regimes"])
+    assert report.data["config"]["n_problems"] == 2
+    assert len(calls) == len(set(calls)) == n_targets * n_train > 0
+
+    calls.clear()
+    run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ridge"]})
+    assert calls == []
 
 
 def test_run_benchmark_merge_does_not_depend_on_jobs():
