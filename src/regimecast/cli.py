@@ -64,10 +64,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite_or_none(v):
-    """Band edges can be infinite; JSON output carries them as null."""
-    v = float(v)
-    return v if math.isfinite(v) else None
+def _band_fields(band) -> dict:
+    """lo, hi, alpha and half_width of a band; infinite values become null."""
+    def finite_or_none(v):
+        v = float(v)
+        return v if math.isfinite(v) else None
+
+    return {"lo": finite_or_none(band.lo), "hi": finite_or_none(band.hi),
+            "alpha": band.alpha, "half_width": finite_or_none(band.half_width)}
 
 
 def _emit(obj, out) -> None:
@@ -222,12 +226,7 @@ def _cmd_estimate(args) -> int:
         band = conformal_band(model, datasets, target, args.alpha,
                               seed=args.seed if args.seed is not None else 0,
                               nsamples=args.nsamples, burn=args.burn, thin=args.thin)
-        result["band"] = {
-            "lo": _finite_or_none(band.lo),
-            "hi": _finite_or_none(band.hi),
-            "alpha": band.alpha,
-            "half_width": _finite_or_none(band.half_width),
-        }
+        result["band"] = _band_fields(band)
     _emit(result, args.out)
     return 0
 
@@ -243,12 +242,9 @@ def _cmd_conformal(args) -> int:
         "format": BAND_FORMAT,
         "format_version": FORMAT_VERSION,
         "target": regime_text(target),
-        "alpha": band.alpha,
         "center": band.center,
-        "half_width": _finite_or_none(band.half_width),
-        "lo": _finite_or_none(band.lo),
-        "hi": _finite_or_none(band.hi),
         "n_scores": band.n_scores,
+        **_band_fields(band),
     }, args.out)
     return 0
 

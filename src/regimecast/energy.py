@@ -31,14 +31,13 @@ from .fileio import (check_format, fingerprint, graph_to_dict, parse_graph, read
                      read_json, read_list)
 from .model import IfmStructure, RegimeVector
 from .nets import (
-    Adam,
     Mlp,
-    check_schedule,
     init_mlp,
     mlp_backward,
     mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
+    train,
     zero_grads,
 )
 
@@ -371,13 +370,10 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
             positive, or a batch below 1.
         NonFinite: objective or gradient became NaN/inf (step reported).
     """
-    check_schedule(steps, lr)
     if batch is not None and batch < 1:
         raise InvalidSpec("batch must be >= 1")
     trained = model.copy()
     keys = sorted(trained.nets)
-    params = [p for key in keys for p in trained.nets[key].params()]
-    opt = Adam(params, lr=lr, maximize=True)
     prep = _prepare(trained, datasets)
     rng = np.random.default_rng(seed)
     sizes = [per_var[0][1].shape[0] if per_var else 0 for per_var in prep[1]]
@@ -391,21 +387,22 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         objectives.append(value)
 
     per_epoch = 1 if batch is None else max(1, -(-max(sizes) // batch))
-    for step in range(steps):
+    calls = itertools.count()
+
+    def value_and_grad():
+        step = next(calls)
+        if batch is not None and step and step % per_epoch == 0:
+            log_obj(_pll_from_prep(trained, prep, False)[0])  # the epoch that just ended
         sub = prep if batch is None else _slice_prep(
             prep, [rng.choice(n, size=min(batch, n), replace=False) for n in sizes])
-        try:
-            obj, grads = _pll_from_prep(trained, sub, True)
-        except NonFinite as exc:
-            raise NonFinite(f"{exc} (step {step})") from None
+        obj, grads = _pll_from_prep(trained, sub, True)
         if batch is None:
             log_obj(obj)  # the full objective before this step's update
-        opt.step([g for key in keys for g in grads[key]])
-        if batch is not None and ((step + 1) % per_epoch == 0 or step + 1 == steps):
-            log_obj(_pll_from_prep(trained, prep, False)[0])
-
-    if not objectives:
-        objectives.append(_pll_from_prep(trained, prep, False)[0])
+        return obj, [g for key in keys for g in grads[key]]
+    train([p for key in keys for p in trained.nets[key].params()], value_and_grad, steps, lr,
+          "pseudo-log-likelihood", maximize=True)
+    if batch is not None or not objectives:  # after the last step; with no steps, the start
+        log_obj(_pll_from_prep(trained, prep, False)[0])
     return trained, FitLog(tuple(objectives), tuple(regressions), steps, lr, batch)
 
 

@@ -21,13 +21,11 @@ from .errors import (
     InvalidSpec,
     MissingOutcome,
     ModelFormatError,
-    NonFinite,
     require_keys,
 )
 from .fileio import check_format, read_int, read_json
 from .model import RegimeDataset, RegimeVector
-from .nets import (Adam, check_schedule, init_mlp, mlp_backward, mlp_forward, mlp_from_dict,
-                   mlp_to_dict)
+from .nets import init_mlp, mlp_backward, mlp_forward, mlp_from_dict, mlp_to_dict, train
 from .sampling import sample
 
 OUTCOME_FORMAT = "regimecast-outcome-model"
@@ -50,6 +48,15 @@ def predict_outcome(outcome: OutcomeModel, x) -> np.ndarray:
     return mlp_forward(outcome.net, xm)[0]
 
 
+def _check_outcome_data(datasets) -> None:
+    """InsufficientData for no datasets, MissingOutcome for one without y."""
+    if not datasets:
+        raise InsufficientData("no datasets")
+    for ds in datasets:
+        if ds.y is None:
+            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
+
+
 def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
                 seed: int = 0, weights=None) -> OutcomeModel:
     """Fit the regression net by (optionally weighted) squared error.
@@ -60,12 +67,7 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     hidden width below 1, negative steps, or a learning rate that is not
     finite and positive raise InvalidSpec.
     """
-    check_schedule(steps, lr)
-    if not datasets:
-        raise InsufficientData("no datasets")
-    for ds in datasets:
-        if ds.y is None:
-            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
+    _check_outcome_data(datasets)
     m = datasets[0].x.shape[1]
     x = np.vstack([ds.x for ds in datasets])
     y = np.concatenate([ds.y for ds in datasets])
@@ -86,14 +88,12 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
 
     rng = np.random.default_rng(seed)
     net = init_mlp(m, hidden, rng, out_scale=0.0)
-    opt = Adam(net.params(), lr=lr)
-    for step in range(steps):
+
+    def loss_and_grad():
         pred, h = mlp_forward(net, x)
         resid = pred - y
-        loss = float(np.sum(w * resid * resid))
-        if not math.isfinite(loss):
-            raise NonFinite(f"outcome loss is not finite (step {step})")
-        opt.step(mlp_backward(net, x, h, 2.0 * w * resid))
+        return float(np.sum(w * resid * resid)), mlp_backward(net, x, h, 2.0 * w * resid)
+    train(net.params(), loss_and_grad, steps, lr, "outcome loss")
     return OutcomeModel(net, m, seed)
 
 
@@ -172,11 +172,7 @@ def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate
     target is itself a training regime, its weights are uniform and its mu_i
     is the plain sample mean."""
     model.ifm.space.check_regime(target)
-    if not datasets:
-        raise InsufficientData("no datasets")
-    for ds in datasets:
-        if ds.y is None:
-            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
+    _check_outcome_data(datasets)
     return pool_ipw(datasets, [regime_weights(model, ds, target) for ds in datasets])
 
 
@@ -191,8 +187,7 @@ def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
     estimate_direct. `seed` draws the refit's seed, then the draws' seed.
     """
     model.ifm.space.check_regime(target)
-    if not datasets:
-        raise InsufficientData("no datasets")
+    _check_outcome_data(datasets)
     rng = np.random.default_rng(seed)
     fit_seed = int(rng.integers(2 ** 63))
     draw_seed = int(rng.integers(2 ** 63))
@@ -252,11 +247,7 @@ def conformal_band(model: EnergyModel, datasets, target: RegimeVector, alpha: fl
     model.ifm.space.check_regime(target)
     if not 0.0 < alpha < 1.0:
         raise InvalidSpec("alpha must be strictly between 0 and 1")
-    if not datasets:
-        raise InsufficientData("no datasets")
-    for ds in datasets:
-        if ds.y is None:
-            raise MissingOutcome(f"dataset for regime {ds.regime.levels} has no y column")
+    _check_outcome_data(datasets)
     if sum(ds.n for ds in datasets) < 4:
         raise InsufficientData("need at least 4 pooled rows")
 

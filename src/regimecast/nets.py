@@ -1,4 +1,4 @@
-"""One-hidden-layer nets with hand-written backprop and an Adam optimizer.
+"""One-hidden-layer nets with hand-written backprop, Adam, and the one training loop.
 
 Everything downstream (factor potentials, outcome regressors, simulator
 equations) uses this same shape: tanh hidden layer, linear scalar output.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, ModelFormatError, require_keys
+from .errors import InvalidSpec, ModelFormatError, NonFinite, require_keys
 
 
 @dataclass
@@ -105,24 +105,12 @@ def mlp_from_dict(obj: dict) -> Mlp:
     return Mlp(w1, b1, w2, b2)
 
 
-def check_schedule(steps: int, lr: float) -> None:
-    """InvalidSpec unless steps >= 0 and lr is a finite positive number."""
-    if steps < 0:
-        raise InvalidSpec(f"steps must be >= 0, got {steps}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise InvalidSpec(f"learning rate must be finite and > 0, got {lr}")
-
-
 class Adam:
     """Standard Adam over a flat list of parameter arrays, updated in place."""
 
-    def __init__(self, params: list, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, maximize: bool = False):
+    def __init__(self, params: list, lr: float = 1e-3, maximize: bool = False):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.sign = 1.0 if maximize else -1.0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -130,7 +118,7 @@ class Adam:
 
     def step(self, grads: list) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g
@@ -138,4 +126,26 @@ class Adam:
             v += (1 - b2) * (g * g)
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p += self.sign * self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def train(params: list, value_and_grad, steps: int, lr: float, what: str,
+          maximize: bool = False) -> None:
+    """Adam steps on `params` in place; `value_and_grad()` gives (objective, grads).
+
+    InvalidSpec for a bad schedule. A NonFinite names its step, from 0:
+    "<what> is not finite (step N)", or the closure's own with " (step N)" added.
+    """
+    if steps < 0:
+        raise InvalidSpec(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidSpec(f"learning rate must be finite and > 0, got {lr}")
+    opt = Adam(params, lr=lr, maximize=maximize)
+    for step in range(steps):
+        try:
+            obj, grads = value_and_grad()
+        except NonFinite as exc:
+            raise NonFinite(f"{exc} (step {step})") from None
+        if not math.isfinite(obj):
+            raise NonFinite(f"{what} is not finite (step {step})")
+        opt.step(grads)

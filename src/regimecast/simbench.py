@@ -24,7 +24,7 @@ import numpy as np
 
 from . import algebraic, estimators
 from .energy import EnergyModel, Grid, discretize, fit as fit_energy, new_model
-from .errors import DegenerateVariable, InvalidSpec, NonFinite, UnknownStructure
+from .errors import DegenerateVariable, InvalidSpec, UnknownStructure
 from .fileio import read_int, read_list, regime_text
 from .model import (
     FactorSpec,
@@ -35,7 +35,7 @@ from .model import (
     RegimeVector,
     normalize_factors,
 )
-from .nets import Adam, check_schedule, init_mlp, mlp_backward, mlp_forward
+from .nets import init_mlp, mlp_backward, mlp_forward, train
 from .sampling import sample
 
 REPORT_FORMAT = "regimecast-benchmark-report"
@@ -378,7 +378,6 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
     """
     if bundle.dag is None:
         raise InvalidSpec(f"structure {bundle.name!r} has no DAG")
-    check_schedule(steps, lr)
     rng = np.random.default_rng(seed)
     space = bundle.ifm.space
     mean_nets, scale_nets = [], []
@@ -399,20 +398,19 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
             if rows_x:
                 feats = np.vstack(rows_x)
                 tvals = np.concatenate(rows_t)
-                opt = Adam(mnet.params() + snet.params(), lr=lr)
-                for step in range(steps):
+
+                def nll_and_grad():
                     mu, hm = mlp_forward(mnet, feats)
                     raw, hs = mlp_forward(snet, feats)
                     g = _softplus(raw) + _SCALE_FLOOR
                     resid = tvals - mu
                     nll = float(np.sum(np.log(g) + 0.5 * (resid / g) ** 2))
-                    if not np.isfinite(nll):
-                        raise NonFinite(f"node {k} likelihood diverged (step {step})")
                     dmu = -(resid / g ** 2) / len(tvals)
                     dsoft = 1.0 / (1.0 + np.exp(-raw))  # softplus' = logistic
                     draw_ = (1.0 / g - resid ** 2 / g ** 3) * dsoft / len(tvals)
                     grads = mlp_backward(mnet, feats, hm, dmu) + mlp_backward(snet, feats, hs, draw_)
-                    opt.step(grads)
+                    return nll, grads
+                train(mnet.params() + snet.params(), nll_and_grad, steps, lr, f"node {k} likelihood")
             means.append(mnet)
             scales.append(snet)
         mean_nets.append(tuple(means))
@@ -653,9 +651,12 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     training rows toward each scored regime once (when `ifm_ipw` or
     `ifm_covshift` is asked for; both read these weights), then score
     `n_problems` independent outcome problems. With jobs > 1 problems run in
-    worker processes; the merge is by problem index so the report does not
-    depend on jobs.
+    at most that many worker processes, never more than there are problems;
+    the merge is by problem index so the report does not depend on jobs.
+    A jobs below 1 raises InvalidSpec.
     """
+    if jobs < 1:
+        raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
     cfg = resolve_config(config)
     t_start = time.perf_counter()
     bundle = builtin_structure(cfg["structure"])
@@ -753,7 +754,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     }
     tasks = list(zip(range(cfg["n_problems"]), problem_seeds))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_shared,
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_set_shared,
                                  initargs=(shared,)) as pool:
             problems = list(pool.map(_run_problem, tasks))
     else:

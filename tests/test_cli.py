@@ -217,6 +217,18 @@ def test_malformed_benchmark_config_is_rejected_input(tmp_path, capsys, text):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_benchmark_jobs_below_one_is_rejected_input(tmp_path, capsys, jobs):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"structure": "chain3", "n_problems": 1, "methods": ["ridge"],
+                               "n_baseline": 50, "n_regime": 20, "mc_samples": 50,
+                               "fit_steps": 1, "gibbs_n": 10, "gibbs_burn": 2}))
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                 "--jobs", jobs]) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_model_file_without_graph_is_rejected_input(workspace, tmp_path, capsys):
     obj = json.loads((workspace / "model.json").read_text())
     del obj["graph"]

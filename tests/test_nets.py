@@ -1,7 +1,9 @@
-"""Small MLP forward/backward and the Adam updater."""
+"""Small MLP forward/backward, the Adam updater and the training loop."""
 
 import numpy as np
+import pytest
 
+from regimecast.errors import InvalidSpec, NonFinite
 from regimecast.nets import (
     Adam,
     init_mlp,
@@ -9,6 +11,7 @@ from regimecast.nets import (
     mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
+    train,
 )
 
 
@@ -112,3 +115,79 @@ def test_adam_reference_two_steps():
         vhat = v / (1 - b2 ** t)
         ref -= lr * mhat / (np.sqrt(vhat) + eps)
     assert np.allclose(p[0], ref, atol=1e-12)
+
+
+def _quadratic(params, target):
+    """value_and_grad of sum((p - target)^2) over the params, with a call log."""
+    calls = []
+
+    def value_and_grad():
+        calls.append(len(calls))
+        return (float(sum(np.sum((p - target) ** 2) for p in params)),
+                [2.0 * (p - target) for p in params])
+
+    return value_and_grad, calls
+
+
+def test_train_with_zero_steps_never_calls_the_closure():
+    p = np.array([1.0, 2.0])
+    value_and_grad, calls = _quadratic([p], 0.0)
+    train([p], value_and_grad, 0, 0.1, "loss")
+    assert calls == []
+    assert np.array_equal(p, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("steps, lr, says", [
+    (-1, 0.1, "steps must be >= 0, got -1"),
+    (3, float("nan"), "learning rate"),
+    (3, float("inf"), "learning rate"),
+    (3, 0.0, "learning rate"),
+    (3, -1e-3, "learning rate"),
+])
+def test_train_rejects_bad_schedules(steps, lr, says):
+    p = np.array([1.0])
+    value_and_grad, calls = _quadratic([p], 0.0)
+    with pytest.raises(InvalidSpec, match=says):
+        train([p], value_and_grad, steps, lr, "loss")
+    assert calls == []
+
+
+def test_train_names_the_step_of_a_non_finite_objective():
+    p = np.array([1.0])
+    values = iter([1.0, 0.5, float("inf")])
+    with pytest.raises(NonFinite, match=r"^toy loss is not finite \(step 2\)$"):
+        train([p], lambda: (next(values), [np.ones(1)]), 5, 0.1, "toy loss")
+
+
+def test_train_appends_the_step_to_a_closure_non_finite():
+    p = np.array([1.0])
+    calls = []
+
+    def value_and_grad():
+        calls.append(None)
+        if len(calls) == 2:
+            raise NonFinite("gradient for net 3 is not finite")
+        return 0.0, [np.ones(1)]
+
+    with pytest.raises(NonFinite, match=r"^gradient for net 3 is not finite \(step 1\)$"):
+        train([p], value_and_grad, 5, 0.1, "loss")
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_train_matches_a_hand_written_adam_loop(maximize):
+    rng = np.random.default_rng(5)
+    start = [rng.standard_normal((3, 2)), rng.standard_normal(3), np.asarray(0.7)]
+    target = rng.standard_normal()
+
+    ours = [q.copy() for q in start]
+    value_and_grad, calls = _quadratic(ours, target)
+    train(ours, value_and_grad, 7, 0.03, "loss", maximize=maximize)
+
+    ref = [q.copy() for q in start]
+    opt = Adam(ref, lr=0.03, maximize=maximize)
+    for _ in range(7):
+        opt.step([2.0 * (q - target) for q in ref])
+
+    assert len(calls) == 7
+    for a, b in zip(ours, ref):
+        assert np.array_equal(a, b)

@@ -340,6 +340,34 @@ def test_run_benchmark_weighs_each_target_once(monkeypatch):
     assert calls == []
 
 
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        simbench._set_shared(None)
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_run_benchmark_pool_never_outnumbers_the_problems(monkeypatch):
+    monkeypatch.setattr(simbench, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.sizes.clear()
+    # no process is started: the pool is a serial stand-in
+    pooled = run_benchmark({**TINY_CONFIG, "methods": ["ridge"]}, jobs=8)
+    assert _SerialPool.sizes == [2]
+    assert len(pooled.data["problems"]) == 2
+
+
 def test_run_benchmark_merge_does_not_depend_on_jobs():
     solo = run_benchmark(TINY_CONFIG, jobs=1)
     pooled = run_benchmark(TINY_CONFIG, jobs=2)
