@@ -11,10 +11,13 @@ normalizes over one variable's grid using only the factors that read it.
 Because every net input is a bin center, each net is a finite table over
 its scope grid; `factor_table` caches it on the model, and densities, ratios
 and sampling read it (`potentials` runs the net only above `CELL_CAP` cells).
-Fitting exploits the same fact: the distinct scope cells the data's
-sweeps reach form one small design per net, each step evaluates every net
+Fitting exploits the same fact twice. Rows that fall into the same bins
+have the same conditionals, so each dataset's rows collapse to its distinct
+bin rows, each weighted by its count. The distinct scope cells those rows'
+sweeps reach form one small design per net; each step evaluates every net
 once on its design, gathers the conditional logits by cell index, and
-scatters their gradient back onto the cells before one backward pass.
+scatters their count-weighted gradient back onto the cells before one
+backward pass.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite, require_keys
 from .fileio import (check_format, fingerprint, graph_to_dict, parse_graph, read_int,
                      read_json, read_list)
-from .model import IfmStructure, RegimeVector
+from .model import IfmStructure, RegimeVector, distinct_rows
 from .nets import (
     Mlp,
     init_mlp,
@@ -217,21 +220,26 @@ def potentials(model: EnergyModel, k: int, regime: RegimeVector, bins: np.ndarra
 def _prepare(model: EnergyModel, datasets):
     """Cell designs per net and, per sweep, indices into them.
 
-    Sweeping variable r of a row over its bins reads, for every factor k on
-    r, the cells of k's scope grid that agree with the row off r. Per net
-    key, the distinct cells any sweep reaches become one design of bin
-    centers; per dataset and variable, each factor on r gets an
-    (n, nbins[r]) index into its net's design. Returns (designs, sweeps)
-    with sweeps[d] a list of (r, observed bins, [(key, index)]).
+    Each dataset's bin rows collapse to its distinct bin rows, each counted
+    by how many rows share it. Sweeping variable r of a row over its bins
+    reads, for every factor k on r, the cells of k's scope grid that agree
+    with the row off r. Per net key, the distinct cells any sweep reaches
+    become one design of bin centers; per dataset and variable, each factor
+    on r gets a (distinct rows, nbins[r]) index into its net's design.
+    Returns (designs, sweeps, inverses): sweeps[d] is (counts, a list of
+    (r, observed bins, [(key, index)])) and inverses[d] maps each raw row
+    of dataset d to its distinct row.
     """
     nbins = model.grid.nbins
     flats = {}
     raw = []
+    inverses = []
     for ds in datasets:
         model.ifm.space.check_regime(ds.regime)
         if ds.x.shape[1] != model.ifm.m:
             raise InvalidSpec("dataset width does not match the structure")
-        bins = model.grid.bin_rows(ds.x)
+        bins, inv, counts = distinct_rows(model.grid.bin_rows(ds.x))
+        inverses.append(inv)
         per_var = []
         for r in range(model.ifm.m):
             entries = []
@@ -250,7 +258,7 @@ def _prepare(model: EnergyModel, datasets):
                 entries.append((key, len(parts), flat.shape))
                 parts.append(flat.ravel())
             per_var.append((r, bins[:, r].copy(), entries))
-        raw.append(per_var)
+        raw.append((counts, per_var))
 
     designs = {}
     inverse = {}
@@ -263,33 +271,38 @@ def _prepare(model: EnergyModel, datasets):
         inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
 
     sweeps = [
-        [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
-         for r, obs, entries in per_var]
-        for per_var in raw
+        (counts,
+         [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
+          for r, obs, entries in per_var])
+        for counts, per_var in raw
     ]
-    return designs, sweeps
+    return designs, sweeps, inverses
 
 
 def _slice_prep(prep, row_sets):
-    """Restrict the sweeps to chosen rows (for minibatch steps)."""
-    designs, sweeps = prep
-    sliced = [
-        [(r, obs[rows], [(key, idx[rows]) for key, idx in entries])
-         for r, obs, entries in per_var]
-        for per_var, rows in zip(sweeps, row_sets)
-    ]
-    return designs, sliced
+    """Restrict the sweeps to chosen raw rows (for minibatch steps): each
+    distinct row they reach is kept once, counted as often as they reach it.
+    The result carries no inverses, so it is not sliced again."""
+    designs, sweeps, inverses = prep
+    sliced = []
+    for (counts, per_var), inv, rows in zip(sweeps, inverses, row_sets):
+        counts = np.bincount(inv[rows], minlength=counts.size)
+        keep = np.flatnonzero(counts)
+        sliced.append((counts[keep],
+                       [(r, obs[keep], [(key, idx[keep]) for key, idx in entries])
+                        for r, obs, entries in per_var]))
+    return designs, sliced, None
 
 
 def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
-    designs, sweeps = prep
+    designs, sweeps, _ = prep
     vals = {}
     hidden = {}
     for key, x in designs.items():
         vals[key], hidden[key] = mlp_forward(model.nets[key], x)
     dvals = {key: np.zeros(v.shape[0]) for key, v in vals.items()} if want_grad else None
     total = 0.0
-    for per_var in sweeps:
+    for counts, per_var in sweeps:
         for r, obs, entries in per_var:
             n = obs.shape[0]
             logits = np.zeros((n, model.grid.nbins[r]))
@@ -300,10 +313,11 @@ def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
             norm = p.sum(axis=1)
             lse = top[:, 0] + np.log(norm)
             rows = np.arange(n)
-            total += float(np.sum(logits[rows, obs] - lse))
+            total += float(np.sum(counts * (logits[rows, obs] - lse)))
             if want_grad:
                 dl = -p / norm[:, None]
                 dl[rows, obs] += 1.0
+                dl *= counts[:, None]
                 for key, idx in entries:
                     dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
                                               minlength=dvals[key].size)
@@ -353,9 +367,11 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     full objective is logged after each epoch and after the last step.
     With zero steps the log holds the starting objective.
 
-    The cell designs (see the module docstring) are built once per call
-    from all rows; a minibatch step only selects rows of the cell indices,
-    so every step runs each net forward and backward once on its design.
+    The distinct bin rows and cell designs (see the module docstring) are
+    built once per call from all rows. A minibatch step draws raw row
+    indices, as if no row were merged, and counts them onto the distinct
+    rows they fall in; every step runs each net forward and backward once
+    on its design and costs one unit per distinct row it reaches.
 
     Args:
         model: initialized model to start from.
@@ -376,7 +392,7 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     keys = sorted(trained.nets)
     prep = _prepare(trained, datasets)
     rng = np.random.default_rng(seed)
-    sizes = [per_var[0][1].shape[0] if per_var else 0 for per_var in prep[1]]
+    sizes = [inv.size for inv in prep[2]]
 
     objectives = []
     regressions = []
@@ -470,6 +486,8 @@ def model_from_dict(obj: dict) -> EnergyModel:
         value = read_list(entry["value"], "net value", ModelFormatError)
         key = (read_int(entry["factor"], "net factor", ModelFormatError),
                tuple(read_int(v, "net value", ModelFormatError) for v in value))
+        if key in nets:
+            raise ModelFormatError(f"net {key} appears more than once")
         nets[key] = mlp_from_dict(entry)
     expected = expected_net_keys(ifm)
     if sorted(nets) != sorted(expected):

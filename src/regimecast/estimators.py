@@ -66,10 +66,16 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     output layer starts at zero, so zero steps means the constant 0. A
     hidden width below 1, negative steps, or a learning rate that is not
     finite and positive raise InvalidSpec.
+
+    Each step runs the net once per distinct row of each dataset (see
+    `RegimeDataset.distinct`), not once per row: with W_u the summed weight
+    and S_u the summed weight times y of the rows equal to distinct row u,
+    the loss is sum_u (W_u f_u - 2 S_u) f_u + sum w y^2, the raw-row
+    weighted squared error up to rounding, and its gradient in f_u is
+    2 (W_u f_u - S_u).
     """
     _check_outcome_data(datasets)
     m = datasets[0].x.shape[1]
-    x = np.vstack([ds.x for ds in datasets])
     y = np.concatenate([ds.y for ds in datasets])
     if weights is None:
         w = np.ones(len(y))
@@ -86,13 +92,20 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
         raise InvalidSpec("weights sum to zero")
     w = w / total
 
+    x = np.vstack([ds.distinct[0] for ds in datasets])
+    offsets = np.cumsum([0] + [ds.distinct[0].shape[0] for ds in datasets[:-1]])
+    row = np.concatenate([ds.distinct[1] + off for ds, off in zip(datasets, offsets)])
+    wsum = np.bincount(row, weights=w, minlength=x.shape[0])
+    wysum = np.bincount(row, weights=w * y, minlength=x.shape[0])
+    const = float(np.sum(w * y * y))
+
     rng = np.random.default_rng(seed)
     net = init_mlp(m, hidden, rng, out_scale=0.0)
 
     def loss_and_grad():
         pred, h = mlp_forward(net, x)
-        resid = pred - y
-        return float(np.sum(w * resid * resid)), mlp_backward(net, x, h, 2.0 * w * resid)
+        half = wsum * pred - wysum  # half the loss gradient in each output
+        return float(np.sum((half - wysum) * pred)) + const, mlp_backward(net, x, h, 2.0 * half)
     train(net.params(), loss_and_grad, steps, lr, "outcome loss")
     return OutcomeModel(net, m, seed)
 

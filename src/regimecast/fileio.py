@@ -34,12 +34,22 @@ _INTV_KEYS = {"name", "cardinality", "baseline"}
 _FACTOR_KEYS = {"variables", "interventions"}
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path, error=InvalidSpec):
-    """Decode a JSON file; a syntax error raises `error` naming the path."""
+    """Decode a JSON file; a syntax error or an object that repeats a key
+    raises `error` naming the path."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # JSONDecodeError, a repeated key, or bytes that are not text
             raise error(f"{path}: {exc}") from None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -233,6 +234,32 @@ class RegimeDataset:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(distinct rows of x, each row's index among them), as distinct_rows
+        gives them; computed on first use and kept, which is safe because x
+        is read-only."""
+        rows, inverse, _ = distinct_rows(self.x)
+        return rows, inverse
+
+
+def distinct_rows(a: np.ndarray) -> tuple:
+    """(distinct rows of a non-empty 2-D array in lexicographic order, each
+    row's index among them, how many rows each one stands for).
+
+    The same as np.unique(a, axis=0, return_inverse=True, return_counts=True),
+    but faster: np.unique sorts the rows as opaque records, this does one
+    lexsort of the columns and one comparison of neighbouring rows.
+    """
+    order = np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(a.shape[0])
+    ordered = a[order]
+    starts = np.ones(a.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(a.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    return ordered[first], inverse, np.diff(first, append=a.shape[0])
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,32 @@ def test_malformed_field_is_rejected_input(workspace, tmp_path, capsys, kind):
     assert "internal error" not in err and named in err
 
 
+def test_manifest_with_a_repeated_key_is_rejected_input(workspace, tmp_path, capsys):
+    manifest = json.loads((workspace / "manifest.json").read_text())
+    pairs = [(str(workspace / rel), levels) for rel, levels in manifest.items()]
+    # the baseline file listed again under another regime
+    pairs.insert(1, (pairs[0][0], [0, 1, 0]))
+    bad = tmp_path / "manifest.json"
+    bad.write_text("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}")
+    assert main(["validate", "--graph", str(workspace / "graph.json"),
+                 "--data-manifest", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(bad) in err and f"duplicate key {pairs[0][0]!r}" in err
+
+
+def test_model_with_a_repeated_net_is_rejected_input(workspace, tmp_path, capsys):
+    obj = json.loads((workspace / "model.json").read_text())
+    obj["nets"].append({**obj["nets"][0], "b2": obj["nets"][0]["b2"] + 1.0})
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["estimate", "--model", str(bad),
+                 "--data-manifest", str(workspace / "manifest.json"),
+                 "--target", "1,1,1", "--method", "ipw"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "appears more than once" in err
+
+
 def test_fit_output_matches_the_model_schema(workspace):
     obj = json.loads((workspace / "model.json").read_text())
     jsonschema.validate(obj, schema("energy_model"))

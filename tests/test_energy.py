@@ -215,11 +215,12 @@ def test_pseudo_loglik_matches_brute_force():
         brute_pseudo_loglik(model, data), rel=1e-10)
 
 
-def random_structure_model(seed):
+def random_structure_model(seed, duplicated=False):
     """Two or three variables, a 2-level and a 3-level switch, random scopes.
 
     Factor 0 is always switched by the 3-level intervention, so its level-2
-    net is one no dataset below reaches.
+    net is one no dataset below reaches. With `duplicated`, each dataset
+    instead holds 40 rows drawn with replacement from its first three.
     """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))
@@ -236,7 +237,20 @@ def random_structure_model(seed):
     model = new_model(ifm, grid, hidden=3, seed=seed, out_scale=0.9)
     data = [RegimeDataset(RegimeVector(levels), rng.uniform(-1.0, 1.0, size=(int(n), m)))
             for levels, n in zip([(0, 0), (1, 0), (0, 1), (1, 1)], rng.integers(3, 9, size=4))]
+    if duplicated:
+        data = [RegimeDataset(ds.regime, ds.x[rng.integers(0, 3, size=40)]) for ds in data]
     return model, data
+
+
+def rowwise_gradient(model, datasets):
+    """pll_gradient summed over one-row datasets, so no row is ever merged."""
+    total = {key: [np.zeros_like(p) for p in net.params()] for key, net in model.nets.items()}
+    for ds in datasets:
+        for i in range(ds.n):
+            for key, gs in pll_gradient(model, [RegimeDataset(ds.regime, ds.x[i:i + 1])]).items():
+                for acc, g in zip(total[key], gs):
+                    acc += g
+    return total
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -255,6 +269,43 @@ def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
     for key in model.nets:
         for g, w in zip(grads[key], want[key]):
             assert np.allclose(g, w, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
+    model, data = random_structure_model(seed, duplicated=True)
+    prep = _prepare(model, data)
+    assert all(counts.size <= 3 and counts.sum() == 40 for counts, _ in prep[1])
+    rng = np.random.default_rng(seed + 200)
+    rows = [rng.choice(ds.n, size=10, replace=False) for ds in data]
+    sliced = _slice_prep(prep, rows)
+    # ten draws among at most three bin rows repeat one of them
+    assert all(counts.max() > 1 and counts.sum() == 10 for counts, _ in sliced[1])
+    sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
+    for step_prep, raw in ((prep, data), (sliced, sub)):
+        got, grads = _pll_from_prep(model, step_prep, True)
+        assert got == pytest.approx(brute_pseudo_loglik(model, raw), rel=1e-10)
+        want = rowwise_gradient(model, raw)
+        for key in model.nets:
+            for g, w in zip(grads[key], want[key]):
+                assert np.allclose(g, w, rtol=1e-10, atol=1e-12)
+
+
+def test_fit_minibatches_draw_raw_row_indices(monkeypatch):
+    model, data = random_structure_model(7, duplicated=True)
+    drawn = []
+    real_slice = energy._slice_prep
+
+    def recording_slice(prep, row_sets):
+        drawn.append(row_sets)
+        return real_slice(prep, row_sets)
+    monkeypatch.setattr(energy, "_slice_prep", recording_slice)
+    fit(model, data, steps=5, lr=1e-2, batch=6, seed=4)
+    rng = np.random.default_rng(4)
+    assert len(drawn) == 5
+    for row_sets in drawn:
+        for got, ds in zip(row_sets, data, strict=True):
+            assert np.array_equal(got, rng.choice(ds.n, size=6, replace=False))
 
 
 def test_gradient_of_an_unreached_net_is_exactly_zero():
@@ -461,6 +512,10 @@ def test_model_from_dict_rejects_tampering():
     bad["nets"][0]["w1"] = [[0.0]]
     with pytest.raises(ModelFormatError):
         model_from_dict(bad)
+    # a repeated (factor, value) entry would otherwise override the first
+    twice = {**obj, "nets": obj["nets"] + [{**obj["nets"][0], "b2": 5.0}]}
+    with pytest.raises(ModelFormatError, match="more than once"):
+        model_from_dict(twice)
 
 
 def test_model_from_dict_rejects_missing_keys_nonfinite_weights_and_bad_shapes():

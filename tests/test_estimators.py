@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from regimecast import estimators
 from regimecast.energy import Grid, new_model
 from regimecast.errors import (
     InsufficientData,
@@ -34,7 +35,9 @@ from regimecast.model import (
     InterventionSpace,
     RegimeDataset,
     RegimeVector,
+    distinct_rows,
 )
+from regimecast.nets import mlp_forward
 from regimecast.sampling import exact_density
 
 
@@ -100,6 +103,48 @@ def test_fit_outcome_weights_select_the_data():
                           weights=[np.ones(60), np.zeros(60)])
     preds = predict_outcome(outcome, data[1].x)
     assert np.all(np.abs(preds - 1.0) < 0.05)
+
+
+def test_fit_outcome_on_repeated_rows_is_the_count_weighted_fit():
+    rng = np.random.default_rng(21)
+    distinct = make_data(rng, [(0, 0), (1, 0)], n=12)
+    repeats = [rng.integers(1, 7, size=ds.n) for ds in distinct]
+    repeated = []
+    for ds, k in zip(distinct, repeats):
+        order = rng.permutation(k.sum())
+        repeated.append(RegimeDataset(ds.regime, np.repeat(ds.x, k, axis=0)[order],
+                                      np.repeat(ds.y, k)[order]))
+    a = fit_outcome(repeated, hidden=4, steps=60, lr=3e-2, seed=2)
+    b = fit_outcome(distinct, hidden=4, steps=60, lr=3e-2, seed=2,
+                    weights=[k.astype(float) for k in repeats])
+    for p, q in zip(a.net.params(), b.net.params()):
+        assert np.allclose(p, q, rtol=1e-12, atol=0.0)
+
+
+def test_fit_outcome_steps_see_each_distinct_row_once(monkeypatch):
+    rng = np.random.default_rng(22)
+    data = []
+    for levels in [(0, 0), (1, 0)]:
+        values = np.column_stack([rng.uniform(-1.0, 1.0, 8), rng.uniform(0.0, 2.0, 8)])
+        x = rng.permutation(np.repeat(values, 500, axis=0))
+        data.append(RegimeDataset(RegimeVector(levels), x, rng.normal(size=4000)))
+    rows = []
+    searches = []
+
+    def counting_forward(net, x):
+        rows.append(x.shape[0])
+        return mlp_forward(net, x)
+
+    def counting_distinct(a):
+        searches.append(a.shape[0])
+        return distinct_rows(a)
+    monkeypatch.setattr(estimators, "mlp_forward", counting_forward)
+    monkeypatch.setattr("regimecast.model.distinct_rows", counting_distinct)
+    fit_outcome(data, hidden=3, steps=7)
+    fit_outcome(data, hidden=3, steps=7, weights=[np.ones(4000), np.full(4000, 2.0)])
+    assert rows == [16] * 14
+    # distinct rows are found once per dataset object, not once per fit
+    assert searches == [4000, 4000]
 
 
 def test_fit_outcome_names_the_diverging_step():

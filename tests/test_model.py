@@ -16,6 +16,7 @@ from regimecast import (
     sigma_graph,
     sigma_zero_set,
 )
+from regimecast.model import distinct_rows
 
 
 def space(d=3, card=2):
@@ -93,6 +94,29 @@ def test_dataset_validation():
     with pytest.raises((ValueError, RuntimeError)):
         ds.x[0, 0] = 5.0
     del ifm
+
+
+def test_distinct_rows_matches_numpy_unique():
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(0, 3, size=(60, 4)),
+             rng.normal(size=5)[rng.integers(0, 5, size=(40, 1))],
+             rng.normal(size=(30, 3)),
+             np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]]),
+             np.zeros((4, 0))]
+    for a in cases:
+        want = np.unique(a, axis=0, return_inverse=True, return_counts=True)
+        got = distinct_rows(a)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1].reshape(-1))
+        assert np.array_equal(got[2], want[2])
+
+
+def test_dataset_distinct_rows_are_found_once():
+    x = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0]])
+    ds = RegimeDataset(RegimeVector((0,)), x)
+    rows, inverse = ds.distinct
+    assert ds.distinct[0] is rows
+    assert np.array_equal(rows[inverse], x)
 
 
 def test_normalize_merges_equal_scopes():
