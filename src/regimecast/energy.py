@@ -41,7 +41,6 @@ from .nets import (
     mlp_from_dict,
     mlp_to_dict,
     train,
-    zero_grads,
 )
 
 MODEL_FORMAT = "regimecast-energy-model"
@@ -325,9 +324,10 @@ def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
         raise NonFinite("pseudo-log-likelihood is not finite")
     if not want_grad:
         return total, None
-    grads = {key: zero_grads(net) for key, net in model.nets.items()}
+    grads = {key: [np.zeros_like(p) for p in net.params()] for key, net in model.nets.items()}
     for key, x in designs.items():
         grads[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[key])
+        grads[key][3] = np.zeros(())  # b2: a factor's constant offset cancels in every conditional
     for key, gs in grads.items():
         for g in gs:
             if not np.all(np.isfinite(g)):
@@ -415,7 +415,7 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         if batch is None:
             log_obj(obj)  # the full objective before this step's update
         return obj, [g for key in keys for g in grads[key]]
-    train([p for key in keys for p in trained.nets[key].params()], value_and_grad, steps, lr,
+    train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
           "pseudo-log-likelihood", maximize=True)
     if batch is not None or not objectives:  # after the last step; with no steps, the start
         log_obj(_pll_from_prep(trained, prep, False)[0])

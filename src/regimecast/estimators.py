@@ -106,7 +106,7 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
         pred, h = mlp_forward(net, x)
         half = wsum * pred - wysum  # half the loss gradient in each output
         return float(np.sum((half - wysum) * pred)) + const, mlp_backward(net, x, h, 2.0 * half)
-    train(net.params(), loss_and_grad, steps, lr, "outcome loss")
+    train([net], loss_and_grad, steps, lr, "outcome loss")
     return OutcomeModel(net, m, seed)
 
 

@@ -74,10 +74,6 @@ def mlp_backward(net: Mlp, x: np.ndarray, h: np.ndarray, dout: np.ndarray) -> li
     return [gw1, gb1, gw2, gb2]
 
 
-def zero_grads(net: Mlp) -> list:
-    return [np.zeros_like(p) for p in net.params()]
-
-
 def mlp_to_dict(net: Mlp) -> dict:
     return {
         "w1": net.w1.tolist(),
@@ -106,33 +102,33 @@ def mlp_from_dict(obj: dict) -> Mlp:
 
 
 class Adam:
-    """Standard Adam over a flat list of parameter arrays, updated in place."""
+    """Standard Adam over one flat parameter array, updated in place."""
 
-    def __init__(self, params: list, lr: float = 1e-3, maximize: bool = False):
+    def __init__(self, params: np.ndarray, lr: float = 1e-3, maximize: bool = False):
         self.params = params
         self.lr = lr
         self.sign = 1.0 if maximize else -1.0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: list) -> None:
+    def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
+        self.m *= b1
+        self.m += (1 - b1) * grads
+        self.v *= b2
+        self.v += (1 - b2) * (grads * grads)
+        mhat = self.m / (1 - b1 ** self.t)
+        vhat = self.v / (1 - b2 ** self.t)
+        self.params += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def train(params: list, value_and_grad, steps: int, lr: float, what: str,
+def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
           maximize: bool = False) -> None:
-    """Adam steps on `params` in place; `value_and_grad()` gives (objective, grads).
+    """Adam steps on the nets, whose params() are rebound as views of one vector.
 
+    `value_and_grad()` gives (objective, grads in params() order, net after net).
     InvalidSpec for a bad schedule. A NonFinite names its step, from 0:
     "<what> is not finite (step N)", or the closure's own with " (step N)" added.
     """
@@ -140,7 +136,13 @@ def train(params: list, value_and_grad, steps: int, lr: float, what: str,
         raise InvalidSpec(f"steps must be >= 0, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
         raise InvalidSpec(f"learning rate must be finite and > 0, got {lr}")
-    opt = Adam(params, lr=lr, maximize=maximize)
+    flat = np.concatenate([p.ravel() for net in nets for p in net.params()])
+    at = 0
+    for net in nets:
+        for name, p in zip(("w1", "b1", "w2", "b2"), net.params()):
+            setattr(net, name, flat[at:at + p.size].reshape(p.shape))
+            at += p.size
+    opt = Adam(flat, lr=lr, maximize=maximize)
     for step in range(steps):
         try:
             obj, grads = value_and_grad()
@@ -148,4 +150,4 @@ def train(params: list, value_and_grad, steps: int, lr: float, what: str,
             raise NonFinite(f"{exc} (step {step})") from None
         if not math.isfinite(obj):
             raise NonFinite(f"{what} is not finite (step {step})")
-        opt.step(grads)
+        opt.step(np.concatenate([np.ravel(g) for g in grads]))

@@ -410,7 +410,7 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
                     draw_ = (1.0 / g - resid ** 2 / g ** 3) * dsoft / len(tvals)
                     grads = mlp_backward(mnet, feats, hm, dmu) + mlp_backward(snet, feats, hs, draw_)
                     return nll, grads
-                train(mnet.params() + snet.params(), nll_and_grad, steps, lr, f"node {k} likelihood")
+                train([mnet, snet], nll_and_grad, steps, lr, f"node {k} likelihood")
             means.append(mnet)
             scales.append(snet)
         mean_nets.append(tuple(means))

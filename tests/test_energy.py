@@ -317,6 +317,26 @@ def test_gradient_of_an_unreached_net_is_exactly_zero():
     assert any(np.any(g != 0.0) for g in grads[(0, (1,))])
 
 
+# A constant offset of a factor cancels in every conditional, so the PLL
+# gradient in each potential net's b2 is exactly 0 and fitting never moves it.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pll_gradient_in_the_output_bias_is_exactly_zero(seed):
+    model, data = random_structure_model(seed)
+    for gs in pll_gradient(model, data).values():
+        assert gs[3].shape == () and gs[3] == 0.0
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fit_leaves_the_output_bias_where_it_started(seed, batch):
+    model, data = random_structure_model(seed)
+    assert any(net.b2 != 0.0 for net in model.nets.values())
+    trained, _ = fit(model, data, steps=6, lr=5e-2, batch=batch, seed=seed)
+    assert any(not np.array_equal(trained.nets[k].w2, net.w2) for k, net in model.nets.items())
+    for key, net in model.nets.items():
+        assert np.array_equal(trained.nets[key].b2, net.b2)
+
+
 def test_fit_objectives_are_bit_identical_across_calls():
     model, data = random_structure_model(6)
     for batch in (None, 3):

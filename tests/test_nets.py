@@ -83,8 +83,8 @@ def test_serialization_round_trip():
 def test_adam_first_step_size_is_lr():
     # with fresh moments the first update moves each coordinate by ~lr
     p = np.array([1.0, -2.0])
-    opt = Adam([p], lr=0.01)
-    opt.step([np.array([0.3, -0.7])])
+    opt = Adam(p, lr=0.01)
+    opt.step(np.array([0.3, -0.7]))
     assert np.allclose(np.abs(p - np.array([1.0, -2.0])), 0.01, atol=1e-5)
     # descent moves against the gradient sign
     assert p[0] < 1.0 and p[1] > -2.0
@@ -92,11 +92,11 @@ def test_adam_first_step_size_is_lr():
 
 def test_adam_maximize_flips_direction():
     p = np.array([0.0])
-    Adam([p], lr=0.1, maximize=True).step([np.array([1.0])])
+    Adam(p, lr=0.1, maximize=True).step(np.array([1.0]))
     assert p[0] > 0
 
     q = np.array([0.0])
-    Adam([q], lr=0.1).step([np.array([1.0])])
+    Adam(q, lr=0.1).step(np.array([1.0]))
     assert q[0] < 0
 
 
@@ -104,11 +104,11 @@ def test_adam_reference_two_steps():
     # hand-rolled reference with beta1=0.9, beta2=0.999, eps=1e-8
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     p = np.array([0.5])
-    opt = Adam([p], lr=lr)
+    opt = Adam(p, lr=lr)
     m = v = 0.0
     ref = 0.5
     for t, g in enumerate([0.4, -0.2], start=1):
-        opt.step([np.array([g])])
+        opt.step(np.array([g]))
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         mhat = m / (1 - b1 ** t)
@@ -117,24 +117,34 @@ def test_adam_reference_two_steps():
     assert np.allclose(p[0], ref, atol=1e-12)
 
 
-def _quadratic(params, target):
-    """value_and_grad of sum((p - target)^2) over the params, with a call log."""
+def _quadratic(nets, target):
+    """value_and_grad of sum((p - target)^2) over the nets' params, with a call log."""
     calls = []
 
     def value_and_grad():
         calls.append(len(calls))
+        params = [p for net in nets for p in net.params()]
         return (float(sum(np.sum((p - target) ** 2) for p in params)),
                 [2.0 * (p - target) for p in params])
 
     return value_and_grad, calls
 
 
+def _net(in_dim=1, hidden=2, seed=0):
+    return init_mlp(in_dim, hidden, np.random.default_rng(seed), out_scale=0.5)
+
+
+def _same(a, b):
+    return all(np.array_equal(p, q) and p.shape == q.shape for p, q in zip(a.params(), b.params()))
+
+
 def test_train_with_zero_steps_never_calls_the_closure():
-    p = np.array([1.0, 2.0])
-    value_and_grad, calls = _quadratic([p], 0.0)
-    train([p], value_and_grad, 0, 0.1, "loss")
+    net = _net()
+    start = net.copy()
+    value_and_grad, calls = _quadratic([net], 0.0)
+    train([net], value_and_grad, 0, 0.1, "loss")
     assert calls == []
-    assert np.array_equal(p, [1.0, 2.0])
+    assert _same(net, start)
 
 
 @pytest.mark.parametrize("steps, lr, says", [
@@ -145,49 +155,93 @@ def test_train_with_zero_steps_never_calls_the_closure():
     (3, -1e-3, "learning rate"),
 ])
 def test_train_rejects_bad_schedules(steps, lr, says):
-    p = np.array([1.0])
-    value_and_grad, calls = _quadratic([p], 0.0)
+    net = _net()
+    start = net.copy()
+    value_and_grad, calls = _quadratic([net], 0.0)
     with pytest.raises(InvalidSpec, match=says):
-        train([p], value_and_grad, steps, lr, "loss")
+        train([net], value_and_grad, steps, lr, "loss")
     assert calls == []
+    assert _same(net, start)
 
 
 def test_train_names_the_step_of_a_non_finite_objective():
-    p = np.array([1.0])
+    net = _net()
     values = iter([1.0, 0.5, float("inf")])
     with pytest.raises(NonFinite, match=r"^toy loss is not finite \(step 2\)$"):
-        train([p], lambda: (next(values), [np.ones(1)]), 5, 0.1, "toy loss")
+        train([net], lambda: (next(values), [np.ones_like(p) for p in net.params()]),
+              5, 0.1, "toy loss")
 
 
 def test_train_appends_the_step_to_a_closure_non_finite():
-    p = np.array([1.0])
+    net = _net()
     calls = []
 
     def value_and_grad():
         calls.append(None)
         if len(calls) == 2:
             raise NonFinite("gradient for net 3 is not finite")
-        return 0.0, [np.ones(1)]
+        return 0.0, [np.ones_like(p) for p in net.params()]
 
     with pytest.raises(NonFinite, match=r"^gradient for net 3 is not finite \(step 1\)$"):
-        train([p], value_and_grad, 5, 0.1, "loss")
+        train([net], value_and_grad, 5, 0.1, "loss")
+
+
+def _per_array_adam(params, grads_of, steps, lr, maximize):
+    """Adam with one (m, v) pair per parameter array, updated array by array."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    sign = 1.0 if maximize else -1.0
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        for p, g, m, v in zip(params, grads_of(), ms, vs):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            p += sign * lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def _regression(nets, xs, ys):
+    """Summed squared error of each net on its own rows, gradients net after net."""
+    def value_and_grad():
+        loss, grads = 0.0, []
+        for net, x, y in zip(nets, xs, ys):
+            out, h = mlp_forward(net, x)
+            loss += float(np.sum((out - y) ** 2))
+            grads += mlp_backward(net, x, h, 2.0 * (out - y))
+        return loss, grads
+
+    return value_and_grad
 
 
 @pytest.mark.parametrize("maximize", [False, True])
 def test_train_matches_a_hand_written_adam_loop(maximize):
     rng = np.random.default_rng(5)
-    start = [rng.standard_normal((3, 2)), rng.standard_normal(3), np.asarray(0.7)]
-    target = rng.standard_normal()
+    start = [init_mlp(d, h, rng, out_scale=0.8) for d, h in ((0, 3), (1, 2), (3, 4), (1, 5))]
+    xs = [rng.standard_normal((6, net.in_dim)) for net in start]
+    ys = [rng.standard_normal(6) for _ in start]
 
-    ours = [q.copy() for q in start]
-    value_and_grad, calls = _quadratic(ours, target)
-    train(ours, value_and_grad, 7, 0.03, "loss", maximize=maximize)
+    ours = [net.copy() for net in start]
+    closure, calls = _regression(ours, xs, ys), []
 
-    ref = [q.copy() for q in start]
-    opt = Adam(ref, lr=0.03, maximize=maximize)
-    for _ in range(7):
-        opt.step([2.0 * (q - target) for q in ref])
+    def counted():
+        calls.append(None)
+        return closure()
+
+    train(ours, counted, 7, 0.03, "loss", maximize=maximize)
+
+    ref = [net.copy() for net in start]
+    ref_closure = _regression(ref, xs, ys)
+    _per_array_adam([p for net in ref for p in net.params()], lambda: ref_closure()[1],
+                    7, 0.03, maximize)
 
     assert len(calls) == 7
-    for a, b in zip(ours, ref):
-        assert np.array_equal(a, b)
+    for a, b, s in zip(ours, ref, start):
+        assert _same(a, b)
+        assert a.b2.shape == () and not _same(a, s)
+    # every array of every net is a view of one vector
+    flat = ours[0].w1.base
+    assert flat.ndim == 1 and flat.size == sum(p.size for net in ours for p in net.params())
+    assert all(p.base is flat for net in ours for p in net.params())
