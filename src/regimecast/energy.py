@@ -225,19 +225,22 @@ def _prepare(model: EnergyModel, datasets):
     with the row off r. Per net key, the distinct cells any sweep reaches
     become one design of bin centers; per dataset and variable, each factor
     on r gets a (distinct rows, nbins[r]) index into its net's design.
-    Returns (designs, sweeps, inverses): sweeps[d] is (counts, a list of
-    (r, observed bins, [(key, index)])) and inverses[d] maps each raw row
-    of dataset d to its distinct row.
+    Returns (designs, sweeps, counts, inverses): sweeps[d] is a list of
+    (r, observed bins, [(key, index)]), counts[d] counts the rows behind
+    each distinct row of dataset d and inverses[d] maps each raw row of
+    dataset d to its distinct row.
     """
     nbins = model.grid.nbins
     flats = {}
     raw = []
+    counts = []
     inverses = []
     for ds in datasets:
         model.ifm.space.check_regime(ds.regime)
         if ds.x.shape[1] != model.ifm.m:
             raise InvalidSpec("dataset width does not match the structure")
-        bins, inv, counts = distinct_rows(model.grid.bin_rows(ds.x))
+        bins, inv, cnt = distinct_rows(model.grid.bin_rows(ds.x))
+        counts.append(cnt)
         inverses.append(inv)
         per_var = []
         for r in range(model.ifm.m):
@@ -257,7 +260,7 @@ def _prepare(model: EnergyModel, datasets):
                 entries.append((key, len(parts), flat.shape))
                 parts.append(flat.ravel())
             per_var.append((r, bins[:, r].copy(), entries))
-        raw.append((counts, per_var))
+        raw.append(per_var)
 
     designs = {}
     inverse = {}
@@ -270,38 +273,24 @@ def _prepare(model: EnergyModel, datasets):
         inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
 
     sweeps = [
-        (counts,
-         [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
-          for r, obs, entries in per_var])
-        for counts, per_var in raw
+        [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
+         for r, obs, entries in per_var]
+        for per_var in raw
     ]
-    return designs, sweeps, inverses
+    return designs, sweeps, counts, inverses
 
 
-def _slice_prep(prep, row_sets):
-    """Restrict the sweeps to chosen raw rows (for minibatch steps): each
-    distinct row they reach is kept once, counted as often as they reach it.
-    The result carries no inverses, so it is not sliced again."""
-    designs, sweeps, inverses = prep
-    sliced = []
-    for (counts, per_var), inv, rows in zip(sweeps, inverses, row_sets):
-        counts = np.bincount(inv[rows], minlength=counts.size)
-        keep = np.flatnonzero(counts)
-        sliced.append((counts[keep],
-                       [(r, obs[keep], [(key, idx[keep]) for key, idx in entries])
-                        for r, obs, entries in per_var]))
-    return designs, sliced, None
-
-
-def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
-    designs, sweeps, _ = prep
+def _pll_from_prep(model: EnergyModel, prep, counts, want_grad: bool):
+    """PLL (and gradient) with counts[d] weighing dataset d's distinct rows;
+    rows a minibatch misses weigh 0 and add exact zeros to every sum."""
+    designs, sweeps = prep[:2]
     vals = {}
     hidden = {}
     for key, x in designs.items():
         vals[key], hidden[key] = mlp_forward(model.nets[key], x)
     dvals = {key: np.zeros(v.shape[0]) for key, v in vals.items()} if want_grad else None
     total = 0.0
-    for counts, per_var in sweeps:
+    for cnt, per_var in zip(counts, sweeps, strict=True):
         for r, obs, entries in per_var:
             n = obs.shape[0]
             logits = np.zeros((n, model.grid.nbins[r]))
@@ -312,11 +301,11 @@ def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
             norm = p.sum(axis=1)
             lse = top[:, 0] + np.log(norm)
             rows = np.arange(n)
-            total += float(np.sum(counts * (logits[rows, obs] - lse)))
+            total += float(np.sum(cnt * (logits[rows, obs] - lse)))
             if want_grad:
                 dl = -p / norm[:, None]
                 dl[rows, obs] += 1.0
-                dl *= counts[:, None]
+                dl *= cnt[:, None]
                 for key, idx in entries:
                     dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
                                               minlength=dvals[key].size)
@@ -337,12 +326,14 @@ def _pll_from_prep(model: EnergyModel, prep, want_grad: bool):
 
 def pseudo_loglik(model: EnergyModel, datasets) -> float:
     """Sum over datasets, rows, and variables of log p(x_r | rest; regime)."""
-    return _pll_from_prep(model, _prepare(model, datasets), False)[0]
+    prep = _prepare(model, datasets)
+    return _pll_from_prep(model, prep, prep[2], False)[0]
 
 
 def pll_gradient(model: EnergyModel, datasets) -> dict:
     """Exact gradient of pseudo_loglik per net, keyed like model.nets."""
-    return _pll_from_prep(model, _prepare(model, datasets), True)[1]
+    prep = _prepare(model, datasets)
+    return _pll_from_prep(model, prep, prep[2], True)[1]
 
 
 @dataclass(frozen=True)
@@ -370,8 +361,8 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     The distinct bin rows and cell designs (see the module docstring) are
     built once per call from all rows. A minibatch step draws raw row
     indices, as if no row were merged, and counts them onto the distinct
-    rows they fall in; every step runs each net forward and backward once
-    on its design and costs one unit per distinct row it reaches.
+    rows (missed ones count 0); every step runs each net forward and
+    backward once on its design and costs one unit per distinct row.
 
     Args:
         model: initialized model to start from.
@@ -391,8 +382,8 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     trained = model.copy()
     keys = sorted(trained.nets)
     prep = _prepare(trained, datasets)
+    counts, inverses = prep[2:]
     rng = np.random.default_rng(seed)
-    sizes = [inv.size for inv in prep[2]]
 
     objectives = []
     regressions = []
@@ -402,23 +393,25 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
             regressions.append(len(objectives))
         objectives.append(value)
 
-    per_epoch = 1 if batch is None else max(1, -(-max(sizes) // batch))
+    per_epoch = 1 if batch is None else max(1, -(-max(inv.size for inv in inverses) // batch))
     calls = itertools.count()
 
     def value_and_grad():
         step = next(calls)
         if batch is not None and step and step % per_epoch == 0:
-            log_obj(_pll_from_prep(trained, prep, False)[0])  # the epoch that just ended
-        sub = prep if batch is None else _slice_prep(
-            prep, [rng.choice(n, size=min(batch, n), replace=False) for n in sizes])
-        obj, grads = _pll_from_prep(trained, sub, True)
+            log_obj(_pll_from_prep(trained, prep, counts, False)[0])  # the epoch that just ended
+        drawn = counts if batch is None else [
+            np.bincount(inv[rng.choice(inv.size, size=min(batch, inv.size), replace=False)],
+                        minlength=cnt.size)
+            for cnt, inv in zip(counts, inverses)]
+        obj, grads = _pll_from_prep(trained, prep, drawn, True)
         if batch is None:
             log_obj(obj)  # the full objective before this step's update
         return obj, [g for key in keys for g in grads[key]]
     train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
           "pseudo-log-likelihood", maximize=True)
     if batch is not None or not objectives:  # after the last step; with no steps, the start
-        log_obj(_pll_from_prep(trained, prep, False)[0])
+        log_obj(_pll_from_prep(trained, prep, counts, False)[0])
     return trained, FitLog(tuple(objectives), tuple(regressions), steps, lr, batch)
 
 

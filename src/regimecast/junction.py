@@ -1,15 +1,17 @@
 """Identification by message passing on a junction tree of the sigma graph.
 
-When the graph on intervention indices is chordal (or has been filled in),
-its maximal cliques form a junction tree. Provided training data covers,
-for every clique, all level combinations over that clique with everything
-else at baseline, an unseen regime's density follows by passing density
-ratios from the leaves to the root. The whole derivation collapses to an
-integer exponent vector over training regimes, which is what gets returned.
+One min-fill elimination of the graph on intervention indices tests
+chordality, fills the graph in and lists its maximal cliques, which form a
+junction tree. Provided training data covers, for every clique, all level
+combinations over that clique with everything else at baseline, an unseen
+regime's density follows by passing density ratios from the leaves to the
+root. The whole derivation collapses to an integer exponent vector over
+training regimes, which is what gets returned.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +30,39 @@ from .model import (
 )
 
 
-def _mcs_order(g: SigmaGraph) -> list:
-    """Maximum-cardinality search visit order; ties go to the lowest index."""
+def _eliminate(g: SigmaGraph) -> tuple:
+    """Min-fill elimination, lowest vertex index on ties.
+
+    Returns (fill, cliques): the edges it adds, and the maximal sets among
+    {vertex} | {its neighbours not yet eliminated} as sorted tuples, sorted
+    overall. A graph is chordal exactly when there is no fill (it always
+    has a zero-fill vertex); the order is then perfect, so those sets are
+    its maximal cliques.
+    """
     adj = g.adjacency()
-    weights = [0] * g.d
-    visited = [False] * g.d
-    order = []
-    for _ in range(g.d):
-        v = max(range(g.d), key=lambda u: (not visited[u], weights[u], -u))
-        visited[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not visited[u]:
-                weights[u] += 1
-    return order
+    remaining = set(range(g.d))
+    fill = set()
+    sets = set()
+
+    def missing(v):
+        nbrs = sorted(adj[v] & remaining)
+        return [(a, b) for a, b in itertools.combinations(nbrs, 2) if b not in adj[a]]
+
+    while remaining:
+        v = min(remaining, key=lambda u: (len(missing(u)), u))
+        for a, b in missing(v):
+            adj[a].add(b)
+            adj[b].add(a)
+            fill.add((a, b))
+        remaining.discard(v)
+        sets.add(frozenset((adj[v] & remaining) | {v}))
+    cliques = [c for c in sets if not any(c < other for other in sets)]
+    return fill, sorted(tuple(sorted(c)) for c in cliques)
 
 
 def is_decomposable(g: SigmaGraph) -> bool:
     """True when the graph is chordal (every cycle >= 4 has a chord)."""
-    adj = g.adjacency()
-    order = _mcs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        if not earlier:
-            continue
-        parent = max(earlier, key=lambda u: pos[u])
-        if not (earlier - {parent}) <= adj[parent]:
-            return False
-    return True
+    return not _eliminate(g)[0]
 
 
 def triangulate(g: SigmaGraph) -> SigmaGraph:
@@ -65,49 +71,15 @@ def triangulate(g: SigmaGraph) -> SigmaGraph:
     Chordal inputs come back unchanged: they always have a zero-fill vertex
     to eliminate, so the heuristic never adds an edge it does not need.
     """
-    adj = g.adjacency()
-    remaining = set(range(g.d))
-    fill = set(g.edges)
-    while remaining:
-        best, best_cost = None, None
-        for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining]
-            cost = sum(
-                1
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1 :]
-                if b not in adj[a]
-            )
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
-        nbrs = [u for u in adj[best] if u in remaining]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    fill.add((min(a, b), max(a, b)))
-        remaining.discard(best)
-    return SigmaGraph(g.d, frozenset(fill))
+    return SigmaGraph(g.d, g.edges | _eliminate(g)[0])
 
 
 def maximal_cliques(g: SigmaGraph) -> list:
     """Maximal cliques of a chordal graph as sorted tuples, sorted overall."""
-    if not is_decomposable(g):
+    fill, cliques = _eliminate(g)
+    if fill:
         raise NotChordal("clique extraction requires a chordal graph")
-    adj = g.adjacency()
-    order = _mcs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    candidates = []
-    for v in order:
-        c = {v} | {u for u in adj[v] if pos[u] < pos[v]}
-        candidates.append(frozenset(c))
-    cliques = [
-        c
-        for c in set(candidates)
-        if not any(c < other for other in candidates)
-    ]
-    return sorted(tuple(sorted(c)) for c in cliques)
+    return cliques
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from regimecast.energy import (
     Grid,
     _pll_from_prep,
     _prepare,
-    _slice_prep,
     density_ratio,
     discretize,
     expected_net_keys,
@@ -253,17 +252,22 @@ def rowwise_gradient(model, datasets):
     return total
 
 
+def drawn_counts(prep, rows):
+    """Per-dataset count vectors over the distinct rows for raw row draws."""
+    return [np.bincount(inv[r], minlength=c.size) for c, inv, r in zip(prep[2], prep[3], rows)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
     model, data = random_structure_model(seed)
     prep = _prepare(model, data)
-    assert _pll_from_prep(model, prep, False)[0] == pytest.approx(
+    assert _pll_from_prep(model, prep, prep[2], False)[0] == pytest.approx(
         brute_pseudo_loglik(model, data), rel=1e-10)
 
     rng = np.random.default_rng(seed + 100)
     rows = [rng.choice(ds.n, size=2, replace=False) for ds in data]
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
-    got, grads = _pll_from_prep(model, _slice_prep(prep, rows), True)
+    got, grads = _pll_from_prep(model, prep, drawn_counts(prep, rows), True)
     assert got == pytest.approx(brute_pseudo_loglik(model, sub), rel=1e-10)
     want = pll_gradient(model, sub)
     for key in model.nets:
@@ -275,15 +279,15 @@ def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
 def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
     model, data = random_structure_model(seed, duplicated=True)
     prep = _prepare(model, data)
-    assert all(counts.size <= 3 and counts.sum() == 40 for counts, _ in prep[1])
+    assert all(counts.size <= 3 and counts.sum() == 40 for counts in prep[2])
     rng = np.random.default_rng(seed + 200)
     rows = [rng.choice(ds.n, size=10, replace=False) for ds in data]
-    sliced = _slice_prep(prep, rows)
+    drawn = drawn_counts(prep, rows)
     # ten draws among at most three bin rows repeat one of them
-    assert all(counts.max() > 1 and counts.sum() == 10 for counts, _ in sliced[1])
+    assert all(counts.max() > 1 and counts.sum() == 10 for counts in drawn)
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
-    for step_prep, raw in ((prep, data), (sliced, sub)):
-        got, grads = _pll_from_prep(model, step_prep, True)
+    for counts, raw in ((prep[2], data), (drawn, sub)):
+        got, grads = _pll_from_prep(model, prep, counts, True)
         assert got == pytest.approx(brute_pseudo_loglik(model, raw), rel=1e-10)
         want = rowwise_gradient(model, raw)
         for key in model.nets:
@@ -294,18 +298,21 @@ def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
 def test_fit_minibatches_draw_raw_row_indices(monkeypatch):
     model, data = random_structure_model(7, duplicated=True)
     drawn = []
-    real_slice = energy._slice_prep
+    real_pll = energy._pll_from_prep
 
-    def recording_slice(prep, row_sets):
-        drawn.append(row_sets)
-        return real_slice(prep, row_sets)
-    monkeypatch.setattr(energy, "_slice_prep", recording_slice)
+    def recording_pll(model, prep, counts, want_grad):
+        if want_grad:  # a step; the logged full objectives are not draws
+            drawn.append(counts)
+        return real_pll(model, prep, counts, want_grad)
+    monkeypatch.setattr(energy, "_pll_from_prep", recording_pll)
     fit(model, data, steps=5, lr=1e-2, batch=6, seed=4)
+    prep = _prepare(model, data)
     rng = np.random.default_rng(4)
     assert len(drawn) == 5
-    for row_sets in drawn:
-        for got, ds in zip(row_sets, data, strict=True):
-            assert np.array_equal(got, rng.choice(ds.n, size=6, replace=False))
+    for counts in drawn:
+        want = drawn_counts(prep, [rng.choice(ds.n, size=6, replace=False) for ds in data])
+        for got, w in zip(counts, want, strict=True):
+            assert np.array_equal(got, w)
 
 
 def test_gradient_of_an_unreached_net_is_exactly_zero():

@@ -1,5 +1,7 @@
 """Chordality, triangulation, junction trees, message-passing certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from regimecast import (
     FactorSpec,
     IfmStructure,
     InterventionSpace,
+    NotChordal,
     RegimeSet,
     RegimeVector,
     SigmaGraph,
@@ -245,3 +248,52 @@ def test_factor_scopes_live_inside_cliques():
         cliques = maximal_cliques(tri)
         for f in ifm.factors:
             assert any(set(f.intv_scope) <= set(cl) for cl in cliques)
+
+
+def all_graphs(max_d):
+    """Every graph on d = 1..max_d labelled vertices."""
+    for d in range(1, max_d + 1):
+        pairs = list(itertools.combinations(range(d), 2))
+        for mask in range(1 << len(pairs)):
+            yield graph(d, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def induces_cycle(g, sub):
+    """Whether the vertices `sub` induce one cycle through all of them: some
+    cyclic order of them is a cycle, and it holds every edge among them."""
+    inner = sum(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+    return inner == len(sub) and any(
+        all(g.has_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
+        for order in ((sub[0], *rest) for rest in itertools.permutations(sub[1:])))
+
+
+def brute_chordal(g):
+    return not any(induces_cycle(g, sub)
+                   for k in range(4, g.d + 1)
+                   for sub in itertools.combinations(range(g.d), k))
+
+
+def brute_cliques(g):
+    cliques = [set(sub)
+               for k in range(1, g.d + 1)
+               for sub in itertools.combinations(range(g.d), k)
+               if all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))]
+    return sorted(tuple(sorted(c)) for c in cliques if not any(c < o for o in cliques))
+
+
+def test_graph_helpers_match_brute_force_on_every_small_graph():
+    count = 0
+    for g in all_graphs(5):
+        count += 1
+        chordal = brute_chordal(g)
+        assert is_decomposable(g) == chordal
+        tri = triangulate(g)
+        assert tri.d == g.d and g.edges <= tri.edges and brute_chordal(tri)
+        assert maximal_cliques(tri) == brute_cliques(tri)
+        if chordal:
+            assert tri.edges == g.edges
+            assert maximal_cliques(g) == brute_cliques(g)
+        else:
+            with pytest.raises(NotChordal):
+                maximal_cliques(g)
+    assert count == 1099
