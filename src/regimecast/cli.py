@@ -312,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sample", help="draw rows from a fitted model under a regime: exact "
-                       "iid draws when the grid can be tabulated, Gibbs chains otherwise")
+                       "iid draws by variable elimination when every elimination clique can "
+                       "be tabulated, Gibbs chains otherwise")
     p.add_argument("--model", required=True)
     p.add_argument("--regime", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn", type=int, default=500,
-                   help="scans each Gibbs chain discards (Gibbs grids only)")
+                   help="scans each Gibbs chain discards (Gibbs fallback only)")
     p.add_argument("--thin", type=int, default=5,
-                   help="scans between kept Gibbs scans (Gibbs grids only)")
+                   help="scans between kept Gibbs scans (Gibbs fallback only)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)

@@ -30,7 +30,8 @@ class NonFinite(DomainError):
 
 
 class GridTooLarge(DomainError):
-    """Exact enumeration over the full grid would exceed the cell cap."""
+    """A table to enumerate (the full grid, or an elimination clique) would
+    exceed the cell cap."""
 
 
 class MissingOutcome(DomainError):

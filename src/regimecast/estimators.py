@@ -134,8 +134,9 @@ def estimate_direct(model: EnergyModel, outcome: OutcomeModel, target: RegimeVec
     """Average the outcome net over model samples from the target regime.
 
     The draws come from `sampling.sample`. The standard error is the plain
-    iid Monte Carlo one: exact for the iid draws of a tabulable grid, and
-    optimistic under the autocorrelation of Gibbs draws, which is
+    iid Monte Carlo one: exact wherever `sample` draws by variable
+    elimination (every elimination clique within `energy.CELL_CAP`), and
+    optimistic under the autocorrelation of its Gibbs fallback, which is
     acceptable for its reporting role.
     """
     draws = sample(model, target, nsamples, burn=burn, thin=thin, seed=seed)

@@ -6,7 +6,9 @@ junction tree. Provided training data covers, for every clique, all level
 combinations over that clique with everything else at baseline, an unseen
 regime's density follows by passing density ratios from the leaves to the
 root. The whole derivation collapses to an integer exponent vector over
-training regimes, which is what gets returned.
+training regimes, which is what gets returned. Identification eliminates
+once per call; `sampling` runs the same elimination on the graph of its
+variables for its elimination order.
 """
 
 from __future__ import annotations
@@ -33,16 +35,18 @@ from .model import (
 def _eliminate(g: SigmaGraph) -> tuple:
     """Min-fill elimination, lowest vertex index on ties.
 
-    Returns (fill, cliques): the edges it adds, and the maximal sets among
-    {vertex} | {its neighbours not yet eliminated} as sorted tuples, sorted
-    overall. A graph is chordal exactly when there is no fill (it always
-    has a zero-fill vertex); the order is then perfect, so those sets are
-    its maximal cliques.
+    Returns (fill, cliques, order): the edges it adds, the maximal sets
+    among {vertex} | {its neighbours not yet eliminated} as sorted tuples,
+    sorted overall, and the vertices in elimination order. The order is
+    perfect for the filled graph (input plus fill), so those sets are its
+    maximal cliques; a graph is chordal exactly when there is no fill (it
+    always has a zero-fill vertex).
     """
     adj = g.adjacency()
     remaining = set(range(g.d))
     fill = set()
     sets = set()
+    order = []
 
     def missing(v):
         nbrs = sorted(adj[v] & remaining)
@@ -55,9 +59,10 @@ def _eliminate(g: SigmaGraph) -> tuple:
             adj[b].add(a)
             fill.add((a, b))
         remaining.discard(v)
+        order.append(v)
         sets.add(frozenset((adj[v] & remaining) | {v}))
     cliques = [c for c in sets if not any(c < other for other in sets)]
-    return fill, sorted(tuple(sorted(c)) for c in cliques)
+    return fill, sorted(tuple(sorted(c)) for c in cliques), order
 
 
 def is_decomposable(g: SigmaGraph) -> bool:
@@ -76,7 +81,7 @@ def triangulate(g: SigmaGraph) -> SigmaGraph:
 
 def maximal_cliques(g: SigmaGraph) -> list:
     """Maximal cliques of a chordal graph as sorted tuples, sorted overall."""
-    fill, cliques = _eliminate(g)
+    fill, cliques, _ = _eliminate(g)
     if fill:
         raise NotChordal("clique extraction requires a chordal graph")
     return cliques
@@ -114,7 +119,11 @@ def build_junction_tree(g: SigmaGraph, root=None) -> JunctionTree:
     root is the largest clique (lowest position on ties); pass `root` as a
     clique (tuple of vertices) to override.
     """
-    cliques = maximal_cliques(g)
+    return _junction_tree(maximal_cliques(g), root)
+
+
+def _junction_tree(cliques: list, root) -> JunctionTree:
+    """`build_junction_tree` on a graph's maximal cliques (sorted tuples, sorted)."""
     n = len(cliques)
     members = [set(c) for c in cliques]
 
@@ -224,9 +233,14 @@ def check_conditions(ifm: IfmStructure, train: RegimeSet) -> ConditionReport:
     """Report, per clique of the (triangulated) sigma graph, whether training
     covers every level combination over the clique with baseline elsewhere."""
     norm = normalize_factors(ifm)
-    tri = triangulate(sigma_graph(norm))
+    return _conditions(norm, _eliminate(sigma_graph(norm))[1], train)
+
+
+def _conditions(norm: IfmStructure, cliques: list, train: RegimeSet) -> ConditionReport:
+    """`check_conditions` on a normalized structure and its triangulated
+    sigma graph's maximal cliques."""
     entries = []
-    for clique in maximal_cliques(tri):
+    for clique in cliques:
         required = sigma_zero_set(norm.space, clique)
         missing = tuple(r for r in required if r not in train)
         entries.append(CliqueCondition(clique, required, missing))
@@ -267,15 +281,16 @@ def message_passing_identify(
         return PrTransformation(target, train, tuple(counts), ROUTE_TREE)
 
     norm = normalize_factors(ifm)
-    report = check_conditions(norm, train)
+    # one elimination of the untriangulated graph gives the filled graph's cliques
+    cliques = _eliminate(sigma_graph(norm))[1]
+    report = _conditions(norm, cliques, train)
     if not report.passed:
         bad = [e.clique for e in report.entries if not e.passed]
         exc = ConditionsNotMet(f"training set misses combinations over cliques {bad}")
         exc.report = report
         raise exc
 
-    tri = triangulate(sigma_graph(norm))
-    jt = build_junction_tree(tri, root=root)
+    jt = _junction_tree(cliques, root)
 
     def add(regime: RegimeVector, count: int):
         counts[train.index_of(regime)] += count

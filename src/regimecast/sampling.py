@@ -1,23 +1,31 @@
-"""Drawing from a fitted model: exact iid draws when the grid is small enough
-to enumerate, multi-chain Gibbs sampling everywhere else.
+"""Drawing from a fitted model: exact iid draws by variable elimination
+whenever its cliques can be tabulated, multi-chain Gibbs sampling elsewhere.
 
-`sample` is the one entry point. When the whole grid has at most
-`energy.CELL_CAP` cells it tabulates `exact_density` and draws cells by
-inverse CDF, with no burn-in and no autocorrelation. Otherwise it runs
-`gibbs_sample`, which moves `CHAINS` chains in lockstep. Conditionals of one
-variable given the rest involve only the factors that read it, so each
+`sample` is the one entry point. The model is a product of factor tables, so
+it eliminates the variables in `junction._eliminate`'s min-fill order on the
+graph linking variables that share a factor (forward pass) and then draws
+them in reverse order, each from its conditional given the variables already
+drawn (backward pass): exact iid rows with no burn-in and no
+autocorrelation. A grid of one clique is the special case of one table.
+When some elimination clique has more than `energy.CELL_CAP` cells it runs
+`gibbs_sample`, which moves `CHAINS` chains in lockstep. Conditionals of
+one variable given the rest involve only the factors that read it, so each
 update gathers, for every chain at once, a slice of each such factor's
 cached `energy.factor_table` (or, above the cap, its `energy.potentials`)
 along that variable's axis, normalizes over its bins, and draws.
+`log_partition` returns the forward pass's by-product, log Z.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .energy import EnergyModel, factor_table, potentials, tabulated
 from .errors import GridTooLarge, InvalidSpec
-from .model import RegimeVector
+from .junction import _eliminate
+from .model import RegimeVector, SigmaGraph
 
 # chains gibbs_sample runs in lockstep
 CHAINS = 32
@@ -54,24 +62,88 @@ def _check_draws(n: int, burn: int, thin: int) -> None:
         raise InvalidSpec("need burn >= 0 and thin >= 1")
 
 
+def _forward(model: EnergyModel, regime: RegimeVector):
+    """Forward elimination over the cached factor tables.
+
+    Returns (steps, log Z), or None when some elimination clique has more
+    than `energy.CELL_CAP` cells. steps[i] = (v, others, table) in
+    elimination order: the log table over v's clique, with one axis per
+    variable in `others` and v's axis last, summing every factor and message
+    in the pool that reads v. Its max-shifted logsumexp over v replaces them
+    in the pool; the scalars left at the end sum to log Z.
+    """
+    model.ifm.space.check_regime(regime)
+    m, nbins = model.ifm.m, model.grid.nbins
+    scopes = [f.var_scope for f in model.ifm.factors]
+    edges = {e for scope in scopes for e in itertools.combinations(scope, 2)}
+    _, cliques, order = _eliminate(SigmaGraph(m, frozenset(edges)))
+    if not all(tabulated(model, c) for c in cliques):
+        return None
+
+    pool = [(scope, factor_table(model, k, regime)) for k, scope in enumerate(scopes)]
+    steps = []
+    for v in order:
+        mine = [(scope, t) for scope, t in pool if v in scope]
+        pool = [(scope, t) for scope, t in pool if v not in scope]
+        others = sorted({j for scope, _ in mine for j in scope} - {v})
+        axes = others + [v]
+        table = np.zeros([nbins[j] for j in axes])
+        for scope, t in mine:
+            # scopes are sorted, so moving v's axis last puts t's axes in clique order
+            t = np.moveaxis(t, scope.index(v), -1)
+            table += t.reshape([nbins[j] if j in scope else 1 for j in axes])
+        # logsumexp over v on a copy with v's axis first: numpy reduces a
+        # leading axis about twice as fast as a short trailing one
+        work = table.reshape(-1, nbins[v]).T.copy()
+        top = work.max(axis=0)
+        work -= top
+        msg = top + np.log(np.exp(work, out=work).sum(axis=0))
+        pool.append((tuple(others), msg.reshape(table.shape[:-1])))
+        steps.append((v, others, table))
+    return steps, float(sum(t for _, t in pool))
+
+
+def log_partition(model: EnergyModel, regime: RegimeVector) -> float:
+    """log Z of the model under a regime: the log of the sum over every grid
+    cell of the exponentiated summed potentials, by forward elimination.
+
+    Raises GridTooLarge when some elimination clique has more than
+    `energy.CELL_CAP` cells.
+    """
+    forward = _forward(model, regime)
+    if forward is None:
+        raise GridTooLarge("an elimination clique has too many cells to tabulate")
+    return forward[1]
+
+
 def sample(model: EnergyModel, regime: RegimeVector, n: int,
            burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
     """Draw (n, m) rows of bin centers from the model under a regime.
 
-    When the full grid can be tabulated (`energy.tabulated`), the rows are
-    n iid cells of `exact_density`, drawn by inverse CDF from one uniform
-    per row; `burn` and `thin` are checked but unused. Otherwise the rows
-    come from `gibbs_sample` with the same arguments. Either way the rows
-    are a deterministic function of the seed.
+    When every elimination clique can be tabulated (`energy.tabulated`),
+    the rows are n iid exact draws: the backward pass visits the variables
+    in reverse elimination order, gathers each row's slice of the
+    variable's clique table at the variables already drawn, normalizes it,
+    and draws by inverse CDF from column v of one `rng.random((n, m))`;
+    `burn` and `thin` are checked but unused. Otherwise the rows come from
+    `gibbs_sample` with the same arguments. Either way the rows are a
+    deterministic function of the seed.
     """
     _check_draws(n, burn, thin)
-    if not tabulated(model, range(model.ifm.m)):
+    forward = _forward(model, regime)
+    if forward is None:
         return gibbs_sample(model, regime, n, burn=burn, thin=thin, seed=seed)
-    cum = np.cumsum(exact_density(model, regime).ravel())
-    u = np.random.default_rng(seed).random(n) * cum[-1]
-    # rounding can push u onto cum[-1]; keep the index in range
-    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    return model.grid.center_rows(np.column_stack(np.unravel_index(cells, model.grid.nbins)))
+    u = np.random.default_rng(seed).random((n, model.ifm.m))
+    bins = np.empty((n, model.ifm.m), dtype=int)
+    for v, others, table in reversed(forward[0]):
+        # (n, bins) rows, or with no other variable in the clique one row for all n
+        logp = np.atleast_2d(table[tuple(bins[:, j] for j in others)])
+        p = np.exp(logp - logp.max(axis=1, keepdims=True))
+        cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+        # the count of cum <= u is searchsorted(side="right"), kept in range
+        bins[:, v] = np.minimum((cum <= (u[:, v] * cum[:, -1])[:, None]).sum(axis=1),
+                                table.shape[-1] - 1)
+    return model.grid.center_rows(bins)
 
 
 def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,

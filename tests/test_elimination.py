@@ -1,0 +1,125 @@
+"""Exact draws and log Z by variable elimination over the factor tables."""
+
+import numpy as np
+import pytest
+
+from regimecast import energy, sampling, simbench
+from regimecast.energy import Grid, factor_table, new_model
+from regimecast.errors import GridTooLarge
+from regimecast.model import FactorSpec, IfmStructure, InterventionSpace, RegimeVector
+from regimecast.sampling import exact_density, gibbs_sample, log_partition, sample
+
+from conftest import all_regimes, random_table_instance
+
+
+def grid_for(nbins) -> Grid:
+    return Grid(tuple(np.linspace(-1.0, 1.0, b + 1) for b in nbins))
+
+
+def random_models(count, seed=0):
+    """Seeded random structures (m 1-4, bins 2-4) with non-uniform nets."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        tm = random_table_instance(rng, max_m=4, max_bins=4)
+        yield new_model(tm.ifm, grid_for(tm.nbins), hidden=5, seed=i, out_scale=1.5)
+
+
+def pairwise_model(m, pairs, bins=3, seed=0):
+    """m variables, one pairwise factor per pair, the first one switched."""
+    space = InterventionSpace(("s",), (2,))
+    factors = tuple(FactorSpec(p, (0,) if k == 0 else ()) for k, p in enumerate(pairs))
+    return new_model(IfmStructure(m, space, factors), grid_for((bins,) * m), hidden=5,
+                     seed=seed, out_scale=1.5)
+
+
+# a triangle: every clique table joins three pairwise factors
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+# a four-cycle: eliminating its first vertex adds the fill edge (1, 3)
+FOUR_CYCLE = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def fixed_models():
+    yield pairwise_model(3, TRIANGLE, seed=1)
+    yield pairwise_model(4, FOUR_CYCLE, seed=2)
+
+
+def joint_log_table(model, regime):
+    nbins = model.grid.nbins
+    logp = np.zeros(nbins)
+    for k, f in enumerate(model.ifm.factors):
+        shape = [nbins[j] if j in f.var_scope else 1 for j in range(model.ifm.m)]
+        logp = logp + factor_table(model, k, regime).reshape(shape)
+    return logp
+
+
+def test_log_partition_matches_brute_force_logsumexp():
+    checked = 0
+    for model in [*random_models(30), *fixed_models()]:
+        for regime in all_regimes(model.ifm.space):
+            logp = joint_log_table(model, regime)
+            top = logp.max()
+            want = top + np.log(np.exp(logp - top).sum())
+            assert log_partition(model, regime) == pytest.approx(want, rel=1e-12, abs=0.0)
+            checked += 1
+    assert checked > 60
+
+
+def test_elimination_draws_match_exact_density():
+    n = 20_000
+    for i, model in enumerate([*random_models(12, seed=1), *fixed_models()]):
+        regimes = all_regimes(model.ifm.space)
+        regime = regimes[i % len(regimes)]
+        p = exact_density(model, regime).ravel()
+        bins = model.grid.bin_rows(sample(model, regime, n, seed=i))
+        cells = np.ravel_multi_index(tuple(bins.T), model.grid.nbins)
+        emp = np.bincount(cells, minlength=p.size) / n
+        # every cell count is binomial(n, p): allow five standard deviations
+        assert np.all(np.abs(emp - p) <= 5 * np.sqrt(p * (1 - p) / n) + 1e-12), i
+
+
+def test_the_cell_cap_applies_to_cliques_not_factors(monkeypatch):
+    for m, pairs in ((3, TRIANGLE), (4, FOUR_CYCLE)):
+        model = pairwise_model(m, pairs)
+        r = RegimeVector((1,))
+        exact = sample(model, r, 300, burn=20, thin=2, seed=5)
+        # every factor has 3 x 3 cells, every elimination clique 27
+        monkeypatch.setattr(energy, "CELL_CAP", 26)
+        assert all(energy.tabulated(model, f.var_scope) for f in model.ifm.factors)
+        drawn = sample(model, r, 300, burn=20, thin=2, seed=5)
+        assert np.array_equal(drawn, gibbs_sample(model, r, 300, burn=20, thin=2, seed=5))
+        assert not np.array_equal(drawn, exact)
+        with pytest.raises(GridTooLarge):
+            log_partition(model, r)
+        monkeypatch.setattr(energy, "CELL_CAP", 27)
+        assert np.array_equal(sample(model, r, 300, burn=20, thin=2, seed=5), exact)
+
+
+def test_one_variable_draws_keep_the_whole_grid_inverse_cdf_stream():
+    """With one variable the single clique is the whole grid, and the draws
+    are those of inverse CDF over `exact_density` from `rng.random(n)`."""
+    bundle = simbench.builtin_structure("chain3")
+    for nb in (2, 5, 16):
+        model = new_model(bundle.ifm, grid_for((nb,)), hidden=6, seed=nb, out_scale=2.0)
+        for regime in bundle.train:
+            cum = np.cumsum(exact_density(model, regime).ravel())
+            u = np.random.default_rng(nb).random(4000) * cum[-1]
+            cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+            want = model.grid.center_rows(cells[:, None])
+            assert np.array_equal(sample(model, regime, 4000, seed=nb), want)
+
+
+def test_sachs_benchmark_draws_make_no_gibbs_calls(monkeypatch):
+    calls = []
+    real = sampling.gibbs_sample
+    monkeypatch.setattr(sampling, "gibbs_sample", lambda *a, **k: calls.append(1) or real(*a, **k))
+    config = {
+        "structure": "sachs", "truth": "ifm", "seed": 3,
+        "n_baseline": 200, "n_regime": 60, "bins": 20, "truth_bins": 20,
+        "hidden": 6, "truth_hidden": 6, "outcome_hidden": 8,
+        "methods": ["ifm_direct", "ifm_ipw", "ridge"],
+        "fit_steps": 2, "n_problems": 1, "outcome_steps": 30,
+        "mc_samples": 200, "gibbs_n": 200, "gibbs_burn": 30, "gibbs_thin": 1,
+        "truth_burn": 30, "truth_thin": 1,
+    }
+    report = simbench.run_benchmark(config, jobs=1)
+    assert report.data["problems"] and calls == []

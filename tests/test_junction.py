@@ -24,6 +24,7 @@ from regimecast import (
     triangulate,
     verify_pr,
 )
+from regimecast import junction
 
 from conftest import TableModel, reconstruct_density, tv
 
@@ -224,6 +225,34 @@ def test_message_passing_requires_coverage():
     with pytest.raises(ConditionsNotMet) as err:
         message_passing_identify(norm, train, RegimeVector(ones_at((0, 1))))
     assert not err.value.report.passed
+
+
+def test_identification_eliminates_and_normalizes_once(monkeypatch):
+    calls = {}
+
+    def count(name):
+        real = getattr(junction, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(junction, name, counted)
+
+    count("_eliminate")
+    count("normalize_factors")
+    ifm = eight_intv_structure()
+    target = RegimeVector(ones_at(tuple(range(8))))
+    cert = message_passing_identify(ifm, full_train(), target, root=(2, 3))
+    assert calls == {"_eliminate": 1, "normalize_factors": 1}
+    calls.clear()
+    report = check_conditions(ifm, full_train())
+    assert calls == {"_eliminate": 1, "normalize_factors": 1}
+    monkeypatch.undo()
+
+    # the one elimination of the untriangulated graph gives the filled graph's cliques
+    tri = triangulate(sigma_graph(normalize_factors(ifm)))
+    assert [e.clique for e in report.entries] == maximal_cliques(tri)
+    assert report.passed and verify_pr(normalize_factors(ifm), cert)
 
 
 def test_factor_scopes_live_inside_cliques():
