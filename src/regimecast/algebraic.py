@@ -26,28 +26,16 @@ ROUTE_TREE = "junction-tree"
 ROUTE_ALGEBRAIC = "algebraic"
 
 
-@dataclass(frozen=True)
-class SymbolIndex:
-    """Ordered (factor, level-pattern) pairs backing the system's rows.
-
-    Patterns cover exactly the values seen in training or required by the
-    target, per factor, sorted so row order is reproducible.
-    """
-
-    entries: tuple
-
-    def __len__(self):
-        return len(self.entries)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Constraint matrix over training-regime exponents: rows are (factor,
-    pattern) pairs, the right side is the target's pattern indicator."""
+    """Constraint matrix over training-regime exponents: rows are the (factor,
+    pattern) pairs in `symbols`, per factor the patterns seen in training or
+    required by the target, sorted so row order is reproducible; the right
+    side is the target's pattern indicator."""
 
     a: np.ndarray
     b: np.ndarray
-    symbols: SymbolIndex
+    symbols: tuple
     train: RegimeSet
     target: RegimeVector
 
@@ -100,16 +88,15 @@ def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> L
     for r in train:
         space.check_regime(r)
 
-    entries = []
+    symbols = []
     for k, f in enumerate(ifm.factors):
         values = {r.project(f.intv_scope) for r in train}
         values.add(target.project(f.intv_scope))
-        entries.extend((k, v) for v in sorted(values))
-    symbols = SymbolIndex(tuple(entries))
+        symbols.extend((k, v) for v in sorted(values))
 
-    a = np.zeros((len(entries), len(train)))
-    b = np.zeros(len(entries))
-    for row, (k, v) in enumerate(entries):
+    a = np.zeros((len(symbols), len(train)))
+    b = np.zeros(len(symbols))
+    for row, (k, v) in enumerate(symbols):
         scope = ifm.factors[k].intv_scope
         for i, r in enumerate(train):
             if r.project(scope) == v:
@@ -118,7 +105,7 @@ def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> L
             b[row] = 1.0
     a.flags.writeable = False
     b.flags.writeable = False
-    return LinearSystem(a, b, symbols, train, target)
+    return LinearSystem(a, b, tuple(symbols), train, target)
 
 
 def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):
@@ -135,7 +122,7 @@ def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):
     resid = np.abs(system.a @ q - system.b)
     if resid.max() > RESIDUAL_TOL:
         row = int(np.argmax(resid > RESIDUAL_TOL))
-        factor, value = system.symbols.entries[row]
+        factor, value = system.symbols[row]
         scope = ifm.factors[factor].intv_scope
         return Unidentifiable(
             target,

@@ -266,7 +266,7 @@ def _cmd_validate(args) -> int:
         "variables": ifm.m,
         "interventions": ifm.space.d,
         "factors": len(ifm.factors),
-        "chordal": junction.is_decomposable(sigma_graph(normalize_factors(ifm))),
+        "chordal": junction.is_decomposable(sigma_graph(ifm)),
         "fingerprint": fingerprint(ifm),
     }
     if args.data_manifest:

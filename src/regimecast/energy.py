@@ -165,8 +165,7 @@ def _check_bins(model: EnergyModel, x_bins) -> np.ndarray:
     if bins.shape[1] != model.ifm.m:
         raise InvalidSpec(f"bin rows have {bins.shape[1]} columns, expected {model.ifm.m}")
     for j, b in enumerate(model.grid.nbins):
-        col = bins[:, j]
-        if col.min() < 0 or col.max() >= b:
+        if np.any((bins[:, j] < 0) | (bins[:, j] >= b)):
             raise InvalidSpec(f"bin index out of range for variable {j}")
     return bins
 
@@ -373,12 +372,14 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         seed: minibatch shuffling seed; unused in full-batch mode.
 
     Raises:
-        InvalidSpec: negative steps, a learning rate that is not finite and
-            positive, or a batch below 1.
+        InvalidSpec: no datasets, negative steps, a learning rate that is
+            not finite and positive, or a batch below 1.
         NonFinite: objective or gradient became NaN/inf (step reported).
     """
     if batch is not None and batch < 1:
         raise InvalidSpec("batch must be >= 1")
+    if not datasets:
+        raise InvalidSpec("fit needs at least one dataset")
     trained = model.copy()
     keys = sorted(trained.nets)
     prep = _prepare(trained, datasets)

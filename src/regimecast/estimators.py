@@ -82,9 +82,12 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     else:
         if len(weights) != len(datasets):
             raise InvalidSpec("need one weight array per dataset")
-        w = np.concatenate([np.asarray(wi, dtype=float).reshape(-1) for wi in weights])
-        if w.shape[0] != len(y):
-            raise InvalidSpec("weight lengths must match dataset rows")
+        w = [np.asarray(wi, dtype=float).reshape(-1) for wi in weights]
+        for i, (wi, ds) in enumerate(zip(w, datasets)):
+            if wi.shape[0] != ds.n:
+                raise InvalidSpec(f"weights for dataset {i} have {wi.shape[0]} entries, "
+                                  f"need one per row ({ds.n})")
+        w = np.concatenate(w)
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidSpec("weights must be finite and nonnegative")
     total = w.sum()

@@ -4,11 +4,11 @@ One min-fill elimination of the graph on intervention indices tests
 chordality, fills the graph in and lists its maximal cliques, which form a
 junction tree. Provided training data covers, for every clique, all level
 combinations over that clique with everything else at baseline, an unseen
-regime's density follows by passing density ratios from the leaves to the
-root. The whole derivation collapses to an integer exponent vector over
-training regimes, which is what gets returned. Identification eliminates
-once per call; `sampling` runs the same elimination on the graph of its
-variables for its elimination order.
+regime's density is the product of its clique densities divided by its
+separator densities, which every clique tree of the graph shares. The whole
+derivation collapses to an integer exponent vector over training regimes,
+which is what gets returned. Identification eliminates once per call;
+`sampling` runs the same elimination on the graph of its variables.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     RegimeSet,
     RegimeVector,
     SigmaGraph,
-    normalize_factors,
     restrict_regime,
     sigma_graph,
     sigma_zero_set,
@@ -128,11 +127,9 @@ def _junction_tree(cliques: list, root) -> JunctionTree:
     members = [set(c) for c in cliques]
 
     candidates = sorted(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
+        itertools.combinations(range(n), 2),
+        key=lambda ij: (-len(members[ij[0]] & members[ij[1]]), cliques[ij[0]], cliques[ij[1]]),
     )
-    candidates.sort(key=lambda ij: (-len(members[ij[0]] & members[ij[1]]), cliques[ij[0]], cliques[ij[1]]))
 
     comp = list(range(n))
 
@@ -232,39 +229,35 @@ class ConditionReport:
 def check_conditions(ifm: IfmStructure, train: RegimeSet) -> ConditionReport:
     """Report, per clique of the (triangulated) sigma graph, whether training
     covers every level combination over the clique with baseline elsewhere."""
-    norm = normalize_factors(ifm)
-    return _conditions(norm, _eliminate(sigma_graph(norm))[1], train)
+    return _conditions(ifm, _eliminate(sigma_graph(ifm))[1], train)
 
 
-def _conditions(norm: IfmStructure, cliques: list, train: RegimeSet) -> ConditionReport:
-    """`check_conditions` on a normalized structure and its triangulated
-    sigma graph's maximal cliques."""
+def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> ConditionReport:
+    """`check_conditions` on the triangulated sigma graph's maximal cliques,
+    which factor normalization would not change: it adds no sigma-graph edge."""
     entries = []
     for clique in cliques:
-        required = sigma_zero_set(norm.space, clique)
+        required = sigma_zero_set(ifm.space, clique)
         missing = tuple(r for r in required if r not in train)
         entries.append(CliqueCondition(clique, required, missing))
     return ConditionReport(tuple(entries))
 
 
-def message_passing_identify(
-    ifm: IfmStructure,
-    train: RegimeSet,
-    target: RegimeVector,
-    root=None,
-) -> PrTransformation:
-    """Derive the target's exponent certificate by leaf-to-root elimination.
+def message_passing_identify(ifm: IfmStructure, train: RegimeSet,
+                             target: RegimeVector) -> PrTransformation:
+    """Derive the target's exponent certificate from its junction tree.
 
     Each clique contributes the regime holding the target's levels on the
     clique (baseline elsewhere) with exponent +1, and each tree edge divides
-    out the regime restricted to the child's branch separator. A target
-    already in training short-circuits to the one-hot certificate.
+    out the regime restricted to its separator. Every clique tree of a
+    chordal graph has the same separators, so no root is needed, and factor
+    normalization adds no sigma-graph edge, so none is needed either. A
+    target already in training short-circuits to the one-hot certificate.
 
     Args:
-        ifm: factor structure; normalized internally.
+        ifm: factor structure.
         train: available training regimes.
         target: regime to identify.
-        root: optional clique (vertex tuple) to root the tree at.
 
     Returns:
         Integer-exponent certificate over `train`, verified before return.
@@ -280,30 +273,22 @@ def message_passing_identify(
         counts[train.index_of(target)] = 1.0
         return PrTransformation(target, train, tuple(counts), ROUTE_TREE)
 
-    norm = normalize_factors(ifm)
     # one elimination of the untriangulated graph gives the filled graph's cliques
-    cliques = _eliminate(sigma_graph(norm))[1]
-    report = _conditions(norm, cliques, train)
+    cliques = _eliminate(sigma_graph(ifm))[1]
+    report = _conditions(ifm, cliques, train)
     if not report.passed:
         bad = [e.clique for e in report.entries if not e.passed]
         exc = ConditionsNotMet(f"training set misses combinations over cliques {bad}")
         exc.report = report
         raise exc
 
-    jt = _junction_tree(cliques, root)
-
-    def add(regime: RegimeVector, count: int):
-        counts[train.index_of(regime)] += count
-
-    stack = [jt.root]
-    while stack:
-        k = stack.pop()
-        add(restrict_regime(target, jt.cliques[k]), +1)
-        for child in jt.children[k]:
-            add(restrict_regime(target, jt.branch_sep[child]), -1)
-            stack.append(child)
+    jt = _junction_tree(cliques, None)
+    for clique in cliques:
+        counts[train.index_of(restrict_regime(target, clique))] += 1
+    for i, j in jt.edges:
+        counts[train.index_of(restrict_regime(target, jt.separator(i, j)))] -= 1
 
     cert = PrTransformation(target, train, tuple(counts), ROUTE_TREE)
-    if not verify_pr(norm, cert):
+    if not verify_pr(ifm, cert):
         raise AssertionError("message-passing certificate failed verification")
     return cert

@@ -39,7 +39,7 @@ def test_system_shape_and_rhs():
     assert sys.a.shape == (12, 7)
     assert sys.b.shape == (12,)
     assert sys.b.sum() == 3
-    ones = [sys.symbols.entries[i] for i in np.flatnonzero(sys.b)]
+    ones = [sys.symbols[i] for i in np.flatnonzero(sys.b)]
     assert ones == [(0, (1, 1)), (1, (1, 1)), (2, (1, 1))]
     # each column's pattern memberships: one row per factor
     assert np.all(sys.a.sum(axis=0) == 3)

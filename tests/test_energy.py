@@ -153,6 +153,15 @@ def test_log_unnorm_matches_direct_net_sum():
         log_unnorm(model, np.array([[0, 5]]), r)
 
 
+def test_row_readers_accept_zero_rows():
+    model = rand_model(seed=5)
+    r, den = RegimeVector((1, 0)), RegimeVector((0, 1))
+    empty = log_unnorm(model, np.zeros((0, 2), dtype=int), r)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert log_ratio_rows(model, np.zeros((0, 2)), r, den).shape == (0,)
+    assert density_ratio(model, np.zeros((0, 2)), r, den).shape == (0,)
+
+
 def test_factor_tables_are_cached_per_net_object():
     model = rand_model(seed=7)
     r = RegimeVector((1, 0))
@@ -429,6 +438,9 @@ def test_fit_loop_edge_cases():
     assert log.objectives[-1] == pseudo_loglik(trained, data)
     with pytest.raises(InvalidSpec):
         fit(model, data, steps=1, batch=0)
+    for batch in (None, 2):
+        with pytest.raises(InvalidSpec, match="at least one dataset"):
+            fit(model, [], steps=1, batch=batch)
 
 
 def test_fit_rejects_negative_steps_and_bad_rates():

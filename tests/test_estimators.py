@@ -85,6 +85,10 @@ def test_fit_outcome_validation():
         fit_outcome(data, weights=[np.ones(5), -np.ones(5)])
     with pytest.raises(InvalidSpec):
         fit_outcome(data, weights=[np.zeros(5), np.zeros(5)])
+    # the right total is not enough: each array must match its own dataset
+    four = make_data(rng, [(0, 0), (1, 0)], n=4)
+    with pytest.raises(InvalidSpec, match="dataset 0 have 3 entries"):
+        fit_outcome(four, weights=[np.ones(3), np.ones(5)])
 
 
 def test_fit_outcome_rejects_bad_width_steps_and_rate():

@@ -150,6 +150,15 @@ def test_running_intersection_on_random_chordal_graphs():
                 for k in path:
                     assert shared <= set(tree.cliques[k])
 
+        # the root only orients the tree: the edges stay, and each branch
+        # separator is the separator with the parent
+        for root in tree.cliques:
+            rooted = build_junction_tree(tri, root=root)
+            assert rooted.edges == tree.edges
+            for k, p in enumerate(rooted.parent):
+                if p is not None:
+                    assert rooted.branch_sep[k] == rooted.separator(k, p)
+
 
 def test_check_conditions_reports_missing_regimes():
     ifm = eight_intv_structure()
@@ -174,7 +183,7 @@ def test_message_passing_certificate_exponents():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(norm, train, target, root=(2, 3))
+    cert = message_passing_identify(norm, train, target)
     assert verify_pr(norm, cert)
 
     by_regime = dict(zip([r.levels for r in cert.train], cert.exponents))
@@ -196,7 +205,7 @@ def test_message_passing_matches_table_oracle():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(norm, train, target, root=(2, 3))
+    cert = message_passing_identify(norm, train, target)
 
     rng = np.random.default_rng(7)
     tables = {}
@@ -227,7 +236,7 @@ def test_message_passing_requires_coverage():
     assert not err.value.report.passed
 
 
-def test_identification_eliminates_and_normalizes_once(monkeypatch):
+def test_identification_eliminates_once(monkeypatch):
     calls = {}
 
     def count(name):
@@ -239,14 +248,13 @@ def test_identification_eliminates_and_normalizes_once(monkeypatch):
         monkeypatch.setattr(junction, name, counted)
 
     count("_eliminate")
-    count("normalize_factors")
     ifm = eight_intv_structure()
     target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(ifm, full_train(), target, root=(2, 3))
-    assert calls == {"_eliminate": 1, "normalize_factors": 1}
+    cert = message_passing_identify(ifm, full_train(), target)
+    assert calls == {"_eliminate": 1}
     calls.clear()
     report = check_conditions(ifm, full_train())
-    assert calls == {"_eliminate": 1, "normalize_factors": 1}
+    assert calls == {"_eliminate": 1}
     monkeypatch.undo()
 
     # the one elimination of the untriangulated graph gives the filled graph's cliques
