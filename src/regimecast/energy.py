@@ -198,8 +198,8 @@ def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray
     if net is not model.nets[key]:
         net = model.nets[key]
         centers = [model.grid.centers[j] for j in f.var_scope]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        feats = np.column_stack([g.reshape(-1) for g in mesh])
+        mesh = np.meshgrid(*centers, indexing="ij", copy=False)
+        feats = np.stack(mesh, axis=-1).reshape(-1, len(centers))
         table = mlp_forward(net, feats)[0].reshape([c.size for c in centers])
         table.flags.writeable = False
         model.tables[key] = (net, table)

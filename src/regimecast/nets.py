@@ -59,18 +59,25 @@ def init_mlp(in_dim: int, hidden: int, rng: np.random.Generator, out_scale: floa
 
 
 def mlp_forward(net: Mlp, x: np.ndarray):
-    """Evaluate on rows x (n, in_dim); returns (outputs (n,), hidden (n, H))."""
-    h = np.tanh(x @ net.w1.T + net.b1)
+    """Evaluate on rows x (n, in_dim); returns (outputs (n,), hidden (n, H)),
+    the hidden array being the product `x @ w1.T` with bias and tanh applied in place."""
+    h = x @ net.w1.T
+    h += net.b1
+    np.tanh(h, out=h)
     return h @ net.w2 + float(net.b2), h
 
 
 def mlp_backward(net: Mlp, x: np.ndarray, h: np.ndarray, dout: np.ndarray) -> list:
-    """Gradients of sum(dout * output) w.r.t. params, same order as params()."""
-    gw2 = h.T @ dout
+    """Gradients of sum(dout * output) w.r.t. params, same order as params();
+    bias reductions are matrix-vector products, and x, h, dout and the net are not written."""
+    gw2 = dout @ h
     gb2 = np.asarray(dout.sum())
-    dz = (dout[:, None] * net.w2) * (1.0 - h * h)
+    dz = h * h
+    np.subtract(1.0, dz, out=dz)
+    dz *= dout[:, None]
+    dz *= net.w2
     gw1 = dz.T @ x
-    gb1 = dz.sum(axis=0)
+    gb1 = np.ones(dz.shape[0]) @ dz
     return [gw1, gb1, gw2, gb2]
 
 

@@ -471,7 +471,7 @@ _AT_LEAST = {
                      "truth_burn"), 0),
 }
 # float keys that must be > 0
-_POSITIVE = ("fit_lr", "outcome_lr", "dag_lr")
+_POSITIVE = ("fit_lr", "outcome_lr", "dag_lr", "truth_span")
 
 
 def _finite_number(value) -> bool:
@@ -499,6 +499,8 @@ def resolve_config(config: dict) -> dict:
                 raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
             if key in _POSITIVE and value <= 0:
                 raise InvalidSpec(f"{what} must be > 0, got {value!r}")
+            if key == "ridge_penalty" and value < 0:
+                raise InvalidSpec(f"{what} must be >= 0, got {value!r}")
         elif isinstance(default, list):
             read_list(value, what)
         elif not isinstance(value, str):
@@ -510,9 +512,14 @@ def resolve_config(config: dict) -> dict:
         raise InvalidSpec("benchmark config 'signal_range' must be two finite numbers "
                           f"with 0 <= lo <= hi < 1, got {lo_hi!r}")
     cfg["methods"] = list(cfg["methods"])
-    for meth in cfg["methods"]:
+    for i, meth in enumerate(cfg["methods"]):
         if meth not in _METHODS:
             raise InvalidSpec(f"unknown method {meth!r}; choose from {_METHODS}")
+        if meth in cfg["methods"][:i]:
+            raise InvalidSpec(f"benchmark config 'methods' lists {meth!r} more than once")
+    if cfg["variance_preset"] not in ("additive", "ratio"):
+        raise InvalidSpec("benchmark config 'variance_preset' must be 'additive' or 'ratio', "
+                          f"got {cfg['variance_preset']!r}")
     if cfg["truth"] not in ("ifm", "dag"):
         raise InvalidSpec("truth must be 'ifm' or 'dag'")
     return cfg

@@ -586,3 +586,19 @@ def test_model_from_dict_rejects_missing_keys_nonfinite_weights_and_bad_shapes()
     back = model_from_dict(with_net(w1=flat_w1))
     key = (obj["nets"][1]["factor"], tuple(obj["nets"][1]["value"]))
     assert np.array_equal(back.nets[key].w1, np.asarray(net["w1"]))
+
+
+def test_factor_tables_lay_the_grid_out_in_scope_order():
+    # unequal bin counts per variable, so a swapped or transposed axis shows
+    sp = InterventionSpace(("a", "b"), (2, 2))
+    ifm = IfmStructure(4, sp, (FactorSpec((0, 1, 3), (0,)), FactorSpec((0, 1, 2, 3), (1,))))
+    grid = Grid(tuple(np.linspace(-1.0, 1.0 + j, n + 1) for j, n in enumerate((2, 3, 4, 5))))
+    model = new_model(ifm, grid, hidden=6, seed=11, out_scale=0.9)
+    for k, f in enumerate(ifm.factors):
+        centers = [grid.centers[j] for j in f.var_scope]
+        mesh = np.meshgrid(*centers, indexing="ij")
+        feats = np.column_stack([g.reshape(-1) for g in mesh])
+        ref = mlp_forward(model.net_for(k, RegimeVector((1, 1))), feats)[0]
+        table = factor_table(model, k, RegimeVector((1, 1)))
+        assert table.shape == tuple(c.size for c in centers)
+        assert np.array_equal(table, ref.reshape(table.shape))

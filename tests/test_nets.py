@@ -32,12 +32,46 @@ def test_forward_matches_manual_formula():
     assert np.allclose(out, h_ref @ net.w2 + float(net.b2))
 
 
+def forward_reference(net, x):
+    h = np.tanh(x @ net.w1.T + net.b1)
+    return h @ net.w2 + float(net.b2), h
+
+
+def backward_reference(net, x, h, dout):
+    dz = (dout[:, None] * net.w2) * (1.0 - h * h)
+    return [dz.T @ x, dz.sum(axis=0), h.T @ dout, np.asarray(dout.sum())]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1400])
+@pytest.mark.parametrize("in_dim", [0, 1, 4, 10])
+@pytest.mark.parametrize("hidden", [1, 6])
+def test_kernels_match_the_reference_and_write_no_input(n, in_dim, hidden):
+    rng = np.random.default_rng(100 * n + 10 * in_dim + hidden)
+    net = init_mlp(in_dim, hidden, rng, out_scale=0.8)
+    x = rng.standard_normal((n, in_dim))
+    dout = rng.standard_normal(n)
+    before = [a.copy() for a in (x, dout, *net.params())]
+
+    out, h = mlp_forward(net, x)
+    h_seen = h.copy()
+    grads = mlp_backward(net, x, h, dout)
+    ref_out, ref_h = forward_reference(net, x)
+    ref_grads = backward_reference(net, x, ref_h, dout)
+
+    # the kernels may add in another order, so equal only to rounding
+    for got, ref in zip([h, out, *grads], [ref_h, ref_out, *ref_grads]):
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    for a, b in zip((x, dout, *net.params(), h), (*before, h_seen)):
+        assert np.array_equal(a, b)
+
+
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
-    for in_dim in (1, 3):
+    for in_dim, n in ((1, 8), (3, 8), (0, 8), (3, 1)):
         net = init_mlp(in_dim, 4, rng, out_scale=0.7)
-        x = rng.standard_normal((8, in_dim))
-        dout = rng.standard_normal(8)
+        x = rng.standard_normal((n, in_dim))
+        dout = rng.standard_normal(n)
 
         _, h = mlp_forward(net, x)
         grads = mlp_backward(net, x, h, dout)

@@ -1,9 +1,12 @@
 """Benchmark structures, simulators, metrics, and the pipeline runner."""
 
+import json
+
 import numpy as np
 import pytest
 
 from regimecast import simbench
+from regimecast.cli import main
 from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
@@ -273,15 +276,31 @@ def test_resolve_config_checks_keys_and_values():
         with pytest.raises(InvalidSpec, match=next(iter(bad))):
             resolve_config(bad)
     assert resolve_config({"bins": 12.0, "fit_lr": 1})["bins"] == 12
-    edge = {"signal_range": [0.0, 0.0], "fit_steps": 0, "gibbs_burn": 0, "seed": 0}
+    edge = {"signal_range": [0.0, 0.0], "fit_steps": 0, "gibbs_burn": 0, "seed": 0,
+            "ridge_penalty": 0.0, "variance_preset": "ratio"}
     assert resolve_config(edge) == {**DEFAULT_CONFIG, **edge}
     with pytest.raises(InvalidSpec):
         run_benchmark({"structure": "chain3", "methods": ["dag_direct"]})
 
 
 def test_benchmark_errors_name_the_failing_stage():
-    with pytest.raises(DomainError, match="build truth"):
-        run_benchmark({**TINY_CONFIG, "truth_span": 0.0})
+    # a span that passes the config check but whose bin edges overflow
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="build truth"):
+        run_benchmark({**TINY_CONFIG, "truth_span": 1e308})
+
+
+@pytest.mark.parametrize("bad", [{"ridge_penalty": -1.0}, {"ridge_penalty": -2.0},
+                                 {"ridge_penalty": -1e300}, {"methods": ["ridge", "ridge"]},
+                                 {"variance_preset": "multiplicative"}, {"truth_span": 0.0},
+                                 {"truth_span": -1.0}])
+def test_benchmark_command_rejects_config_values_by_key(tmp_path, capsys, bad):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "methods": ["ridge"], "n_problems": 1, **bad}))
+    out = tmp_path / "r.json"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert next(iter(bad)) in err and "internal error" not in err
+    assert not out.exists()
 
 
 def test_run_benchmark_is_deterministic(tmp_path):
