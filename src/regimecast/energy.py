@@ -119,7 +119,9 @@ class EnergyModel:
     """Potential nets keyed by (factor index, level pattern over its scope).
 
     `tables` caches each net's `factor_table` with the net object it was built
-    from; editing a net's arrays in place after a table read is unsupported.
+    from, and `plan` holds `sampling`'s elimination plan with each message
+    and the arrays it was made from. Replace a net in `nets` to change it;
+    editing a net's arrays in place after a table read is unsupported.
     """
 
     ifm: IfmStructure
@@ -128,6 +130,7 @@ class EnergyModel:
     nets: dict
     seed: int
     tables: dict = field(default_factory=dict, init=False, repr=False)
+    plan: tuple | None = field(default=None, init=False, repr=False)
 
     def net_for(self, k: int, regime: RegimeVector) -> Mlp:
         return self.nets[(k, regime.project(self.ifm.factors[k].intv_scope))]

@@ -7,6 +7,9 @@ graph linking variables that share a factor (forward pass) and then draws
 them in reverse order, each from its conditional given the variables already
 drawn (backward pass): exact iid rows with no burn-in and no
 autocorrelation. A grid of one clique is the special case of one table.
+Each model builds its elimination plan once and keeps each message for the
+regimes that agree on the interventions reaching its step. The backward
+pass reads those factor tables and messages; it keeps no clique table.
 When some elimination clique has more than `energy.CELL_CAP` cells it runs
 `gibbs_sample`, which moves `CHAINS` chains in lockstep. Conditionals of
 one variable given the rest involve only the factors that read it, so each
@@ -62,45 +65,80 @@ def _check_draws(n: int, burn: int, thin: int) -> None:
         raise InvalidSpec("need burn >= 0 and thin >= 1")
 
 
-def _forward(model: EnergyModel, regime: RegimeVector):
-    """Forward elimination over the cached factor tables.
+def _plan(model: EnergyModel) -> tuple:
+    """The model's elimination plan, built on first use: (cliques, steps,
+    rest, memo) for `junction._eliminate`'s min-fill order on the graph
+    linking variables that share a factor.
 
-    Returns (steps, log Z), or None when some elimination clique has more
-    than `energy.CELL_CAP` cells. steps[i] = (v, others, table) in
-    elimination order: the log table over v's clique, with one axis per
-    variable in `others` and v's axis last, summing every factor and message
-    in the pool that reads v. Its max-shifted logsumexp over v replaces them
-    in the pool; the scalars left at the end sum to log Z.
+    steps[i] = (v, others, inputs, reach): the variable eliminated, the rest
+    of its clique, the pool entries that read v as (scope, source) in pool
+    order, and the interventions that reach the step through them. Sources
+    0..K-1 are the factors and K + i is step i's message; `rest` lists the
+    sources left in the pool at the end. memo maps (i, the regime projected
+    onto reach) to (the input arrays, the message made from them).
+    """
+    if model.plan is None:
+        factors = model.ifm.factors
+        edges = {e for f in factors for e in itertools.combinations(f.var_scope, 2)}
+        _, cliques, order = _eliminate(SigmaGraph(model.ifm.m, frozenset(edges)))
+        pool = [(f.var_scope, k, set(f.intv_scope)) for k, f in enumerate(factors)]
+        steps = []
+        for v in order:
+            mine = [entry for entry in pool if v in entry[0]]
+            pool = [entry for entry in pool if v not in entry[0]]
+            others = sorted({j for scope, _, _ in mine for j in scope} - {v})
+            reach = set().union(*(r for _, _, r in mine))
+            steps.append((v, others, [(scope, src) for scope, src, _ in mine], sorted(reach)))
+            pool.append((tuple(others), len(factors) + len(steps) - 1, reach))
+        model.plan = (cliques, steps, [src for _, src, _ in pool], {})
+    return model.plan
+
+
+def _message(nbins, v, others, inputs) -> np.ndarray:
+    """logsumexp over v of the summed inputs: a read-only log table with one
+    axis per variable in `others`."""
+    axes = others + [v]
+    table = np.zeros([nbins[j] for j in axes])
+    for scope, t in inputs:
+        # scopes are sorted, so moving v's axis last puts t's axes in clique order
+        t = np.moveaxis(t, scope.index(v), -1)
+        table += t.reshape([nbins[j] if j in scope else 1 for j in axes])
+    # logsumexp over v on a copy with v's axis first: numpy reduces a
+    # leading axis about twice as fast as a short trailing one
+    work = table.reshape(-1, nbins[v]).T.copy()
+    top = work.max(axis=0)
+    work -= top
+    msg = (top + np.log(np.exp(work, out=work).sum(axis=0))).reshape(table.shape[:-1])
+    msg.flags.writeable = False
+    return msg
+
+
+def _forward(model: EnergyModel, regime: RegimeVector):
+    """Forward elimination over the cached factor tables along the model's
+    plan.
+
+    Returns (arrays, log Z), or None when some elimination clique has more
+    than `energy.CELL_CAP` cells (checked on every call). arrays[src] is the
+    plan's source src: each factor's table, then each step's message, the
+    logsumexp over v of the factors and messages in the pool that read v.
+    A message is recomputed unless its memo entry holds the very arrays
+    that it would read; the scalars left in the pool sum to log Z.
     """
     model.ifm.space.check_regime(regime)
-    m, nbins = model.ifm.m, model.grid.nbins
-    scopes = [f.var_scope for f in model.ifm.factors]
-    edges = {e for scope in scopes for e in itertools.combinations(scope, 2)}
-    _, cliques, order = _eliminate(SigmaGraph(m, frozenset(edges)))
+    cliques, steps, rest, memo = _plan(model)
     if not all(tabulated(model, c) for c in cliques):
         return None
-
-    pool = [(scope, factor_table(model, k, regime)) for k, scope in enumerate(scopes)]
-    steps = []
-    for v in order:
-        mine = [(scope, t) for scope, t in pool if v in scope]
-        pool = [(scope, t) for scope, t in pool if v not in scope]
-        others = sorted({j for scope, _ in mine for j in scope} - {v})
-        axes = others + [v]
-        table = np.zeros([nbins[j] for j in axes])
-        for scope, t in mine:
-            # scopes are sorted, so moving v's axis last puts t's axes in clique order
-            t = np.moveaxis(t, scope.index(v), -1)
-            table += t.reshape([nbins[j] if j in scope else 1 for j in axes])
-        # logsumexp over v on a copy with v's axis first: numpy reduces a
-        # leading axis about twice as fast as a short trailing one
-        work = table.reshape(-1, nbins[v]).T.copy()
-        top = work.max(axis=0)
-        work -= top
-        msg = top + np.log(np.exp(work, out=work).sum(axis=0))
-        pool.append((tuple(others), msg.reshape(table.shape[:-1])))
-        steps.append((v, others, table))
-    return steps, float(sum(t for _, t in pool))
+    arrays = [factor_table(model, k, regime) for k in range(len(model.ifm.factors))]
+    for i, (v, others, inputs, reach) in enumerate(steps):
+        ins = [arrays[src] for _, src in inputs]
+        key = (i, regime.project(reach))
+        entry = memo.get(key)
+        if entry is None or any(a is not b for a, b in zip(entry[0], ins)):
+            msg = _message(model.grid.nbins, v, others,
+                           [(scope, t) for (scope, _), t in zip(inputs, ins)])
+            entry = memo[key] = (ins, msg)
+        arrays.append(entry[1])
+    return arrays, float(sum(arrays[src] for src in rest))
 
 
 def log_partition(model: EnergyModel, regime: RegimeVector) -> float:
@@ -122,27 +160,32 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
 
     When every elimination clique can be tabulated (`energy.tabulated`),
     the rows are n iid exact draws: the backward pass visits the variables
-    in reverse elimination order, gathers each row's slice of the
-    variable's clique table at the variables already drawn, normalizes it,
-    and draws by inverse CDF from column v of one `rng.random((n, m))`;
-    `burn` and `thin` are checked but unused. Otherwise the rows come from
-    `gibbs_sample` with the same arguments. Either way the rows are a
-    deterministic function of the seed.
+    in reverse elimination order, sums the slices of the factor tables and
+    messages its step read at the variables already drawn (the additions
+    of the step's clique table), normalizes them, and draws by inverse CDF
+    from column v of one `rng.random((n, m))`; `burn` and `thin` are
+    checked but unused. Otherwise the rows come from `gibbs_sample` with the same
+    arguments. Either way the rows are a deterministic function of the seed.
     """
     _check_draws(n, burn, thin)
     forward = _forward(model, regime)
     if forward is None:
         return gibbs_sample(model, regime, n, burn=burn, thin=thin, seed=seed)
+    arrays = forward[0]
+    nbins = model.grid.nbins
     u = np.random.default_rng(seed).random((n, model.ifm.m))
     bins = np.empty((n, model.ifm.m), dtype=int)
-    for v, others, table in reversed(forward[0]):
+    for v, others, inputs, _ in reversed(_plan(model)[1]):
         # (n, bins) rows, or with no other variable in the clique one row for all n
-        logp = np.atleast_2d(table[tuple(bins[:, j] for j in others)])
+        logp = np.zeros((n if others else 1, nbins[v]))
+        for scope, src in inputs:
+            t = np.moveaxis(arrays[src], scope.index(v), -1)
+            logp += t[tuple(bins[:, j] for j in scope if j != v)]
         p = np.exp(logp - logp.max(axis=1, keepdims=True))
         cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
         # the count of cum <= u is searchsorted(side="right"), kept in range
         bins[:, v] = np.minimum((cum <= (u[:, v] * cum[:, -1])[:, None]).sum(axis=1),
-                                table.shape[-1] - 1)
+                                nbins[v] - 1)
     return model.grid.center_rows(bins)
 
 

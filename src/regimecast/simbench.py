@@ -499,7 +499,7 @@ def resolve_config(config: dict) -> dict:
                 raise InvalidSpec(f"{what} must be a finite number, got {value!r}")
             if key in _POSITIVE and value <= 0:
                 raise InvalidSpec(f"{what} must be > 0, got {value!r}")
-            if key == "ridge_penalty" and value < 0:
+            if key in ("ridge_penalty", "truth_scale") and value < 0:
                 raise InvalidSpec(f"{what} must be >= 0, got {value!r}")
         elif isinstance(default, list):
             read_list(value, what)

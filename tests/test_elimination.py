@@ -123,3 +123,73 @@ def test_sachs_benchmark_draws_make_no_gibbs_calls(monkeypatch):
     }
     report = simbench.run_benchmark(config, jobs=1)
     assert report.data["problems"] and calls == []
+
+
+def sachs_truth_model(bins=5):
+    bundle = simbench.builtin_structure("sachs")
+    model = simbench.make_ifm_truth(bundle, seed=11, bins=bins, hidden=4).model
+    return model, [*bundle.train.regimes, *bundle.test.regimes]
+
+
+def count_messages(monkeypatch):
+    """Wrap the builder of one elimination message; returns the call list."""
+    calls = []
+    real = sampling._message
+    monkeypatch.setattr(sampling, "_message",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    return calls
+
+
+def outputs(model, regime):
+    return repr(log_partition(model, regime)), sample(model, regime, 500, seed=4)
+
+
+def test_the_message_memo_is_transparent(monkeypatch):
+    model, regimes = sachs_truth_model(bins=6)
+    calls = count_messages(monkeypatch)
+    in_order = {r: outputs(model, r) for r in regimes}
+    assert calls
+    fresh = model.copy()
+    reverse = {r: outputs(fresh, r) for r in reversed(regimes)}
+    alone = {r: outputs(model.copy(), r) for r in regimes}
+    for r in regimes:
+        for other in (reverse[r], alone[r]):
+            assert other[0] == in_order[r][0]
+            assert np.array_equal(other[1], in_order[r][1])
+    # a regime seen before recomputes no message
+    calls.clear()
+    for r in regimes:
+        assert outputs(model, r)[0] == in_order[r][0]
+    assert calls == []
+
+
+def test_replacing_a_net_recomputes_exactly_the_messages_that_read_it():
+    model, regimes = sachs_truth_model()
+    before = {r: repr(log_partition(model, r)) for r in regimes}
+    k = next(k for k, f in enumerate(model.ifm.factors) if f.intv_scope)
+    key = (k, (1,) * len(model.ifm.factors[k].intv_scope))
+    net = model.nets[key]
+    model.nets[key] = type(net)(**{**net.__dict__, "w2": net.w2 + 0.5})
+    fresh = model.copy()
+    selects = [r for r in regimes if model.net_for(k, r) is model.nets[key]]
+    assert 0 < len(selects) < len(regimes)
+    for r in regimes:
+        now = repr(log_partition(model, r))
+        assert now == repr(log_partition(fresh, r))
+        assert (now != before[r]) == (r in selects), r
+
+
+def test_the_cell_cap_is_read_on_every_call_with_a_warm_plan(monkeypatch):
+    model, regimes = sachs_truth_model()
+    r = regimes[-1]
+    exact = sample(model, r, 60, burn=5, thin=1, seed=2)
+    nbins = model.grid.nbins
+    largest = max(np.prod([nbins[j] for j in c]) for c in sampling._plan(model)[0])
+    monkeypatch.setattr(energy, "CELL_CAP", int(largest) - 1)
+    drawn = sample(model, r, 60, burn=5, thin=1, seed=2)
+    assert np.array_equal(drawn, gibbs_sample(model, r, 60, burn=5, thin=1, seed=2))
+    assert not np.array_equal(drawn, exact)
+    with pytest.raises(GridTooLarge):
+        log_partition(model, r)
+    monkeypatch.setattr(energy, "CELL_CAP", int(largest))
+    assert np.array_equal(sample(model, r, 60, burn=5, thin=1, seed=2), exact)

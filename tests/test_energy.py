@@ -32,7 +32,7 @@ from regimecast.model import (
     RegimeVector,
 )
 from regimecast.nets import mlp_forward
-from regimecast.sampling import exact_density
+from regimecast.sampling import exact_density, log_partition
 
 from conftest import tv
 
@@ -168,10 +168,13 @@ def test_factor_tables_are_cached_per_net_object():
     table = factor_table(model, 1, r)
     assert factor_table(model, 1, r) is table
     assert not table.flags.writeable
-    assert model.copy().tables == {}
-    assert model_from_dict(model_to_dict(model)).tables == {}
+    log_partition(model, r)
+    assert model.plan is not None and model.plan[3]
+    # copies, loaded models and fitted models start with no tables, plan or messages
     data = rand_datasets(model, np.random.default_rng(8), n=4)
-    assert fit(model, data, steps=1)[0].tables == {}
+    for fresh in (model.copy(), model_from_dict(model_to_dict(model)),
+                  fit(model, data, steps=1)[0]):
+        assert fresh.tables == {} and fresh.plan is None
 
     # replacing a net rebuilds its table on the next read, and every reader follows
     cells = np.indices(model.grid.nbins).reshape(2, -1).T

@@ -272,12 +272,13 @@ def test_resolve_config_checks_keys_and_values():
                 {"n_problems": -1}, {"bins": 0}, {"mc_samples": 0}, {"hidden": 0},
                 {"gibbs_thin": 0}, {"truth_thin": 0}, {"gibbs_burn": -1},
                 {"fit_steps": -1}, {"seed": -1},
-                {"fit_lr": 0.0}, {"outcome_lr": -1e-3}, {"dag_lr": 0}):
+                {"fit_lr": 0.0}, {"outcome_lr": -1e-3}, {"dag_lr": 0},
+                {"truth_scale": -1.0}):
         with pytest.raises(InvalidSpec, match=next(iter(bad))):
             resolve_config(bad)
     assert resolve_config({"bins": 12.0, "fit_lr": 1})["bins"] == 12
     edge = {"signal_range": [0.0, 0.0], "fit_steps": 0, "gibbs_burn": 0, "seed": 0,
-            "ridge_penalty": 0.0, "variance_preset": "ratio"}
+            "ridge_penalty": 0.0, "variance_preset": "ratio", "truth_scale": 0.0}
     assert resolve_config(edge) == {**DEFAULT_CONFIG, **edge}
     with pytest.raises(InvalidSpec):
         run_benchmark({"structure": "chain3", "methods": ["dag_direct"]})
@@ -292,7 +293,7 @@ def test_benchmark_errors_name_the_failing_stage():
 @pytest.mark.parametrize("bad", [{"ridge_penalty": -1.0}, {"ridge_penalty": -2.0},
                                  {"ridge_penalty": -1e300}, {"methods": ["ridge", "ridge"]},
                                  {"variance_preset": "multiplicative"}, {"truth_span": 0.0},
-                                 {"truth_span": -1.0}])
+                                 {"truth_span": -1.0}, {"truth_scale": -1.0}])
 def test_benchmark_command_rejects_config_values_by_key(tmp_path, capsys, bad):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "methods": ["ridge"], "n_problems": 1, **bad}))
