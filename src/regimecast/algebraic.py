@@ -59,12 +59,6 @@ class PrTransformation:
         if self.route not in (ROUTE_TREE, ROUTE_ALGEBRAIC):
             raise InvalidSpec(f"unknown route {self.route!r}")
 
-    def nonzero(self, tol: float = 1e-12) -> list:
-        """(regime, exponent) pairs with |exponent| above tol, in train order."""
-        return [
-            (r, q) for r, q in zip(self.train, self.exponents) if abs(q) > tol
-        ]
-
 
 @dataclass(frozen=True)
 class Unidentifiable:

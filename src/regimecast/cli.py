@@ -117,6 +117,9 @@ def _certificate(train, target, route, conditions, cert=None, reason=None,
 
 
 def _cmd_identify(args) -> int:
+    if args.route == "tree" and args.reduce:
+        print("identify: error: --reduce needs the algebraic route", file=sys.stderr)
+        return 1
     ifm = load_graph(args.graph)
     train = load_train(args.train, ifm.space)
     target = parse_regime_text(args.target, ifm.space)
@@ -126,7 +129,8 @@ def _cmd_identify(args) -> int:
     if args.route in ("auto", "tree"):
         conditions = _conditions_dict(junction.check_conditions(norm, train))
 
-    if args.route == "tree" or (args.route == "auto" and conditions["passed"]):
+    if args.route == "tree" or (args.route == "auto" and conditions["passed"]
+                                and not args.reduce):
         try:
             cert = junction.message_passing_identify(norm, train, target)
         except ConditionsNotMet as exc:
@@ -291,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help='comma-separated levels, e.g. "1,1,0"')
     p.add_argument("--route", choices=("auto", "tree", "algebraic"), default="auto")
     p.add_argument("--reduce", action="store_true",
-                   help="greedily drop training regimes the certificate does not need")
+                   help="greedily drop training regimes the certificate does not need; "
+                   "takes the algebraic route (not allowed with --route tree)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_identify)
 

@@ -1,11 +1,12 @@
 """Identification by message passing on a junction tree of the sigma graph.
 
 One min-fill elimination of the graph on intervention indices tests
-chordality, fills the graph in and lists its maximal cliques, which form a
-junction tree. Provided training data covers, for every clique, all level
-combinations over that clique with everything else at baseline, an unseen
-regime's density is the product of its clique densities divided by its
-separator densities, which every clique tree of the graph shares. The whole
+chordality, fills the graph in and lists its maximal cliques. A maximum-weight
+spanning tree over them is a junction tree; it needs no root, because every
+clique tree of the graph has the same separators. Provided training data
+covers, for every clique, all level combinations over that clique with
+everything else at baseline, an unseen regime's density is the product of its
+clique densities divided by its separator densities. The whole
 derivation collapses to an integer exponent vector over training regimes,
 which is what gets returned. Identification eliminates once per call;
 `sampling` runs the same elimination on the graph of its variables.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import ROUTE_TREE, PrTransformation, verify_pr
-from .errors import ConditionsNotMet, InvalidSpec, NotChordal
+from .errors import ConditionsNotMet, NotChordal
 from .model import (
     IfmStructure,
     RegimeSet,
@@ -88,40 +89,30 @@ def maximal_cliques(g: SigmaGraph) -> list:
 
 @dataclass(frozen=True)
 class JunctionTree:
-    """Clique tree with running intersection, rooted for message passing.
+    """Clique tree with running intersection: cliques and the edges between them.
 
-    subtree_scope[k] is the union of clique members below (and including) k;
-    branch_sep[k] is its overlap with the parent clique, empty at the root.
+    Every clique tree of a chordal graph has the same separators, so the
+    tree carries no root; `separator(i, j)` is the overlap of a tree edge.
     """
 
     cliques: tuple
     edges: tuple
-    root: int
-    parent: tuple
-    children: tuple
-    subtree_scope: tuple
-    branch_sep: tuple
 
     def separator(self, i: int, j: int) -> tuple:
         return tuple(sorted(set(self.cliques[i]) & set(self.cliques[j])))
 
-    def leaves(self) -> list:
-        return [k for k, ch in enumerate(self.children) if not ch]
 
-
-def build_junction_tree(g: SigmaGraph, root=None) -> JunctionTree:
-    """Build a rooted junction tree over the maximal cliques of a chordal graph.
+def build_junction_tree(g: SigmaGraph) -> JunctionTree:
+    """Build a junction tree over the maximal cliques of a chordal graph.
 
     The tree is the maximum-weight spanning tree under separator size, with
     ties broken by lexicographically smallest clique pair; zero-weight links
-    are allowed so disconnected graphs still produce one tree. The default
-    root is the largest clique (lowest position on ties); pass `root` as a
-    clique (tuple of vertices) to override.
+    are allowed so disconnected graphs still produce one tree.
     """
-    return _junction_tree(maximal_cliques(g), root)
+    return _junction_tree(maximal_cliques(g))
 
 
-def _junction_tree(cliques: list, root) -> JunctionTree:
+def _junction_tree(cliques: list) -> JunctionTree:
     """`build_junction_tree` on a graph's maximal cliques (sorted tuples, sorted)."""
     n = len(cliques)
     members = [set(c) for c in cliques]
@@ -148,54 +139,7 @@ def _junction_tree(cliques: list, root) -> JunctionTree:
         if len(edges) == n - 1:
             break
 
-    if root is None:
-        sizes = [len(c) for c in cliques]
-        root_idx = max(range(n), key=lambda k: (sizes[k], -k))
-    else:
-        want = tuple(sorted(root))
-        if want not in cliques:
-            raise InvalidSpec(f"{want} is not a maximal clique of the graph")
-        root_idx = cliques.index(want)
-
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for lst in adj:
-        lst.sort(key=lambda k: cliques[k])
-
-    parent = [None] * n
-    order = []
-    stack = [root_idx]
-    seen = {root_idx}
-    while stack:
-        k = stack.pop()
-        order.append(k)
-        for nb in reversed(adj[k]):
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = k
-                stack.append(nb)
-    children = [tuple(k for k in adj[i] if parent[k] == i) for i in range(n)]
-
-    subtree = [set(c) for c in members]
-    for k in reversed(order):
-        if parent[k] is not None:
-            subtree[parent[k]].update(subtree[k])
-    branch = [
-        tuple(sorted(subtree[k] & members[parent[k]])) if parent[k] is not None else ()
-        for k in range(n)
-    ]
-
-    return JunctionTree(
-        cliques=tuple(cliques),
-        edges=tuple(sorted(edges)),
-        root=root_idx,
-        parent=tuple(parent),
-        children=tuple(children),
-        subtree_scope=tuple(tuple(sorted(s)) for s in subtree),
-        branch_sep=tuple(branch),
-    )
+    return JunctionTree(cliques=tuple(cliques), edges=tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -282,7 +226,7 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet,
         exc.report = report
         raise exc
 
-    jt = _junction_tree(cliques, None)
+    jt = _junction_tree(cliques)
     for clique in cliques:
         counts[train.index_of(restrict_regime(target, clique))] += 1
     for i, j in jt.edges:

@@ -137,7 +137,8 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
 
     `value_and_grad()` gives (objective, grads in params() order, net after net).
     InvalidSpec for a bad schedule. A NonFinite names its step, from 0:
-    "<what> is not finite (step N)", or the closure's own with " (step N)" added.
+    "<what> is not finite (step N)", or the closure's own with " (step N)" added;
+    "<what> parameters are not finite after step N" when the last update left any.
     """
     if steps < 0:
         raise InvalidSpec(f"steps must be >= 0, got {steps}")
@@ -158,3 +159,5 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
         if not math.isfinite(obj):
             raise NonFinite(f"{what} is not finite (step {step})")
         opt.step(np.concatenate([np.ravel(g) for g in grads]))
+    if steps and not np.isfinite(flat).all():
+        raise NonFinite(f"{what} parameters are not finite after step {steps - 1}")

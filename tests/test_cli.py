@@ -118,6 +118,22 @@ def test_identify_reduce_keeps_a_minimal_support(workspace, capsys):
     assert np.allclose(sorted(out["exponents"]), [-1.0, 1.0, 1.0])
 
 
+def test_identify_reduce_takes_the_algebraic_route_under_auto(workspace, capsys):
+    argv = ["identify", "--graph", str(workspace / "graph.json"),
+            "--train", str(workspace / "train.json"), "--target", "1,1,1", "--reduce"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    jsonschema.validate(out, schema("certificate"))
+    assert out["route"] == "algebraic" and out["conditions"]["passed"]
+    assert out["support"] == ["0,1,0", "1,1,0", "0,1,1"]
+
+    # the tree certificate has no support to reduce
+    assert main(argv + ["--route", "tree"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--reduce needs the algebraic route" in captured.err
+
+
 def test_identify_reports_unidentifiable_targets(workspace, tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps([list(t) for t in TRAIN if t != (0, 1, 1)]))
@@ -187,6 +203,20 @@ def test_bad_training_settings_are_rejected_input(workspace, tmp_path, capsys):
                  "--target", "1,1,1", "--alpha", "0.2", "--seed", "1",
                  "--hidden", "0"]) == 2
     assert "hidden width" in capsys.readouterr().err
+
+
+def test_a_fit_that_diverges_on_its_last_step_writes_nothing(workspace, tmp_path, capsys):
+    # each step's objective is taken before its update, so only the final
+    # parameters show that the second step of this fit diverged
+    with np.errstate(all="ignore"):
+        rc = main(["fit", "--graph", str(workspace / "graph.json"),
+                   "--data-manifest", str(workspace / "manifest.json"),
+                   "--out", str(tmp_path / "m.json"), "--bins", "6", "--hidden", "4",
+                   "--seed", "1", "--steps", "2", "--lr", "1e300"])
+    assert rc == 2
+    assert "pseudo-log-likelihood parameters are not finite after step 1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_unexpected_failure_is_an_internal_error(workspace, monkeypatch, capsys):

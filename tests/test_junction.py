@@ -78,42 +78,19 @@ def test_maximal_cliques():
     assert maximal_cliques(graph(3, [])) == [(0,), (1,), (2,)]
 
 
-def test_junction_tree_shape_with_fixed_root():
-    g = sigma_graph(eight_intv_structure())
-    tree = build_junction_tree(g, root=(2, 3))
-    assert tree.cliques == tuple(sorted(PAIR_SCOPES))
-    c = {cl: i for i, cl in enumerate(tree.cliques)}
-    assert tree.root == c[(2, 3)]
-    assert tree.parent[c[(1, 2)]] == c[(2, 3)]
-    assert tree.parent[c[(0, 1)]] == c[(1, 2)]
-    assert tree.parent[c[(1, 4)]] == c[(0, 1)]
-    assert tree.parent[c[(3, 5)]] == c[(2, 3)]
-    assert tree.parent[c[(3, 7)]] == c[(2, 3)]
-    assert tree.parent[c[(5, 6)]] == c[(3, 5)]
-
-    assert tree.subtree_scope[c[(1, 4)]] == (1, 4)
-    assert tree.subtree_scope[c[(0, 1)]] == (0, 1, 4)
-    assert tree.subtree_scope[c[(1, 2)]] == (0, 1, 2, 4)
-    assert tree.subtree_scope[c[(3, 5)]] == (3, 5, 6)
-    assert tree.subtree_scope[c[(2, 3)]] == tuple(range(8))
-
-    assert tree.branch_sep[c[(1, 4)]] == (1,)
-    assert tree.branch_sep[c[(0, 1)]] == (1,)
-    assert tree.branch_sep[c[(1, 2)]] == (2,)
-    assert tree.branch_sep[c[(3, 5)]] == (3,)
-    assert tree.branch_sep[c[(3, 7)]] == (3,)
-    assert tree.branch_sep[c[(5, 6)]] == (5,)
-
-    assert sorted(tree.leaves()) == sorted([c[(1, 4)], c[(3, 7)], c[(5, 6)]])
-
-
-def test_junction_tree_default_root_is_largest_then_lowest():
+def test_junction_tree_shape():
     g = sigma_graph(eight_intv_structure())
     tree = build_junction_tree(g)
-    assert tree.cliques[tree.root] == (0, 1)
-    g2 = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    tree2 = build_junction_tree(g2)
-    assert tree2.cliques[tree2.root] == (0, 1, 2)
+    assert tree.cliques == tuple(sorted(PAIR_SCOPES))
+    links = {(tree.cliques[i], tree.cliques[j]): tree.separator(i, j) for i, j in tree.edges}
+    assert links == {
+        ((0, 1), (1, 2)): (1,),
+        ((0, 1), (1, 4)): (1,),
+        ((1, 2), (2, 3)): (2,),
+        ((2, 3), (3, 5)): (3,),
+        ((2, 3), (3, 7)): (3,),
+        ((3, 5), (5, 6)): (5,),
+    }
 
 
 def test_running_intersection_on_random_chordal_graphs():
@@ -131,33 +108,34 @@ def test_running_intersection_on_random_chordal_graphs():
         for a, b in tri.edges:
             assert any(a in cl and b in cl for cl in tree.cliques)
 
-        # running intersection: C_i & C_j lies in every clique on their path
-        def path_to_root(i):
-            out = [i]
-            while tree.parent[out[-1]] is not None:
-                out.append(tree.parent[out[-1]])
-            return out
-
         n = len(tree.cliques)
+        assert len(tree.edges) == n - 1
+        nbrs = [set() for _ in range(n)]
+        for i, j in tree.edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+
+        def walk_from(i):
+            """Each clique's predecessor on its tree path from clique i."""
+            prev = {i: None}
+            stack = [i]
+            while stack:
+                k = stack.pop()
+                for nb in nbrs[k] - prev.keys():
+                    prev[nb] = k
+                    stack.append(nb)
+            return prev
+
+        # running intersection: C_i & C_j lies in every clique on their path
         for i in range(n):
+            prev = walk_from(i)
+            assert len(prev) == n  # connected: n - 1 edges reaching every clique
             for j in range(i + 1, n):
                 shared = set(tree.cliques[i]) & set(tree.cliques[j])
-                if not shared:
-                    continue
-                pi, pj = path_to_root(i), path_to_root(j)
-                meet = next(k for k in pi if k in pj)
-                path = pi[: pi.index(meet) + 1] + pj[: pj.index(meet)]
-                for k in path:
+                k = j
+                while k is not None:
                     assert shared <= set(tree.cliques[k])
-
-        # the root only orients the tree: the edges stay, and each branch
-        # separator is the separator with the parent
-        for root in tree.cliques:
-            rooted = build_junction_tree(tri, root=root)
-            assert rooted.edges == tree.edges
-            for k, p in enumerate(rooted.parent):
-                if p is not None:
-                    assert rooted.branch_sep[k] == rooted.separator(k, p)
+                    k = prev[k]
 
 
 def test_check_conditions_reports_missing_regimes():

@@ -206,6 +206,15 @@ def test_train_names_the_step_of_a_non_finite_objective():
               5, 0.1, "toy loss")
 
 
+def test_train_catches_parameters_that_diverge_on_the_last_step():
+    net = _net()
+    # the objective stays finite, so only the updated parameters show the divergence
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonFinite, match=r"^toy loss parameters are not finite after step 2$"):
+        train([net], lambda: (1.0, [np.full_like(p, np.inf) for p in net.params()]),
+              3, 0.1, "toy loss")
+
+
 def test_train_appends_the_step_to_a_closure_non_finite():
     net = _net()
     calls = []
