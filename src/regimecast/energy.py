@@ -202,7 +202,7 @@ def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray
         net = model.nets[key]
         centers = [model.grid.centers[j] for j in f.var_scope]
         mesh = np.meshgrid(*centers, indexing="ij", copy=False)
-        feats = np.stack(mesh, axis=-1).reshape(-1, len(centers))
+        feats = np.stack(mesh).reshape(len(centers), -1).T  # column-major, one copy
         table = mlp_forward(net, feats)[0].reshape([c.size for c in centers])
         table.flags.writeable = False
         model.tables[key] = (net, table)
@@ -270,8 +270,8 @@ def _prepare(model: EnergyModel, datasets):
         cells, inv = np.unique(np.concatenate(parts), return_inverse=True)
         scope = model.ifm.factors[key[0]].var_scope
         coords = np.unravel_index(cells, [nbins[j] for j in scope])
-        designs[key] = np.column_stack(
-            [model.grid.centers[j][c] for j, c in zip(scope, coords)])
+        designs[key] = np.array(
+            [model.grid.centers[j][c] for j, c in zip(scope, coords)]).T  # column-major
         inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
 
     sweeps = [

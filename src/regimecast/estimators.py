@@ -64,8 +64,9 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     Rows pool across regimes; `weights`, when given, is one nonnegative
     array per dataset and the loss normalizes by the total weight. The
     output layer starts at zero, so zero steps means the constant 0. A
-    hidden width below 1, negative steps, or a learning rate that is not
-    finite and positive raise InvalidSpec.
+    hidden width below 1, negative steps, a learning rate that is not
+    finite and positive, or weights whose total is 0 or overflows raise
+    InvalidSpec.
 
     Each step runs the net once per distinct row of each dataset (see
     `RegimeDataset.distinct`), not once per row: with W_u the summed weight
@@ -90,12 +91,15 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
         w = np.concatenate(w)
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InvalidSpec("weights must be finite and nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is rejected next
+        total = w.sum()
+    if not np.isfinite(total):
+        raise InvalidSpec("weights must have a finite sum")
     if total <= 0:
         raise InvalidSpec("weights sum to zero")
     w = w / total
 
-    x = np.vstack([ds.distinct[0] for ds in datasets])
+    x = np.asfortranarray(np.vstack([ds.distinct[0] for ds in datasets]))  # laid out once
     offsets = np.cumsum([0] + [ds.distinct[0].shape[0] for ds in datasets[:-1]])
     row = np.concatenate([ds.distinct[1] + off for ds, off in zip(datasets, offsets)])
     wsum = np.bincount(row, weights=w, minlength=x.shape[0])

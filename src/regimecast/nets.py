@@ -3,6 +3,12 @@
 Everything downstream (factor potentials, outcome regressors, simulator
 equations) uses this same shape: tanh hidden layer, linear scalar output.
 Zero-input nets are allowed and reduce to a learnable constant path.
+
+Layout: the kernels take rows x of shape (n, in_dim) in any memory order and
+keep the hidden layer hidden-major, h of shape (hidden, n), so the long
+row axis is the contiguous one. A caller that runs the same x on every
+step lays it out once in column-major (Fortran) order, where x.T is
+contiguous for both matrix products.
 """
 
 from __future__ import annotations
@@ -59,25 +65,27 @@ def init_mlp(in_dim: int, hidden: int, rng: np.random.Generator, out_scale: floa
 
 
 def mlp_forward(net: Mlp, x: np.ndarray):
-    """Evaluate on rows x (n, in_dim); returns (outputs (n,), hidden (n, H)),
-    the hidden array being the product `x @ w1.T` with bias and tanh applied in place."""
-    h = x @ net.w1.T
-    h += net.b1
+    """Evaluate on rows x (n, in_dim); returns (outputs (n,), hidden (H, n)),
+    the hidden array being the product `w1 @ x.T` with bias and tanh applied in place."""
+    h = net.w1 @ x.T
+    h += net.b1[:, None]
     np.tanh(h, out=h)
-    return h @ net.w2 + float(net.b2), h
+    return net.w2 @ h + float(net.b2), h
 
 
 def mlp_backward(net: Mlp, x: np.ndarray, h: np.ndarray, dout: np.ndarray) -> list:
     """Gradients of sum(dout * output) w.r.t. params, same order as params();
-    bias reductions are matrix-vector products, and x, h, dout and the net are not written."""
-    gw2 = dout @ h
+    the first-layer reductions are matrix products scaled by w2 afterwards,
+    and x, h, dout and the net are not written."""
+    gw2 = h @ dout
     gb2 = np.asarray(dout.sum())
     dz = h * h
     np.subtract(1.0, dz, out=dz)
-    dz *= dout[:, None]
-    dz *= net.w2
-    gw1 = dz.T @ x
-    gb1 = np.ones(dz.shape[0]) @ dz
+    dz *= dout
+    gw1 = dz @ x
+    gw1 *= net.w2[:, None]
+    gb1 = dz @ np.ones(dz.shape[1])
+    gb1 *= net.w2
     return [gw1, gb1, gw2, gb2]
 
 
@@ -122,13 +130,15 @@ class Adam:
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        self.m *= b1
-        self.m += (1 - b1) * grads
-        self.v *= b2
-        self.v += (1 - b2) * (grads * grads)
-        mhat = self.m / (1 - b1 ** self.t)
-        vhat = self.v / (1 - b2 ** self.t)
-        self.params += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
+        # a diverging fit overflows here; train reports it as NonFinite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.m *= b1
+            self.m += (1 - b1) * grads
+            self.v *= b2
+            self.v += (1 - b2) * (grads * grads)
+            mhat = self.m / (1 - b1 ** self.t)
+            vhat = self.v / (1 - b2 ** self.t)
+            self.params += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
@@ -144,7 +154,7 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
         raise InvalidSpec(f"steps must be >= 0, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
         raise InvalidSpec(f"learning rate must be finite and > 0, got {lr}")
-    flat = np.concatenate([p.ravel() for net in nets for p in net.params()])
+    flat = np.concatenate([p for net in nets for p in net.params()], axis=None)
     at = 0
     for net in nets:
         for name, p in zip(("w1", "b1", "w2", "b2"), net.params()):
@@ -158,6 +168,6 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
             raise NonFinite(f"{exc} (step {step})") from None
         if not math.isfinite(obj):
             raise NonFinite(f"{what} is not finite (step {step})")
-        opt.step(np.concatenate([np.ravel(g) for g in grads]))
+        opt.step(np.concatenate(grads, axis=None))
     if steps and not np.isfinite(flat).all():
         raise NonFinite(f"{what} parameters are not finite after step {steps - 1}")

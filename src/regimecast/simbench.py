@@ -396,7 +396,7 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
             mnet = init_mlp(fan_in, hidden, rng, out_scale=0.0)
             snet = init_mlp(fan_in, hidden, rng, out_scale=0.0)
             if rows_x:
-                feats = np.vstack(rows_x)
+                feats = np.asfortranarray(np.vstack(rows_x))  # column-major once; no copy if already
                 tvals = np.concatenate(rows_t)
 
                 def nll_and_grad():

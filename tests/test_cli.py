@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -216,6 +217,19 @@ def test_a_fit_that_diverges_on_its_last_step_writes_nothing(workspace, tmp_path
     assert rc == 2
     assert "pseudo-log-likelihood parameters are not finite after step 1" in \
         capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_diverging_fit_prints_no_numpy_warning(workspace, tmp_path, capsys):
+    # the overflow inside the Adam update is reported only as NonFinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--graph", str(workspace / "graph.json"),
+                   "--data-manifest", str(workspace / "manifest.json"),
+                   "--out", str(tmp_path / "m.json"), "--bins", "6", "--hidden", "4",
+                   "--seed", "1", "--steps", "2", "--lr", "1e300"])
+    assert rc == 2
+    assert "parameters are not finite after step 1" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 

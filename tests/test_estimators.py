@@ -85,6 +85,9 @@ def test_fit_outcome_validation():
         fit_outcome(data, weights=[np.ones(5), -np.ones(5)])
     with pytest.raises(InvalidSpec):
         fit_outcome(data, weights=[np.zeros(5), np.zeros(5)])
+    # finite weights whose total overflows would normalize to all zeros
+    with pytest.raises(InvalidSpec, match="finite sum"):
+        fit_outcome(make_data(rng, [(0, 0)], n=4), weights=[np.array([1e308, 1e308, 1.0, 1.0])])
     # the right total is not enough: each array must match its own dataset
     four = make_data(rng, [(0, 0), (1, 0)], n=4)
     with pytest.raises(InvalidSpec, match="dataset 0 have 3 entries"):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from regimecast import energy, estimators, simbench
 from regimecast.errors import InvalidSpec, NonFinite
+from regimecast.model import RegimeDataset
 from regimecast.nets import (
     Adam,
     init_mlp,
@@ -25,14 +27,17 @@ def test_zero_output_scale_gives_zero_function():
 def test_forward_matches_manual_formula():
     rng = np.random.default_rng(1)
     net = init_mlp(2, 4, rng, out_scale=1.0)
-    x = rng.standard_normal((6, 2))
-    out, h = mlp_forward(net, x)
-    h_ref = np.tanh(x @ net.w1.T + net.b1)
-    assert np.allclose(h, h_ref)
-    assert np.allclose(out, h_ref @ net.w2 + float(net.b2))
+    rows = rng.standard_normal((6, 2))
+    h_ref = np.tanh(rows @ net.w1.T + net.b1)
+    for x in (rows, np.asfortranarray(rows)):
+        out, h = mlp_forward(net, x)
+        # the hidden layer is hidden-major: (hidden, n)
+        np.testing.assert_allclose(h, h_ref.T, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(out, h_ref @ net.w2 + float(net.b2), rtol=1e-12, atol=0.0)
 
 
 def forward_reference(net, x):
+    """Row-major reference: the hidden layer as (n, hidden)."""
     h = np.tanh(x @ net.w1.T + net.b1)
     return h @ net.w2 + float(net.b2), h
 
@@ -48,22 +53,59 @@ def backward_reference(net, x, h, dout):
 def test_kernels_match_the_reference_and_write_no_input(n, in_dim, hidden):
     rng = np.random.default_rng(100 * n + 10 * in_dim + hidden)
     net = init_mlp(in_dim, hidden, rng, out_scale=0.8)
-    x = rng.standard_normal((n, in_dim))
+    rows = rng.standard_normal((n, in_dim))
     dout = rng.standard_normal(n)
-    before = [a.copy() for a in (x, dout, *net.params())]
+    ref_out, ref_h = forward_reference(net, rows)
+    ref_grads = backward_reference(net, rows, ref_h, dout)
 
-    out, h = mlp_forward(net, x)
-    h_seen = h.copy()
-    grads = mlp_backward(net, x, h, dout)
-    ref_out, ref_h = forward_reference(net, x)
-    ref_grads = backward_reference(net, x, ref_h, dout)
+    for x in (rows, np.asfortranarray(rows)):
+        before = [a.copy() for a in (x, dout, *net.params())]
+        out, h = mlp_forward(net, x)
+        h_seen = h.copy()
+        grads = mlp_backward(net, x, h, dout)
 
-    # the kernels may add in another order, so equal only to rounding
-    for got, ref in zip([h, out, *grads], [ref_h, ref_out, *ref_grads]):
-        assert np.shape(got) == np.shape(ref)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
-    for a, b in zip((x, dout, *net.params(), h), (*before, h_seen)):
-        assert np.array_equal(a, b)
+        # the kernels add in another order than the reference, and C- and
+        # F-ordered x differ in the last bits, so equal only to rounding
+        for got, ref in zip([h, out, *grads], [ref_h.T, ref_out, *ref_grads]):
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        for a, b in zip((x, dout, *net.params(), h), (*before, h_seen)):
+            assert np.array_equal(a, b)
+
+
+def test_training_loops_and_table_builds_lay_their_rows_out_column_major(monkeypatch):
+    bundle = simbench.builtin_structure("sachs")
+    truth = simbench.make_dag_truth(bundle, seed=29)
+    data = []
+    for i, regime in enumerate(list(bundle.train)[:3]):
+        x = truth.sample(regime, 30, seed=31 + i)
+        data.append(RegimeDataset(regime, x, np.tanh(x[:, 0]) + x[:, 1]))
+    model = energy.new_model(bundle.ifm, energy.discretize(data, bins=4), hidden=3, seed=1)
+    k = max(range(len(bundle.ifm.factors)), key=lambda j: len(bundle.ifm.factors[j].var_scope))
+
+    seen = []
+
+    def recording(net, x):
+        seen.append((x.shape, net.in_dim, x.flags.f_contiguous))
+        return mlp_forward(net, x)
+
+    for module in (energy, estimators, simbench):
+        monkeypatch.setattr(module, "mlp_forward", recording)
+    runs = {
+        "energy.fit": lambda: energy.fit(model, data, steps=1, lr=1e-2),
+        "fit_outcome": lambda: estimators.fit_outcome(data, hidden=3, steps=1),
+        "fit_dag": lambda: simbench.fit_dag(bundle, data, hidden=3, steps=1),
+        "factor_table": lambda: energy.factor_table(model, k, bundle.train[0]),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        run()
+        assert seen, name
+        for shape, in_dim, f_contiguous in seen:
+            assert len(shape) == 2 and shape[1] == in_dim, name
+            assert f_contiguous, f"{name} passed {shape} rows that are not column-major"
+        # a (rows, in_dim) array with both above 1 is column-major only by construction
+        assert any(rows > 1 and in_dim > 1 for (rows, _), in_dim, _ in seen), name
 
 
 def test_backward_matches_finite_differences():
