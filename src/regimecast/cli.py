@@ -160,7 +160,7 @@ def _cmd_fit(args) -> int:
     grid = discretize(datasets, bins=args.bins)
     model0 = new_model(ifm, grid, hidden=args.hidden, seed=args.seed)
     model, log = fit_energy(model0, datasets, steps=args.steps, lr=args.lr,
-                            batch=args.batch)
+                            batch=args.batch, seed=args.seed)
     outcome = None
     if args.outcome_out:
         outcome = fit_outcome(datasets, hidden=args.outcome_hidden,

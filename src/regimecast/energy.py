@@ -4,7 +4,7 @@ Variables are binned on a per-variable grid; each factor contributes one
 scalar potential net per level pattern of the interventions that switch it,
 evaluated on the bin centers of the variables it reads. The unnormalized
 log density under a regime is the sum of the selected potentials. Training
-maximizes the sum over rows and variables of the log conditional of each
+ascends the sum over rows and variables of the log conditional of each
 variable given the rest, which needs no partition function: the conditional
 normalizes over one variable's grid using only the factors that read it.
 
@@ -411,9 +411,10 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         obj, grads = _pll_from_prep(trained, prep, drawn, True)
         if batch is None:
             log_obj(obj)  # the full objective before this step's update
-        return obj, [g for key in keys for g in grads[key]]
+        # train minimizes; negation is exact, so this is ascent on the PLL
+        return -obj, [-g for key in keys for g in grads[key]]
     train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
-          "pseudo-log-likelihood", maximize=True)
+          "pseudo-log-likelihood")
     if batch is not None or not objectives:  # after the last step; with no steps, the start
         log_obj(_pll_from_prep(trained, prep, counts, False)[0])
     return trained, FitLog(tuple(objectives), tuple(regressions), steps, lr, batch)
@@ -466,9 +467,10 @@ def model_to_dict(model: EnergyModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> EnergyModel:
-    """Rebuild a model; ModelFormatError on missing keys, bad shapes or non-finite weights."""
+    """Rebuild a model; ModelFormatError on missing keys, bad shapes, non-finite
+    weights, or a fingerprint that is not the graph's."""
     check_format(obj, MODEL_FORMAT, FORMAT_VERSION)
-    require_keys(obj, ("seed", "hidden", "graph", "grid", "nets"), "model file")
+    require_keys(obj, ("seed", "hidden", "graph", "fingerprint", "grid", "nets"), "model file")
     require_keys(obj["grid"], ("edges",), "model grid")
     ifm = parse_graph(obj["graph"])
     try:
@@ -495,6 +497,8 @@ def model_from_dict(obj: dict) -> EnergyModel:
         k = key[0]
         if net.hidden != hidden or net.in_dim != len(ifm.factors[k].var_scope):
             raise ModelFormatError(f"net {key} has the wrong shape")
+    if obj["fingerprint"] != fingerprint(ifm):
+        raise ModelFormatError("model fingerprint does not match its graph")
     return EnergyModel(ifm, grid, hidden, nets, seed)
 
 

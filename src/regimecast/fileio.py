@@ -183,7 +183,9 @@ def read_dataset_csv(path, ifm: IfmStructure, regime: RegimeVector) -> RegimeDat
         header = [h.strip() for h in header]
         rows = [row for row in reader if row]
 
-    has_y = header and header[-1] == "y"
+    # a final "y" is the outcome only beside a full set of variable columns,
+    # so a variable may itself be named "y"
+    has_y = len(header) == len(ifm.var_names) + 1 and header[-1] == "y"
     var_cols = header[:-1] if has_y else header
     if sorted(var_cols) != sorted(ifm.var_names):
         raise InvalidSpec(f"{path}: header {var_cols} does not match variables {list(ifm.var_names)}")

@@ -119,10 +119,9 @@ def mlp_from_dict(obj: dict) -> Mlp:
 class Adam:
     """Standard Adam over one flat parameter array, updated in place."""
 
-    def __init__(self, params: np.ndarray, lr: float = 1e-3, maximize: bool = False):
+    def __init__(self, params: np.ndarray, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.sign = 1.0 if maximize else -1.0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
@@ -138,12 +137,11 @@ class Adam:
             self.v += (1 - b2) * (grads * grads)
             mhat = self.m / (1 - b1 ** self.t)
             vhat = self.v / (1 - b2 ** self.t)
-            self.params += self.sign * self.lr * mhat / (np.sqrt(vhat) + eps)
+            self.params -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
-          maximize: bool = False) -> None:
-    """Adam steps on the nets, whose params() are rebound as views of one vector.
+def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> None:
+    """Adam descent on the nets, whose params() are rebound as views of one vector.
 
     `value_and_grad()` gives (objective, grads in params() order, net after net).
     InvalidSpec for a bad schedule. A NonFinite names its step, from 0:
@@ -160,7 +158,7 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str,
         for name, p in zip(("w1", "b1", "w2", "b2"), net.params()):
             setattr(net, name, flat[at:at + p.size].reshape(p.shape))
             at += p.size
-    opt = Adam(flat, lr=lr, maximize=maximize)
+    opt = Adam(flat, lr=lr)
     for step in range(steps):
         try:
             obj, grads = value_and_grad()

@@ -203,7 +203,7 @@ class DagTruth:
     def baseline(self) -> RegimeVector:
         return self.ifm.space.baseline()
 
-    def sample(self, regime: RegimeVector, n: int, seed: int = 0, **_ignored) -> np.ndarray:
+    def sample(self, regime: RegimeVector, n: int, seed: int = 0) -> np.ndarray:
         """Ancestral draws; tanh-bounded means keep every moment finite."""
         self.ifm.space.check_regime(regime)
         rng = np.random.default_rng(seed)
@@ -236,43 +236,38 @@ def make_dag_truth(bundle: StructureBundle, seed: int = 0, hidden: int = 10) -> 
 
 @dataclass(eq=False)
 class IfmTruth:
-    """A randomly seeded potential model used as a simulator."""
+    """A randomly seeded potential model used as a simulator, with the Gibbs
+    `burn` and `thin` its draws use when the grid is too large to enumerate."""
 
     model: EnergyModel
     seed: int
+    burn: int
+    thin: int
 
     @property
     def m(self) -> int:
         return self.model.ifm.m
 
-    @property
-    def ifm(self) -> IfmStructure:
-        return self.model.ifm
-
     def baseline(self) -> RegimeVector:
         return self.model.ifm.space.baseline()
 
-    def sample(self, regime: RegimeVector, n: int, seed: int = 0,
-               burn: int = 500, thin: int = 5) -> np.ndarray:
-        return sample(self.model, regime, n, burn=burn, thin=thin, seed=seed)
+    def sample(self, regime: RegimeVector, n: int, seed: int = 0) -> np.ndarray:
+        return sample(self.model, regime, n, burn=self.burn, thin=self.thin, seed=seed)
 
 
 def make_ifm_truth(bundle: StructureBundle, seed: int = 0, bins: int = 20,
-                   span: float = 2.5, hidden: int = 15, scale: float = 1.0) -> IfmTruth:
+                   span: float = 2.5, hidden: int = 15, scale: float = 1.0,
+                   burn: int = 500, thin: int = 5) -> IfmTruth:
     """Potential-model simulator over the bundle's own factors.
 
     The grid is fixed at `bins` uniform bins on [-span, span] per variable;
     `scale` sets the spread of the random output layers, and with it how
-    strongly level patterns interact.
+    strongly level patterns interact. `burn` and `thin` are the simulator's
+    Gibbs settings.
     """
     edges = tuple(np.linspace(-span, span, bins + 1) for _ in range(bundle.ifm.m))
     model = new_model(bundle.ifm, Grid(edges), hidden=hidden, seed=seed, out_scale=scale)
-    return IfmTruth(model, seed)
-
-
-def sample_truth(truth, regime: RegimeVector, n: int, seed: int = 0, **opts) -> np.ndarray:
-    """Draw n rows from either simulator under the given regime."""
-    return truth.sample(regime, n, seed=seed, **opts)
+    return IfmTruth(model, seed, burn, thin)
 
 
 @dataclass(eq=False)
@@ -327,9 +322,9 @@ def make_outcome(truth, seed: int = 0, baseline_x=None, n_calib: int = 20000,
 
 
 def ground_truth_mu(truth, outcome: OutcomeTruth, regime: RegimeVector,
-                    nmc: int = 25000, seed: int = 0, **opts):
+                    nmc: int = 25000, seed: int = 0):
     """Monte Carlo E[Y; regime]; returns (mu, standard error)."""
-    draws = truth.sample(regime, nmc, seed=seed, **opts)
+    draws = truth.sample(regime, nmc, seed=seed)
     vals = outcome.mean(draws)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
@@ -527,10 +522,9 @@ def resolve_config(config: dict) -> dict:
 
 @dataclass
 class BenchmarkReport:
-    """Full run record; `data` is JSON-ready, csv_rows mirror the estimates."""
+    """Full run record; `data` is JSON-ready and holds every estimate once."""
 
     data: dict
-    csv_rows: list
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
@@ -544,8 +538,13 @@ class BenchmarkReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["problem", "method", "regime", "mu_hat", "mu_true", "var_true"])
-            for row in self.csv_rows:
-                writer.writerow([row[0], row[1], row[2]] + [repr(float(v)) for v in row[3:]])
+            # methods in config order, then scored regimes in target order
+            for pb in self.data["problems"]:
+                for meth in self.data["config"]["methods"]:
+                    for key in self.data["scored_regimes"]:
+                        values = (pb["methods"][meth]["estimates"][key],
+                                  pb["truth"][key]["mu"], pb["truth"][key]["var"])
+                        writer.writerow([pb["problem"], meth, key] + [repr(float(v)) for v in values])
 
 
 @contextmanager
@@ -698,11 +697,10 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             truth = make_ifm_truth(
                 bundle, truth_seed, bins=cfg["truth_bins"], span=cfg["truth_span"],
                 hidden=cfg["truth_hidden"], scale=cfg["truth_scale"],
+                burn=cfg["truth_burn"], thin=cfg["truth_thin"],
             )
-            samp_opts = {"burn": cfg["truth_burn"], "thin": cfg["truth_thin"]}
         else:
             truth = make_dag_truth(bundle, truth_seed, hidden=cfg["dag_hidden"])
-            samp_opts = {}
 
     with _stage("certify test regimes"):
         norm = normalize_factors(bundle.ifm)
@@ -718,7 +716,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         datasets = []
         for regime, dseed in zip(bundle.train, data_seeds):
             n = cfg["n_baseline"] if regime.is_baseline() else cfg["n_regime"]
-            datasets.append(RegimeDataset(regime, truth.sample(regime, n, seed=dseed, **samp_opts)))
+            datasets.append(RegimeDataset(regime, truth.sample(regime, n, seed=dseed)))
 
     with _stage("fit density model"):
         grid = discretize(datasets, bins=cfg["bins"])
@@ -726,10 +724,10 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         model, _fitlog = fit_energy(model0, datasets, steps=cfg["fit_steps"], lr=cfg["fit_lr"])
 
     with _stage("draw evaluation samples"):
-        calib_x = truth.sample(truth.baseline(), cfg["mc_samples"], seed=calib_seed, **samp_opts)
+        calib_x = truth.sample(truth.baseline(), cfg["mc_samples"], seed=calib_seed)
         mc_x, draws_fit, draws_dag = {}, {}, {}
         for t, ms, gs in zip(targets, mc_seeds, gibbs_seeds):
-            mc_x[t] = truth.sample(t, cfg["mc_samples"], seed=ms, **samp_opts)
+            mc_x[t] = truth.sample(t, cfg["mc_samples"], seed=ms)
             draws_fit[t] = sample(
                 model, t, cfg["gibbs_n"], burn=cfg["gibbs_burn"],
                 thin=cfg["gibbs_thin"], seed=gs,
@@ -782,18 +780,6 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             "rcor_mean": float(np.mean(rc)) if rc else None,
         }
 
-    csv_rows = []
-    for pb in problems:
-        for meth in cfg["methods"]:
-            for t in targets:
-                key = regime_text(t)
-                csv_rows.append((
-                    pb["problem"], meth, key,
-                    pb["methods"][meth]["estimates"][key],
-                    pb["truth"][key]["mu"],
-                    pb["truth"][key]["var"],
-                ))
-
     data = {
         "format": REPORT_FORMAT,
         "format_version": REPORT_FORMAT_VERSION,
@@ -807,4 +793,4 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         "summary": summary,
         "runtime_seconds": time.perf_counter() - t_start,
     }
-    return BenchmarkReport(data, csv_rows)
+    return BenchmarkReport(data)

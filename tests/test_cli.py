@@ -11,7 +11,8 @@ import pytest
 
 from regimecast import cli
 from regimecast.cli import main
-from regimecast.fileio import graph_to_dict, write_dataset_csv
+from regimecast.energy import discretize, fit, new_model, save_model
+from regimecast.fileio import graph_to_dict, load_graph, load_manifest, write_dataset_csv
 from regimecast.model import (
     FactorSpec,
     IfmStructure,
@@ -206,6 +207,20 @@ def test_bad_training_settings_are_rejected_input(workspace, tmp_path, capsys):
     assert "hidden width" in capsys.readouterr().err
 
 
+def test_minibatch_fit_follows_the_seed(workspace, tmp_path):
+    # --seed sets the initial nets and the minibatch order alike
+    assert main(["fit", "--graph", str(workspace / "graph.json"),
+                 "--data-manifest", str(workspace / "manifest.json"),
+                 "--out", str(tmp_path / "cli.json"), "--bins", "6", "--hidden", "4",
+                 "--steps", "8", "--batch", "10", "--seed", "7"]) == 0
+    ifm = load_graph(workspace / "graph.json")
+    datasets = load_manifest(workspace / "manifest.json", ifm)
+    model0 = new_model(ifm, discretize(datasets, bins=6), hidden=4, seed=7)
+    model, _ = fit(model0, datasets, steps=8, lr=1e-3, batch=10, seed=7)
+    save_model(tmp_path / "lib.json", model)
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
 def test_a_fit_that_diverges_on_its_last_step_writes_nothing(workspace, tmp_path, capsys):
     # each step's objective is taken before its update, so only the final
     # parameters show that the second step of this fit diverged
@@ -281,6 +296,19 @@ def test_model_file_without_graph_is_rejected_input(workspace, tmp_path, capsys)
     assert main(["sample", "--model", str(bad), "--regime", "1,1,1", "--n", "3",
                  "--seed", "0", "--out", str(tmp_path / "draws.csv")]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_model_with_a_stale_fingerprint_is_rejected_input(workspace, tmp_path, capsys):
+    obj = json.loads((workspace / "model.json").read_text())
+    obj["graph"]["variables"] = ["x9"]
+    obj["graph"]["factors"] = [{**f, "variables": ["x9"]} for f in obj["graph"]["factors"]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["sample", "--model", str(bad), "--regime", "1,1,1", "--n", "3",
+                 "--seed", "0", "--out", str(tmp_path / "draws.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "fingerprint" in err
+    assert not (tmp_path / "draws.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["graph", "manifest", "model", "outcome"])

@@ -1,5 +1,7 @@
 """Energy model: grids, pseudo-likelihood, fitting, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from regimecast.model import (
 )
 from regimecast.nets import mlp_forward
 from regimecast.sampling import exact_density, log_partition
+from regimecast.simbench import builtin_structure
 
 from conftest import tv
 
@@ -541,6 +544,12 @@ def test_model_round_trip_is_exact(tmp_path):
     assert np.array_equal(log_unnorm(model, bins, RegimeVector((1, 0))),
                           log_unnorm(loaded, bins, RegimeVector((1, 0))))
 
+    # the stored fingerprint is the one the reloaded graph gives
+    for name in ("chain3", "triangle", "sachs", "dream"):
+        ifm = builtin_structure(name).ifm
+        grid = Grid(tuple(np.linspace(-1.0, 1.0, 4) for _ in range(ifm.m)))
+        assert model_from_dict(model_to_dict(new_model(ifm, grid, hidden=2))).ifm == ifm
+
 
 def test_model_from_dict_rejects_tampering():
     obj = model_to_dict(rand_model(seed=53))
@@ -558,6 +567,16 @@ def test_model_from_dict_rejects_tampering():
     twice = {**obj, "nets": obj["nets"] + [{**obj["nets"][0], "b2": 5.0}]}
     with pytest.raises(ModelFormatError, match="more than once"):
         model_from_dict(twice)
+    # the fingerprint is required and must be the graph's own
+    with pytest.raises(ModelFormatError, match="fingerprint"):
+        model_from_dict({k: v for k, v in obj.items() if k != "fingerprint"})
+    with pytest.raises(ModelFormatError, match="fingerprint"):
+        model_from_dict({**obj, "fingerprint": "0" * 64})
+    old = json.dumps(obj["graph"]["variables"][0])
+    renamed = json.loads(json.dumps(obj["graph"]).replace(old, '"renamed"'))
+    assert renamed["variables"][0] == "renamed"
+    with pytest.raises(ModelFormatError, match="fingerprint"):
+        model_from_dict({**obj, "graph": renamed})
 
 
 def test_model_from_dict_rejects_missing_keys_nonfinite_weights_and_bad_shapes():

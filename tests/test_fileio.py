@@ -118,6 +118,19 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.y is None
 
 
+def test_dataset_csv_round_trip_with_a_variable_named_y(tmp_path):
+    ifm = parse_graph({**GRAPH, "variables": ["x1", "y"],
+                       "factors": [{"variables": ["x1", "y"], "interventions": ["a", "b"]}]})
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5, 2))
+    p = tmp_path / "d.csv"
+    for y in (None, rng.standard_normal(5)):
+        write_dataset_csv(p, ifm, RegimeDataset(RegimeVector((0, 0)), x, y))
+        back = read_dataset_csv(p, ifm, RegimeVector((0, 0)))
+        assert np.array_equal(back.x, x)
+        assert back.y is None if y is None else np.array_equal(back.y, y)
+
+
 def test_read_dataset_csv_requires_named_header(tmp_path):
     ifm = parse_graph(GRAPH)
     p = tmp_path / "d.csv"

@@ -1,5 +1,6 @@
 """Benchmark structures, simulators, metrics, and the pipeline runner."""
 
+import csv
 import json
 
 import numpy as np
@@ -21,7 +22,6 @@ from regimecast.simbench import (
     rcor,
     resolve_config,
     run_benchmark,
-    sample_truth,
     DEFAULT_CONFIG,
     OutcomeTruth,
     REPORT_FORMAT,
@@ -120,18 +120,34 @@ def test_dag_truth_flips_only_downstream_of_the_target():
 
 def test_ifm_truth_sampling_is_seeded():
     b = builtin_structure("chain3")
-    truth = make_ifm_truth(b, seed=11, bins=8, hidden=6)
-    assert truth.m == 1
+    truth = make_ifm_truth(b, seed=11, bins=8, hidden=6, burn=20, thin=1)
+    assert truth.m == 1 and (truth.burn, truth.thin) == (20, 1)
     assert truth.model.grid.edges[0][0] == -2.5 and truth.model.grid.edges[0][-1] == 2.5
-    x = sample_truth(truth, RegimeVector((0, 0, 0)), 30, seed=2, burn=20, thin=1)
+    x = truth.sample(RegimeVector((0, 0, 0)), 30, seed=2)
     assert x.shape == (30, 1)
-    assert np.array_equal(x, sample_truth(truth, RegimeVector((0, 0, 0)), 30,
-                                          seed=2, burn=20, thin=1))
+    assert np.array_equal(x, truth.sample(RegimeVector((0, 0, 0)), 30, seed=2))
+
+
+def test_simulators_reject_unknown_keywords():
+    # both truths are drawn with the same call and hold their own settings,
+    # so a misspelt keyword fails instead of being dropped
+    regime = RegimeVector((0, 0, 0, 0))
+    sachs = builtin_structure("sachs")
+    chain = builtin_structure("chain3")
+    dag = make_dag_truth(sachs, seed=3)
+    ifm = make_ifm_truth(chain, seed=3, bins=8, hidden=6, burn=20, thin=1)
+    out = OutcomeTruth(np.ones(sachs.ifm.m), 0.5, seed=0)
+    with pytest.raises(TypeError):
+        dag.sample(regime, 5, sed=3)
+    with pytest.raises(TypeError):
+        ifm.sample(RegimeVector((0, 0, 0)), 5, seed=3, burn=20)
+    with pytest.raises(TypeError):
+        ground_truth_mu(dag, out, regime, nmc=10, seed=1, brun=9)
 
 
 def test_make_outcome_calibrates_the_signal_variance():
     b = builtin_structure("chain3")
-    truth = make_ifm_truth(b, seed=13, bins=8, hidden=6)
+    truth = make_ifm_truth(b, seed=13, bins=8, hidden=6, burn=20, thin=1)
     rng = np.random.default_rng(17)
     x = rng.normal(size=(4000, 1))
 
@@ -151,31 +167,30 @@ def test_make_outcome_calibrates_the_signal_variance():
     again = make_outcome(truth, seed=19, baseline_x=x)
     assert np.array_equal(again.lam, out.lam) and again.noise_sd == out.noise_sd
 
-    mu, se = ground_truth_mu(truth, out, RegimeVector((1, 0, 0)), nmc=500,
-                             seed=23, burn=20, thin=1)
+    mu, se = ground_truth_mu(truth, out, RegimeVector((1, 0, 0)), nmc=500, seed=23)
     assert -1.0 <= mu <= 1.0 and se > 0.0
 
 
 def test_ground_truth_mu_edge_cases():
     b = builtin_structure("chain3")
-    truth = make_ifm_truth(b, seed=43, bins=8, hidden=6)
+    truth = make_ifm_truth(b, seed=43, bins=8, hidden=6, burn=20, thin=1)
     regime = RegimeVector((0, 1, 1))
 
     zero = OutcomeTruth(np.zeros(1), 0.5, seed=0)
-    mu, se = ground_truth_mu(truth, zero, regime, nmc=200, seed=3, burn=20, thin=1)
+    mu, se = ground_truth_mu(truth, zero, regime, nmc=200, seed=3)
     assert mu == 0.0 and se == 0.0
 
-    # one variable, so the grid is enumerable and the Gibbs draws are iid
+    # one variable, so the grid is enumerable and the draws are exact and iid
     out = OutcomeTruth(np.array([0.9]), 0.3, seed=0)
     dens = exact_density(truth.model, regime)
     centers = truth.model.grid.centers[0]
     exact = float(dens @ np.tanh(out.lam[0] * centers))
-    mu, se = ground_truth_mu(truth, out, regime, nmc=4000, seed=5, burn=50, thin=1)
+    mu, se = ground_truth_mu(truth, out, regime, nmc=4000, seed=5)
     assert abs(mu - exact) <= 3.0 * se
 
     # odd in lam, and exactly zero on a sign-symmetrized draw set
     flipped = OutcomeTruth(-out.lam, out.noise_sd, seed=0)
-    x = truth.sample(regime, 100, seed=7, burn=20, thin=1)
+    x = truth.sample(regime, 100, seed=7)
     assert np.array_equal(flipped.mean(x), -out.mean(x))
     mirrored = np.vstack([x, -x])
     assert float(out.mean(mirrored).mean()) == pytest.approx(0.0, abs=1e-15)
@@ -325,17 +340,35 @@ def test_run_benchmark_is_deterministic(tmp_path):
     a, b = dict(first.data), dict(second.data)
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
     assert a == b
-    assert first.csv_rows == second.csv_rows
-    # problems x methods x scored regimes
-    assert len(first.csv_rows) == 2 * 3 * 2
+    first.write_csv(tmp_path / "run.csv")
+    second.write_csv(tmp_path / "again.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
-    out = tmp_path / "run.csv"
-    first.write_csv(out)
-    lines = out.read_text().strip().split("\n")
+    lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert lines[0] == "problem,method,regime,mu_hat,mu_true,var_true"
-    assert len(lines) == 1 + len(first.csv_rows)
+    # problems x methods x scored regimes
+    assert len(lines) == 1 + 2 * 3 * 2
     first.write_json(tmp_path / "run.json")
     assert (tmp_path / "run.json").read_text().startswith("{")
+
+
+def test_csv_rows_match_the_json_estimates(tmp_path):
+    report = run_benchmark({**TINY_CONFIG, "methods": ["ridge", "ifm_ipw"]})
+    report.write_csv(tmp_path / "run.csv")
+    report.write_json(tmp_path / "run.json")
+    data = json.loads((tmp_path / "run.json").read_text())
+    with open(tmp_path / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    # problems, then methods in config order, then scored regimes in order
+    assert [(int(r["problem"]), r["method"], r["regime"]) for r in rows] == [
+        (pb["problem"], meth, key) for pb in data["problems"]
+        for meth in ["ridge", "ifm_ipw"] for key in data["scored_regimes"]]
+    for row in rows:
+        pb = data["problems"][int(row["problem"])]
+        truth = pb["truth"][row["regime"]]
+        assert float(row["mu_hat"]) == pb["methods"][row["method"]]["estimates"][row["regime"]]
+        assert (float(row["mu_true"]), float(row["var_true"])) == (truth["mu"], truth["var"])
 
 
 def test_run_benchmark_weighs_each_target_once(monkeypatch):
@@ -388,10 +421,12 @@ def test_run_benchmark_pool_never_outnumbers_the_problems(monkeypatch):
     assert len(pooled.data["problems"]) == 2
 
 
-def test_run_benchmark_merge_does_not_depend_on_jobs():
+def test_run_benchmark_merge_does_not_depend_on_jobs(tmp_path):
     solo = run_benchmark(TINY_CONFIG, jobs=1)
     pooled = run_benchmark(TINY_CONFIG, jobs=2)
     a, b = dict(solo.data), dict(pooled.data)
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
     assert a == b
-    assert solo.csv_rows == pooled.csv_rows
+    solo.write_csv(tmp_path / "solo.csv")
+    pooled.write_csv(tmp_path / "pooled.csv")
+    assert (tmp_path / "solo.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
