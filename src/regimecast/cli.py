@@ -170,7 +170,7 @@ def _cmd_fit(args) -> int:
     save_model(args.out, model)
     summary = {
         "model": str(args.out),
-        "steps": log.steps,
+        "steps": args.steps,
         "objective_start": log.objectives[0],
         "objective_end": log.objectives[-1],
         "regressions": len(log.regressions),
@@ -191,8 +191,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.method != "ipw" and args.seed is None:
-        print("estimate: error: --seed is required for this method", file=sys.stderr)
+    if (args.method != "ipw" or args.alpha is not None) and args.seed is None:
+        print("estimate: error: --seed is required unless the method is ipw without --alpha",
+              file=sys.stderr)
         return 1
     model = load_model(args.model)
     datasets = load_manifest(args.data_manifest, model.ifm)
@@ -227,8 +228,7 @@ def _cmd_estimate(args) -> int:
             for r in est.per_regime
         ]
     if args.alpha is not None:
-        band = conformal_band(model, datasets, target, args.alpha,
-                              seed=args.seed if args.seed is not None else 0,
+        band = conformal_band(model, datasets, target, args.alpha, seed=args.seed,
                               nsamples=args.nsamples, burn=args.burn, thin=args.thin)
         result["band"] = _band_fields(band)
     _emit(result, args.out)

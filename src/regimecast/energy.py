@@ -282,17 +282,18 @@ def _prepare(model: EnergyModel, datasets):
     return designs, sweeps, counts, inverses
 
 
-def _pll_from_prep(model: EnergyModel, prep, counts, want_grad: bool):
-    """PLL (and gradient) with counts[d] weighing dataset d's distinct rows;
+def _pll_from_prep(model: EnergyModel, prep, drawn=None):
+    """(full-data PLL, gradient or None). The gradient is taken only when
+    `drawn` is given, with drawn[d] weighing dataset d's distinct rows;
     rows a minibatch misses weigh 0 and add exact zeros to every sum."""
-    designs, sweeps = prep[:2]
+    designs, sweeps, counts = prep[:3]
     vals = {}
     hidden = {}
     for key, x in designs.items():
         vals[key], hidden[key] = mlp_forward(model.nets[key], x)
-    dvals = {key: np.zeros(v.shape[0]) for key, v in vals.items()} if want_grad else None
+    dvals = None if drawn is None else {key: np.zeros(v.shape[0]) for key, v in vals.items()}
     total = 0.0
-    for cnt, per_var in zip(counts, sweeps, strict=True):
+    for d, (cnt, per_var) in enumerate(zip(counts, sweeps)):
         for r, obs, entries in per_var:
             n = obs.shape[0]
             logits = np.zeros((n, model.grid.nbins[r]))
@@ -304,16 +305,16 @@ def _pll_from_prep(model: EnergyModel, prep, counts, want_grad: bool):
             lse = top[:, 0] + np.log(norm)
             rows = np.arange(n)
             total += float(np.sum(cnt * (logits[rows, obs] - lse)))
-            if want_grad:
+            if drawn is not None:
                 dl = -p / norm[:, None]
                 dl[rows, obs] += 1.0
-                dl *= cnt[:, None]
+                dl *= drawn[d][:, None]
                 for key, idx in entries:
                     dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
                                               minlength=dvals[key].size)
     if not np.isfinite(total):
         raise NonFinite("pseudo-log-likelihood is not finite")
-    if not want_grad:
+    if drawn is None:
         return total, None
     grads = {key: [np.zeros_like(p) for p in net.params()] for key, net in model.nets.items()}
     for key, x in designs.items():
@@ -329,42 +330,40 @@ def _pll_from_prep(model: EnergyModel, prep, counts, want_grad: bool):
 def pseudo_loglik(model: EnergyModel, datasets) -> float:
     """Sum over datasets, rows, and variables of log p(x_r | rest; regime)."""
     prep = _prepare(model, datasets)
-    return _pll_from_prep(model, prep, prep[2], False)[0]
+    return _pll_from_prep(model, prep)[0]
 
 
 def pll_gradient(model: EnergyModel, datasets) -> dict:
     """Exact gradient of pseudo_loglik per net, keyed like model.nets."""
     prep = _prepare(model, datasets)
-    return _pll_from_prep(model, prep, prep[2], True)[1]
+    return _pll_from_prep(model, prep, prep[2])[1]
 
 
 @dataclass(frozen=True)
 class FitLog:
-    """Objective trace; `regressions` flags epochs that dropped by > 1e-3."""
+    """Full-data PLL before each step, then the returned model's PLL;
+    `regressions` indexes entries more than 1e-3 below the one before."""
 
     objectives: tuple
     regressions: tuple
-    steps: int
-    lr: float
-    batch: int | None
 
 
 def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         batch: int | None = None, seed: int = 0):
     """Ascend the pseudo-log-likelihood with Adam; returns (model, FitLog).
 
-    The input model is untouched; a copy is trained. Full-batch by default,
-    in which case one step is one epoch and logs its own objective, taken
-    before its update. With `batch` set, each step draws that many rows
-    (without replacement) from every dataset using the given seed, and the
-    full objective is logged after each epoch and after the last step.
-    With zero steps the log holds the starting objective.
+    The input model is untouched; a copy is trained. Full-batch by default;
+    with `batch` set, each step draws that many rows (without replacement)
+    from every dataset using the given seed. In both modes the log holds
+    steps + 1 full-data objectives: one before each step's update, then
+    the returned model's.
 
     The distinct bin rows and cell designs (see the module docstring) are
     built once per call from all rows. A minibatch step draws raw row
     indices, as if no row were merged, and counts them onto the distinct
     rows (missed ones count 0); every step runs each net forward and
-    backward once on its design and costs one unit per distinct row.
+    backward once on its design and costs one unit per distinct row; its
+    sweeps cover every distinct row, so they also sum the full objective.
 
     Args:
         model: initialized model to start from.
@@ -389,35 +388,20 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     counts, inverses = prep[2:]
     rng = np.random.default_rng(seed)
 
-    objectives = []
-    regressions = []
-
-    def log_obj(value):
-        if objectives and value < objectives[-1] - 1e-3:
-            regressions.append(len(objectives))
-        objectives.append(value)
-
-    per_epoch = 1 if batch is None else max(1, -(-max(inv.size for inv in inverses) // batch))
-    calls = itertools.count()
-
     def value_and_grad():
-        step = next(calls)
-        if batch is not None and step and step % per_epoch == 0:
-            log_obj(_pll_from_prep(trained, prep, counts, False)[0])  # the epoch that just ended
         drawn = counts if batch is None else [
             np.bincount(inv[rng.choice(inv.size, size=min(batch, inv.size), replace=False)],
                         minlength=cnt.size)
             for cnt, inv in zip(counts, inverses)]
-        obj, grads = _pll_from_prep(trained, prep, drawn, True)
-        if batch is None:
-            log_obj(obj)  # the full objective before this step's update
+        obj, grads = _pll_from_prep(trained, prep, drawn)
         # train minimizes; negation is exact, so this is ascent on the PLL
         return -obj, [-g for key in keys for g in grads[key]]
-    train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
-          "pseudo-log-likelihood")
-    if batch is not None or not objectives:  # after the last step; with no steps, the start
-        log_obj(_pll_from_prep(trained, prep, counts, False)[0])
-    return trained, FitLog(tuple(objectives), tuple(regressions), steps, lr, batch)
+    trace = train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
+                  "pseudo-log-likelihood")
+    objectives = tuple(-v for v in trace) + (_pll_from_prep(trained, prep)[0],)
+    regressions = tuple(i for i in range(1, len(objectives))
+                        if objectives[i] < objectives[i - 1] - 1e-3)
+    return trained, FitLog(objectives, regressions)
 
 
 def log_ratio_rows(model: EnergyModel, x, num: RegimeVector, den: RegimeVector) -> np.ndarray:

@@ -140,10 +140,11 @@ class Adam:
             self.params -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> None:
+def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> tuple:
     """Adam descent on the nets, whose params() are rebound as views of one vector.
 
     `value_and_grad()` gives (objective, grads in params() order, net after net).
+    Returns the objective of every step, each taken before its update.
     InvalidSpec for a bad schedule. A NonFinite names its step, from 0:
     "<what> is not finite (step N)", or the closure's own with " (step N)" added;
     "<what> parameters are not finite after step N" when the last update left any.
@@ -159,6 +160,7 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> None:
             setattr(net, name, flat[at:at + p.size].reshape(p.shape))
             at += p.size
     opt = Adam(flat, lr=lr)
+    trace = []
     for step in range(steps):
         try:
             obj, grads = value_and_grad()
@@ -166,6 +168,8 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> None:
             raise NonFinite(f"{exc} (step {step})") from None
         if not math.isfinite(obj):
             raise NonFinite(f"{what} is not finite (step {step})")
+        trace.append(obj)
         opt.step(np.concatenate(grads, axis=None))
     if steps and not np.isfinite(flat).all():
         raise NonFinite(f"{what} parameters are not finite after step {steps - 1}")
+    return tuple(trace)

@@ -154,6 +154,16 @@ def log_partition(model: EnergyModel, regime: RegimeVector) -> float:
     return forward[1]
 
 
+def _inverse_cdf(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One bin per row of logits (rows, bins) from uniforms u (rows,): the
+    first bin whose cumulative mass exceeds u times the total. The logits
+    are shifted in place by their row maximum."""
+    logits -= logits.max(axis=1, keepdims=True)
+    cum = np.cumsum(np.exp(logits), axis=1)
+    # the count of cum <= u * total is searchsorted(side="right"), kept in range
+    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), logits.shape[1] - 1)
+
+
 def sample(model: EnergyModel, regime: RegimeVector, n: int,
            burn: int = 500, thin: int = 5, seed: int = 0) -> np.ndarray:
     """Draw (n, m) rows of bin centers from the model under a regime.
@@ -162,7 +172,7 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
     the rows are n iid exact draws: the backward pass visits the variables
     in reverse elimination order, sums the slices of the factor tables and
     messages its step read at the variables already drawn (the additions
-    of the step's clique table), normalizes them, and draws by inverse CDF
+    of the step's clique table) and draws by inverse CDF (`_inverse_cdf`)
     from column v of one `rng.random((n, m))`; `burn` and `thin` are
     checked but unused. Otherwise the rows come from `gibbs_sample` with the same
     arguments. Either way the rows are a deterministic function of the seed.
@@ -181,11 +191,7 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
         for scope, src in inputs:
             t = np.moveaxis(arrays[src], scope.index(v), -1)
             logp += t[tuple(bins[:, j] for j in scope if j != v)]
-        p = np.exp(logp - logp.max(axis=1, keepdims=True))
-        cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
-        # the count of cum <= u is searchsorted(side="right"), kept in range
-        bins[:, v] = np.minimum((cum <= (u[:, v] * cum[:, -1])[:, None]).sum(axis=1),
-                                nbins[v] - 1)
+        bins[:, v] = _inverse_cdf(logp, u[:, v])
     return model.grid.center_rows(bins)
 
 
@@ -244,11 +250,7 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
                     swept = np.repeat(state, nbins[r], axis=0)
                     swept[:, r] = np.tile(np.arange(nbins[r]), chains)
                     logits += potentials(model, k, regime, swept).reshape(chains, nbins[r])
-            logits -= logits.max(axis=1, keepdims=True)
-            cum = np.cumsum(np.exp(logits), axis=1)
-            u = rng.random(chains) * cum[:, -1]
-            # the count of cum <= u is searchsorted(side="right"), kept in range
-            state[:, r] = np.minimum((cum <= u[:, None]).sum(axis=1), nbins[r] - 1)
+            state[:, r] = _inverse_cdf(logits, rng.random(chains))
         if scan > burn and (scan - burn) % thin == 0:
             out[(scan - burn) // thin - 1] = state
     return model.grid.center_rows(out.reshape(-1, m)[:n])

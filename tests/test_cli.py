@@ -11,7 +11,8 @@ import pytest
 
 from regimecast import cli
 from regimecast.cli import main
-from regimecast.energy import discretize, fit, new_model, save_model
+from regimecast.energy import (discretize, fit, load_model, new_model, pseudo_loglik,
+                               save_model)
 from regimecast.fileio import graph_to_dict, load_graph, load_manifest, write_dataset_csv
 from regimecast.model import (
     FactorSpec,
@@ -221,6 +222,22 @@ def test_minibatch_fit_follows_the_seed(workspace, tmp_path):
     assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 
 
+@pytest.mark.parametrize("batch", [[], ["--batch", "10"]])
+def test_fit_reports_the_start_and_the_written_models_objective(workspace, tmp_path, capsys,
+                                                                 batch):
+    assert main(["fit", "--graph", str(workspace / "graph.json"),
+                 "--data-manifest", str(workspace / "manifest.json"),
+                 "--out", str(tmp_path / "m.json"), "--bins", "6", "--hidden", "4",
+                 "--steps", "5", "--lr", "1e-2", "--seed", "3"] + batch) == 0
+    summary = json.loads(capsys.readouterr().out)
+    ifm = load_graph(workspace / "graph.json")
+    datasets = load_manifest(workspace / "manifest.json", ifm)
+    start = new_model(ifm, discretize(datasets, bins=6), hidden=4, seed=3)
+    assert summary["steps"] == 5
+    assert summary["objective_start"] == pseudo_loglik(start, datasets)
+    assert summary["objective_end"] == pseudo_loglik(load_model(tmp_path / "m.json"), datasets)
+
+
 def test_a_fit_that_diverges_on_its_last_step_writes_nothing(workspace, tmp_path, capsys):
     # each step's objective is taken before its update, so only the final
     # parameters show that the second step of this fit diverged
@@ -413,6 +430,17 @@ def test_estimate_direct_and_ipw(workspace, capsys):
     # direct without a seed is a usage error
     assert main(base + ["--method", "direct"]) == 1
     capsys.readouterr()
+
+
+def test_estimate_alpha_needs_a_seed_even_for_ipw(workspace, capsys):
+    base = ["estimate", "--model", str(workspace / "model.json"),
+            "--data-manifest", str(workspace / "manifest.json"),
+            "--target", "1,1,1", "--method", "ipw"]
+    # the band draws from the model, so it needs the seed that ipw alone does not
+    assert main(base + ["--alpha", "0.2"]) == 1
+    assert "--seed is required" in capsys.readouterr().err
+    assert main(base) == 0
+    assert json.loads(capsys.readouterr().out)["band"] is None
 
 
 def test_estimate_with_alpha_attaches_a_band(workspace, capsys):

@@ -276,14 +276,16 @@ def drawn_counts(prep, rows):
 def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
     model, data = random_structure_model(seed)
     prep = _prepare(model, data)
-    assert _pll_from_prep(model, prep, prep[2], False)[0] == pytest.approx(
-        brute_pseudo_loglik(model, data), rel=1e-10)
+    full = brute_pseudo_loglik(model, data)
+    got, grads = _pll_from_prep(model, prep)
+    assert got == pytest.approx(full, rel=1e-10) and grads is None
 
     rng = np.random.default_rng(seed + 100)
     rows = [rng.choice(ds.n, size=2, replace=False) for ds in data]
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
-    got, grads = _pll_from_prep(model, prep, drawn_counts(prep, rows), True)
-    assert got == pytest.approx(brute_pseudo_loglik(model, sub), rel=1e-10)
+    # a minibatch step's objective is the full data's, its gradient the draw's
+    got, grads = _pll_from_prep(model, prep, drawn_counts(prep, rows))
+    assert got == pytest.approx(full, rel=1e-10)
     want = pll_gradient(model, sub)
     for key in model.nets:
         for g, w in zip(grads[key], want[key]):
@@ -301,9 +303,10 @@ def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
     # ten draws among at most three bin rows repeat one of them
     assert all(counts.max() > 1 and counts.sum() == 10 for counts in drawn)
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
+    full = brute_pseudo_loglik(model, data)
     for counts, raw in ((prep[2], data), (drawn, sub)):
-        got, grads = _pll_from_prep(model, prep, counts, True)
-        assert got == pytest.approx(brute_pseudo_loglik(model, raw), rel=1e-10)
+        got, grads = _pll_from_prep(model, prep, counts)
+        assert got == pytest.approx(full, rel=1e-10)
         want = rowwise_gradient(model, raw)
         for key in model.nets:
             for g, w in zip(grads[key], want[key]):
@@ -312,18 +315,19 @@ def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
 
 def test_fit_minibatches_draw_raw_row_indices(monkeypatch):
     model, data = random_structure_model(7, duplicated=True)
-    drawn = []
+    calls = []
     real_pll = energy._pll_from_prep
 
-    def recording_pll(model, prep, counts, want_grad):
-        if want_grad:  # a step; the logged full objectives are not draws
-            drawn.append(counts)
-        return real_pll(model, prep, counts, want_grad)
+    def recording_pll(model, prep, drawn=None):
+        calls.append(drawn)
+        return real_pll(model, prep, drawn)
     monkeypatch.setattr(energy, "_pll_from_prep", recording_pll)
     fit(model, data, steps=5, lr=1e-2, batch=6, seed=4)
     prep = _prepare(model, data)
     rng = np.random.default_rng(4)
-    assert len(drawn) == 5
+    # one call per step, then one without draws for the returned model
+    *drawn, last = calls
+    assert len(drawn) == 5 and last is None
     for counts in drawn:
         want = drawn_counts(prep, [rng.choice(ds.n, size=6, replace=False) for ds in data])
         for got, w in zip(counts, want, strict=True):
@@ -398,12 +402,11 @@ def test_fit_improves_objective_and_is_deterministic():
     data = rand_datasets(model, rng, n=40)
 
     trained, log = fit(model, data, steps=30, lr=5e-2)
-    assert log.steps == 30 and log.batch is None
-    # full batch logs the objective before each update
-    assert len(log.objectives) == 30
-    assert log.objectives[0] == pytest.approx(pseudo_loglik(model, data))
-    assert log.objectives[-1] > log.objectives[0]
-    assert pseudo_loglik(trained, data) > log.objectives[-1]
+    # the objective before each update, then the returned model's
+    assert len(log.objectives) == 31
+    assert log.objectives[0] == pseudo_loglik(model, data)
+    assert log.objectives[-1] == pseudo_loglik(trained, data)
+    assert log.objectives[-1] > log.objectives[-2] > log.objectives[0]
     # input model untouched
     assert all(np.all(model.nets[k].w2 == 0.0) for k in model.nets)
 
@@ -413,16 +416,18 @@ def test_fit_improves_objective_and_is_deterministic():
         assert np.array_equal(trained.nets[key].b2, again.nets[key].b2)
 
 
-def test_fit_minibatch_logs_per_epoch_and_is_seeded():
+def test_fit_minibatch_logs_every_step_and_is_seeded():
     model = rand_model(seed=2, out_scale=0.0)
     rng = np.random.default_rng(19)
     data = rand_datasets(model, rng, n=24)
 
-    # 24 rows, batch 8: an epoch is 3 steps, so 9 steps log 3 epoch ends
+    # 24 rows, batch 8: 9 steps log the full objective before each update,
+    # then the returned model's
     trained, log = fit(model, data, steps=9, lr=3e-2, batch=8, seed=4)
-    assert log.batch == 8
-    assert len(log.objectives) == 3
-    assert log.objectives[-1] > pseudo_loglik(model, data)
+    assert len(log.objectives) == 10
+    assert log.objectives[0] == pseudo_loglik(model, data)
+    assert log.objectives[-1] == pseudo_loglik(trained, data)
+    assert log.objectives[-1] > log.objectives[0]
 
     same, _ = fit(model, data, steps=9, lr=3e-2, batch=8, seed=4)
     other, _ = fit(model, data, steps=9, lr=3e-2, batch=8, seed=5)
@@ -437,16 +442,38 @@ def test_fit_loop_edge_cases():
     start = pseudo_loglik(model, data)
     for batch in (None, 8):
         _, log = fit(model, data, steps=0, batch=batch)
-        assert log.objectives == (start,)
-    # 24 rows, batch 8: epochs end after steps 3, 6 and 9; step 10 is the last
+        assert log.objectives == (start,) and log.regressions == ()
+    # 24 rows, batch 8: a step count that does not fill whole epochs
     trained, log = fit(model, data, steps=10, lr=3e-2, batch=8, seed=4)
-    assert len(log.objectives) == 4
+    assert len(log.objectives) == 11
     assert log.objectives[-1] == pseudo_loglik(trained, data)
     with pytest.raises(InvalidSpec):
         fit(model, data, steps=1, batch=0)
     for batch in (None, 2):
         with pytest.raises(InvalidSpec, match="at least one dataset"):
             fit(model, [], steps=1, batch=batch)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_fit_logs_the_start_before_each_step_and_the_returned_model(steps, batch):
+    model, data = random_structure_model(4)
+    trained, log = fit(model, data, steps=steps, lr=3e-2, batch=batch, seed=2)
+    assert len(log.objectives) == steps + 1
+    assert log.objectives[0] == pseudo_loglik(model, data)
+    assert log.objectives[-1] == pseudo_loglik(trained, data)
+
+
+@pytest.mark.parametrize("batch", [None, 8])
+def test_fit_regressions_index_the_drops_of_the_objective(batch):
+    model = rand_model(seed=2, out_scale=0.0)
+    data = rand_datasets(model, np.random.default_rng(19), n=24)
+    # a rate this large overshoots on the first step, and later ones
+    _, log = fit(model, data, steps=12, lr=0.3, batch=batch, seed=4)
+    obj = log.objectives
+    assert 1 in log.regressions
+    for i in range(1, len(obj)):
+        assert (i in log.regressions) == (obj[i] < obj[i - 1] - 1e-3)
 
 
 def test_fit_rejects_negative_steps_and_bad_rates():

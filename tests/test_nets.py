@@ -213,6 +213,22 @@ def test_train_with_zero_steps_never_calls_the_closure():
     assert _same(net, start)
 
 
+def test_train_returns_the_objective_before_each_update():
+    net = _net()
+    value_and_grad, _ = _quadratic([net], 0.0)
+    seen = []
+
+    def logged():
+        obj, grads = value_and_grad()
+        seen.append(obj)
+        return obj, grads
+
+    trace = train([net], logged, 4, 0.1, "loss")
+    assert trace == tuple(seen) and len(trace) == 4
+    assert trace[-1] < trace[0]
+    assert train([net], logged, 0, 0.1, "loss") == ()
+
+
 @pytest.mark.parametrize("steps, lr, says", [
     (-1, 0.1, "steps must be >= 0, got -1"),
     (3, float("nan"), "learning rate"),
