@@ -5,8 +5,11 @@ regime, fit the density model, draw samples, estimate outcome means,
 compute conformal bands, and run the simulation benchmark. All results
 are printed (or written) as JSON except sample output, which is CSV.
 
-Exit codes: 0 success (including a definite "not identifiable" answer),
-1 usage error, 2 rejected input or failed precondition, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 rejected input or failed
+precondition, 3 internal error. `identify` exits 0 also when it reports
+`"identifiable": false`: it found no PR-transformation (product of training
+densities raised to exponents) for this training set, which is not a proof
+that the target is unidentified.
 """
 
 from __future__ import annotations
@@ -17,15 +20,17 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, algebraic, junction
 from .errors import ConditionsNotMet, DomainError, InvalidSpec
 from .estimators import (
     conformal_band,
-    estimate_covshift,
     estimate_direct,
     estimate_ipw,
     fit_outcome,
     load_outcome,
+    regime_weights,
     save_outcome,
 )
 from .energy import (
@@ -191,6 +196,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.outcome and args.method != "direct":
+        print("estimate: error: --outcome needs --method direct", file=sys.stderr)
+        return 1
     if (args.method != "ipw" or args.alpha is not None) and args.seed is None:
         print("estimate: error: --seed is required unless the method is ipw without --alpha",
               file=sys.stderr)
@@ -199,18 +207,23 @@ def _cmd_estimate(args) -> int:
     datasets = load_manifest(args.data_manifest, model.ifm)
     target = parse_regime_text(args.target, model.ifm.space)
 
-    if args.method == "direct":
-        if args.outcome:
+    if args.method == "ipw":
+        est = estimate_ipw(datasets, [regime_weights(model, ds, target) for ds in datasets])
+    else:
+        draw_seed = args.seed
+        if args.method == "covshift":
+            # the refit's seed is drawn first, then the draws'
+            rng = np.random.default_rng(args.seed)
+            fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
+            outcome = fit_outcome(datasets, seed=fit_seed,
+                                  weights=[regime_weights(model, ds, target) for ds in datasets])
+        elif args.outcome:
             outcome = load_outcome(args.outcome)
         else:
             outcome = fit_outcome(datasets, seed=args.seed)
-        est = estimate_direct(model, outcome, target, nsamples=args.nsamples,
-                              burn=args.burn, thin=args.thin, seed=args.seed)
-    elif args.method == "ipw":
-        est = estimate_ipw(model, datasets, target)
-    else:
-        est = estimate_covshift(model, datasets, target, nsamples=args.nsamples,
-                                seed=args.seed, burn=args.burn, thin=args.thin)
+        draws = sample(model, target, args.nsamples, burn=args.burn, thin=args.thin,
+                       seed=draw_seed)
+        est = estimate_direct(outcome, draws)
 
     result = {
         "format": ESTIMATE_FORMAT,

@@ -1,10 +1,14 @@
 """Outcome-mean estimators for a target regime, built on a fitted model.
 
-Three routes to E[Y; target]: average a regression net over model samples
-(direct), reweight observed outcomes by density ratios (IPW), or refit the
-regression under those weights first (covariate shift). A weighted split
-conformal procedure turns the direct estimate into a band whose coverage
-holds when the model's density ratios are exact.
+Three routes to E[Y; target]: average a regression net over model draws
+under the target (direct, `estimate_direct`), reweight observed outcomes by
+density ratios toward the target (IPW, `estimate_ipw`), or refit the
+regression under those weights and average the refit over the draws
+(covariate shift: `estimate_direct` of `fit_outcome(..., weights=...)`).
+Each estimator takes the draws or weights it reads; callers make them once
+with `sampling.sample` and `regime_weights`. A weighted split conformal
+procedure turns the direct estimate into a band whose coverage holds when
+the model's density ratios are exact.
 """
 
 from __future__ import annotations
@@ -135,32 +139,30 @@ class Estimate:
     per_regime: tuple | None = None
 
 
-def estimate_direct(model: EnergyModel, outcome: OutcomeModel, target: RegimeVector,
-                    nsamples: int = 2000, seed: int = 0, burn: int = 500,
-                    thin: int = 5) -> Estimate:
-    """Average the outcome net over model samples from the target regime.
+def estimate_direct(outcome: OutcomeModel, draws) -> Estimate:
+    """Average the outcome net over draws from the target regime.
 
-    The draws come from `sampling.sample`. The standard error is the plain
-    iid Monte Carlo one: exact wherever `sample` draws by variable
+    The draws are rows as `sampling.sample` gives them. The standard error
+    is the plain iid Monte Carlo one: exact for the iid draws of variable
     elimination (every elimination clique within `energy.CELL_CAP`), and
-    optimistic under the autocorrelation of its Gibbs fallback, which is
+    optimistic under the autocorrelation of the Gibbs fallback, which is
     acceptable for its reporting role.
     """
-    draws = sample(model, target, nsamples, burn=burn, thin=thin, seed=seed)
     preds = predict_outcome(outcome, draws)
     se = float(preds.std(ddof=1) / np.sqrt(len(preds))) if len(preds) > 1 else 0.0
     return Estimate(float(preds.mean()), se)
 
 
 def regime_weights(model: EnergyModel, ds, target: RegimeVector) -> np.ndarray:
-    """Self-normalized density-ratio weights for one dataset's rows."""
+    """Self-normalized density-ratio weights for one dataset's rows. When
+    the target is the dataset's own regime, they are uniform."""
     logr = log_ratio_rows(model, ds.x, target, ds.regime)
     logr = logr - logr.max()
     w = np.exp(logr)
     return w / w.sum()
 
 
-def pool_ipw(datasets, weights) -> Estimate:
+def estimate_ipw(datasets, weights) -> Estimate:
     """Pool per-regime self-normalized importance-weighted outcome means.
 
     `weights` holds one array per dataset, each summing to 1, as
@@ -170,6 +172,7 @@ def pool_ipw(datasets, weights) -> Estimate:
     the pool; if every regime is left out the unweighted mean of the mu_i is
     returned.
     """
+    _check_outcome_data(datasets)
     per = []
     for ds, w in zip(datasets, weights, strict=True):
         mu_i = float(np.sum(ds.y * w))
@@ -186,36 +189,6 @@ def pool_ipw(datasets, weights) -> Estimate:
         mu = float(np.mean([p.mu for p in per]))
         se = 0.0
     return Estimate(mu, se, per_regime=tuple(per))
-
-
-def estimate_ipw(model: EnergyModel, datasets, target: RegimeVector) -> Estimate:
-    """pool_ipw over each regime's regime_weights toward the target. When the
-    target is itself a training regime, its weights are uniform and its mu_i
-    is the plain sample mean."""
-    model.ifm.space.check_regime(target)
-    _check_outcome_data(datasets)
-    return pool_ipw(datasets, [regime_weights(model, ds, target) for ds in datasets])
-
-
-def estimate_covshift(model: EnergyModel, datasets, target: RegimeVector,
-                      nsamples: int = 2000, seed: int = 0, burn: int = 500,
-                      thin: int = 5, hidden: int = 15, steps: int = 2000,
-                      lr: float = 1e-2) -> Estimate:
-    """Refit the outcome net under target-regime weights, then average it.
-
-    The refit is fit_outcome with each regime's rows weighted by
-    regime_weights (as in estimate_ipw); the estimate then proceeds as in
-    estimate_direct. `seed` draws the refit's seed, then the draws' seed.
-    """
-    model.ifm.space.check_regime(target)
-    _check_outcome_data(datasets)
-    rng = np.random.default_rng(seed)
-    fit_seed = int(rng.integers(2 ** 63))
-    draw_seed = int(rng.integers(2 ** 63))
-    outcome = fit_outcome(datasets, hidden=hidden, steps=steps, lr=lr, seed=fit_seed,
-                          weights=[regime_weights(model, ds, target) for ds in datasets])
-    return estimate_direct(model, outcome, target, nsamples=nsamples,
-                           seed=draw_seed, burn=burn, thin=thin)
 
 
 @dataclass(frozen=True)
@@ -284,16 +257,13 @@ def conformal_band(model: EnergyModel, datasets, target: RegimeVector, alpha: fl
     fit_seed = int(rng.integers(2 ** 63))
     outcome = fit_outcome(fit_parts, hidden=hidden, steps=steps, lr=lr, seed=fit_seed)
 
-    centers = {}
-    for ds in datasets:
-        centers[ds.regime] = estimate_direct(
-            model, outcome, ds.regime, nsamples=nsamples,
-            seed=int(rng.integers(2 ** 63)), burn=burn, thin=thin,
-        ).mu
-    target_mu = estimate_direct(
-        model, outcome, target, nsamples=nsamples,
-        seed=int(rng.integers(2 ** 63)), burn=burn, thin=thin,
-    ).mu
+    def center(regime):
+        draws = sample(model, regime, nsamples, burn=burn, thin=thin,
+                       seed=int(rng.integers(2 ** 63)))
+        return estimate_direct(outcome, draws).mu
+
+    centers = {ds.regime: center(ds.regime) for ds in datasets}
+    target_mu = center(target)
 
     if not score_parts:
         raise InsufficientData("every regime has a single row; nothing left to score")

@@ -602,10 +602,10 @@ def _run_problem(args):
         with _stage(f"problem {p}: estimate with {meth}"):
             if meth == "ifm_direct":
                 for t in targets:
-                    est[t] = float(estimators.predict_outcome(onet, sh["draws_fit"][t]).mean())
+                    est[t] = estimators.estimate_direct(onet, sh["draws_fit"][t]).mu
             elif meth == "ifm_ipw":
                 for t in targets:
-                    est[t] = estimators.pool_ipw(datasets_y, sh["weights"][t]).mu
+                    est[t] = estimators.estimate_ipw(datasets_y, sh["weights"][t]).mu
             elif meth == "ifm_covshift":
                 shift_rng = np.random.default_rng(seeds["covshift"])
                 for t in targets:
@@ -614,7 +614,7 @@ def _run_problem(args):
                         lr=cfg["outcome_lr"], seed=int(shift_rng.integers(2 ** 63)),
                         weights=sh["weights"][t],
                     )
-                    est[t] = float(estimators.predict_outcome(refit, sh["draws_fit"][t]).mean())
+                    est[t] = estimators.estimate_direct(refit, sh["draws_fit"][t]).mu
             elif meth == "ridge":
                 rows = np.vstack([
                     np.tile(np.asarray(ds.regime.levels, dtype=float), (ds.n, 1))
@@ -626,7 +626,7 @@ def _run_problem(args):
                     est[t] = float(beta[0] + np.asarray(t.levels, dtype=float) @ beta[1:])
             elif meth == "dag_direct":
                 for t in targets:
-                    est[t] = float(estimators.predict_outcome(onet, sh["draws_dag"][t]).mean())
+                    est[t] = estimators.estimate_direct(onet, sh["draws_dag"][t]).mu
 
         entry = {"estimates": {regime_text(t): est[t] for t in targets}}
         if targets:

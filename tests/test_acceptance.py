@@ -10,7 +10,7 @@ import pytest
 from regimecast import algebraic, junction
 from regimecast.algebraic import PrTransformation, Unidentifiable
 from regimecast.energy import Grid, new_model, pll_gradient, pseudo_loglik
-from regimecast.estimators import conformal_band, estimate_ipw
+from regimecast.estimators import conformal_band, estimate_ipw, regime_weights
 from regimecast.model import (
     FactorSpec,
     IfmStructure,
@@ -242,7 +242,7 @@ def test_criterion_8_ipw_mean_within_three_standard_errors(acceptance_log):
 
     dens = exact_density(model, target).ravel()
     mu_exact = float(np.sum(dens * outcome_fn(cell_centers(model))))
-    est = estimate_ipw(model, data, target)
+    est = estimate_ipw(data, [regime_weights(model, ds, target) for ds in data])
     elapsed = time.perf_counter() - t0
 
     err = abs(est.mu - mu_exact)

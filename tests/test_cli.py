@@ -13,6 +13,7 @@ from regimecast import cli
 from regimecast.cli import main
 from regimecast.energy import (discretize, fit, load_model, new_model, pseudo_loglik,
                                save_model)
+from regimecast.estimators import estimate_direct, fit_outcome, regime_weights
 from regimecast.fileio import graph_to_dict, load_graph, load_manifest, write_dataset_csv
 from regimecast.model import (
     FactorSpec,
@@ -21,6 +22,8 @@ from regimecast.model import (
     RegimeDataset,
     RegimeVector,
 )
+from regimecast.sampling import sample
+from regimecast.simbench import builtin_structure
 
 TRAIN = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -148,6 +151,31 @@ def test_identify_reports_unidentifiable_targets(workspace, tmp_path, capsys):
         jsonschema.validate(out, schema("certificate"))
         assert out["identifiable"] is False
         assert out["exponents"] is None and out["reason"]
+
+
+def test_identify_certifies_the_named_sachs_example(tmp_path, capsys):
+    # README's worked example: the built-in sachs graph with protein names
+    proteins = ["Raf", "Mek", "Plcg", "PIP2", "PIP3", "Erk", "Akt", "PKA", "PKC", "P38",
+                "Jnk"]
+    graph = graph_to_dict(builtin_structure("sachs").ifm)
+    names = dict(zip(graph["variables"], proteins))
+    graph["variables"] = proteins
+    for factor in graph["factors"]:
+        factor["variables"] = [names[v] for v in factor["variables"]]
+    assert {"variables": ["Raf", "Mek", "PKA", "PKC"], "interventions": ["u0126"]} \
+        in graph["factors"]
+    (tmp_path / "sachs.json").write_text(json.dumps(graph))
+    (tmp_path / "train.json").write_text(json.dumps(
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+    argv = ["identify", "--graph", str(tmp_path / "sachs.json"),
+            "--train", str(tmp_path / "train.json"), "--target", "1,1,1,1"]
+    assert main(argv + ["--route", "tree"]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["identifiable"] and tree["exponents"] == [-3.0, 1.0, 1.0, 1.0, 1.0]
+    assert main(argv + ["--route", "algebraic"]) == 0
+    alg = json.loads(capsys.readouterr().out)
+    assert alg["identifiable"] and np.allclose(alg["exponents"], [-3.0, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_exit_codes(workspace, tmp_path, capsys):
@@ -430,6 +458,42 @@ def test_estimate_direct_and_ipw(workspace, capsys):
     # direct without a seed is a usage error
     assert main(base + ["--method", "direct"]) == 1
     capsys.readouterr()
+
+
+def test_estimate_outcome_file_is_for_the_direct_method_only(workspace, capsys):
+    base = ["estimate", "--model", str(workspace / "model.json"),
+            "--data-manifest", str(workspace / "manifest.json"),
+            "--target", "1,1,1", "--outcome", str(workspace / "outcome.json"),
+            "--seed", "3", "--nsamples", "50", "--burn", "10", "--thin", "1"]
+    assert main(base + ["--method", "direct"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "direct"
+    for method in ("ipw", "covshift"):
+        assert main(base + ["--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--outcome needs --method direct" in captured.err
+
+
+def test_estimate_covshift_is_the_weighted_refit(workspace, capsys):
+    rc = main(["estimate", "--model", str(workspace / "model.json"),
+               "--data-manifest", str(workspace / "manifest.json"),
+               "--target", "1,1,1", "--method", "covshift",
+               "--seed", "7", "--nsamples", "60", "--burn", "10", "--thin", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    jsonschema.validate(out, schema("estimate"))
+    assert out["method"] == "covshift" and out["per_regime"] is None
+
+    # the library composition; --seed draws the refit's seed first, then the draws'
+    model = load_model(workspace / "model.json")
+    datasets = load_manifest(workspace / "manifest.json", model.ifm)
+    target = RegimeVector((1, 1, 1))
+    rng = np.random.default_rng(7)
+    fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
+    refit = fit_outcome(datasets, seed=fit_seed,
+                        weights=[regime_weights(model, ds, target) for ds in datasets])
+    want = estimate_direct(refit, sample(model, target, 60, burn=10, thin=1, seed=draw_seed))
+    assert out["mu_hat"] == want.mu and out["se"] == want.se
 
 
 def test_estimate_alpha_needs_a_seed_even_for_ipw(workspace, capsys):

@@ -17,14 +17,12 @@ from regimecast.errors import (
 from regimecast.estimators import (
     ConformalBand,
     conformal_band,
-    estimate_covshift,
     estimate_direct,
     estimate_ipw,
     fit_outcome,
     load_outcome,
     outcome_from_dict,
     outcome_to_dict,
-    pool_ipw,
     predict_outcome,
     regime_weights,
     save_outcome,
@@ -38,7 +36,7 @@ from regimecast.model import (
     distinct_rows,
 )
 from regimecast.nets import mlp_forward
-from regimecast.sampling import exact_density
+from regimecast.sampling import exact_density, sample
 
 
 def make_model(seed=0, out_scale=0.8):
@@ -55,6 +53,10 @@ def make_data(rng, regimes, n=40, fn=None):
         y = fn(x) if fn is not None else rng.normal(size=n)
         out.append(RegimeDataset(RegimeVector(levels), x, y))
     return out
+
+
+def weights_toward(model, data, target):
+    return [regime_weights(model, ds, target) for ds in data]
 
 
 def test_fit_outcome_learns_a_smooth_function():
@@ -161,21 +163,6 @@ def test_fit_outcome_names_the_diverging_step():
         fit_outcome(data, hidden=3, steps=5, lr=1e200)
 
 
-def test_estimate_covshift_is_the_weighted_refit():
-    model = make_model(seed=6)
-    data = make_data(np.random.default_rng(5), [(0, 0), (1, 0)], n=30)
-    target = RegimeVector((1, 1))
-    got = estimate_covshift(model, data, target, nsamples=60, seed=7, burn=10, thin=1,
-                            hidden=4, steps=20, lr=1e-2)
-    # estimate_covshift draws the refit's seed first, then the draws' seed
-    rng = np.random.default_rng(7)
-    fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
-    refit = fit_outcome(data, hidden=4, steps=20, lr=1e-2, seed=fit_seed,
-                        weights=[regime_weights(model, ds, target) for ds in data])
-    want = estimate_direct(model, refit, target, nsamples=60, seed=draw_seed, burn=10, thin=1)
-    assert got == want
-
-
 def test_predict_outcome_checks_width():
     rng = np.random.default_rng(3)
     data = make_data(rng, [(0, 0)], n=10)
@@ -196,14 +183,13 @@ def test_estimate_direct_matches_exact_expectation():
     centers = model.grid.center_rows(cells)
     mu_exact = float(np.sum(dens.reshape(-1) * predict_outcome(outcome, centers)))
 
-    est = estimate_direct(model, outcome, target, nsamples=8000, seed=6,
-                          burn=200, thin=1)
+    est = estimate_direct(outcome, sample(model, target, 8000, burn=200, thin=1, seed=6))
     assert abs(est.mu - mu_exact) < 0.05
     assert est.se > 0.0
 
     # untrained net is identically zero, so the average is exactly zero
     zero = fit_outcome(data, hidden=3, steps=0)
-    flat = estimate_direct(model, zero, target, nsamples=50, seed=7, burn=10, thin=1)
+    flat = estimate_direct(zero, sample(model, target, 50, burn=10, thin=1, seed=7))
     assert flat.mu == 0.0 and flat.se == 0.0
 
 
@@ -222,7 +208,7 @@ def test_estimate_ipw_on_target_regime_is_the_sample_mean():
     model = make_model(seed=10)
     rng = np.random.default_rng(11)
     ds = make_data(rng, [(0, 1)], n=25)[0]
-    est = estimate_ipw(model, [ds], RegimeVector((0, 1)))
+    est = estimate_ipw([ds], weights_toward(model, [ds], RegimeVector((0, 1))))
     assert est.mu == pytest.approx(float(ds.y.mean()))
     assert est.se == pytest.approx(math.sqrt(float(np.sum((ds.y / 25) ** 2))))
     assert len(est.per_regime) == 1
@@ -234,7 +220,7 @@ def test_estimate_ipw_pools_by_inverse_variance():
     rng = np.random.default_rng(13)
     data = make_data(rng, [(0, 0), (1, 0), (0, 1)], n=20)
     target = RegimeVector((1, 1))
-    est = estimate_ipw(model, data, target)
+    est = estimate_ipw(data, weights_toward(model, data, target))
 
     mus, inv = [], []
     for ds in data:
@@ -245,17 +231,8 @@ def test_estimate_ipw_pools_by_inverse_variance():
     assert est.mu == pytest.approx(want)
     assert est.se == pytest.approx(math.sqrt(1.0 / sum(inv)))
     assert [p.regime.levels for p in est.per_regime] == [(0, 0), (1, 0), (0, 1)]
-
-
-def test_pool_ipw_on_regime_weights_is_estimate_ipw():
-    model = make_model(seed=12)
-    rng = np.random.default_rng(13)
-    data = make_data(rng, [(0, 0), (1, 0), (0, 1)], n=20)
-    for target in (RegimeVector((1, 1)), RegimeVector((1, 0))):
-        weights = [regime_weights(model, ds, target) for ds in data]
-        assert pool_ipw(data, weights) == estimate_ipw(model, data, target)
     with pytest.raises(ValueError):
-        pool_ipw(data, weights[:2])
+        estimate_ipw(data, weights_toward(model, data, target)[:2])
 
 
 def test_estimate_ipw_skips_zero_variance_regimes():
@@ -263,28 +240,29 @@ def test_estimate_ipw_skips_zero_variance_regimes():
     rng = np.random.default_rng(15)
     zeros = make_data(rng, [(0, 0)], n=10, fn=lambda x: np.zeros(len(x)))
     ones = make_data(rng, [(1, 0)], n=10, fn=lambda x: np.ones(len(x)))
-    est = estimate_ipw(model, zeros + ones, RegimeVector((1, 1)))
+    target = RegimeVector((1, 1))
+    est = estimate_ipw(zeros + ones, weights_toward(model, zeros + ones, target))
     assert est.mu == pytest.approx(1.0)
 
-    only_zeros = estimate_ipw(model, zeros, RegimeVector((1, 1)))
+    only_zeros = estimate_ipw(zeros, weights_toward(model, zeros, target))
     assert only_zeros.mu == 0.0 and only_zeros.se == 0.0
 
     with pytest.raises(InsufficientData):
-        estimate_ipw(model, [], RegimeVector((1, 1)))
+        estimate_ipw([], [])
     no_y = RegimeDataset(RegimeVector((0, 0)), rng.uniform(size=(5, 2)))
     with pytest.raises(MissingOutcome):
-        estimate_ipw(model, [no_y], RegimeVector((1, 1)))
+        estimate_ipw([no_y], weights_toward(model, [no_y], target))
 
 
 def test_estimate_covshift_recovers_a_constant_outcome():
     model = make_model(seed=16)
     rng = np.random.default_rng(17)
     data = make_data(rng, [(0, 0), (1, 0)], n=50, fn=lambda x: np.full(len(x), 0.7))
-    est = estimate_covshift(model, data, RegimeVector((1, 1)), nsamples=200,
-                            seed=18, burn=50, thin=1, hidden=4, steps=300, lr=3e-2)
+    target = RegimeVector((1, 1))
+    refit = fit_outcome(data, hidden=4, steps=300, lr=3e-2, seed=18,
+                        weights=weights_toward(model, data, target))
+    est = estimate_direct(refit, sample(model, target, 200, burn=50, thin=1, seed=19))
     assert est.mu == pytest.approx(0.7, abs=0.05)
-    with pytest.raises(InsufficientData):
-        estimate_covshift(model, [], RegimeVector((1, 1)))
 
 
 def test_conformal_band_reduces_to_split_quantile_on_target_data():
