@@ -1,184 +1,127 @@
 """Density models, identification certificates, and outcome estimators
-for systems observed under combinations of discrete interventions."""
+for systems observed under combinations of discrete interventions.
+
+Every public name is resolved on first access from the module that defines
+it (PEP 562), so importing the package loads no submodule and no numpy.
+Nothing is cached here: `regimecast.X` is always the current attribute of
+its home module.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .algebraic import (
-    PrTransformation,
-    Unidentifiable,
-    build_system,
-    greedy_reduce,
-    solve_pr,
-    verify_pr,
-)
-from .energy import (
-    EnergyModel,
-    Grid,
-    discretize,
-    density_ratio,
-    fit,
-    load_model,
-    log_ratio_rows,
-    log_unnorm,
-    new_model,
-    pll_gradient,
-    pseudo_loglik,
-    save_model,
-)
-from .errors import (
-    ConditionsNotMet,
-    DegenerateVariable,
-    DomainError,
-    GridTooLarge,
-    InsufficientData,
-    InvalidSpec,
-    MissingOutcome,
-    ModelFormatError,
-    NonFinite,
-    NotChordal,
-    UnknownStructure,
-)
-from .estimators import (
-    ConformalBand,
-    Estimate,
-    OutcomeModel,
-    conformal_band,
-    estimate_direct,
-    estimate_ipw,
-    fit_outcome,
-    load_outcome,
-    predict_outcome,
-    regime_weights,
-    save_outcome,
-)
-from .fileio import (
-    fingerprint,
-    graph_to_dict,
-    load_graph,
-    load_manifest,
-    parse_graph,
-    parse_regime_text,
-    read_dataset_csv,
-    write_dataset_csv,
-)
-from .junction import (
-    ConditionReport,
-    JunctionTree,
-    build_junction_tree,
-    check_conditions,
-    is_decomposable,
-    maximal_cliques,
-    message_passing_identify,
-    triangulate,
-)
-from .model import (
-    FactorSpec,
-    IfmStructure,
-    InterventionSpace,
-    RegimeDataset,
-    RegimeSet,
-    RegimeVector,
-    SigmaGraph,
-    normalize_factors,
-    restrict_regime,
-    sigma_graph,
-    sigma_zero_set,
-)
-from .sampling import exact_density, gibbs_sample, log_partition, sample
-from .simbench import (
-    BenchmarkReport,
-    StructureBundle,
-    builtin_structure,
-    ground_truth_mu,
-    make_dag_truth,
-    make_ifm_truth,
-    make_outcome,
-    prmse,
-    rcor,
-    run_benchmark,
-)
+# `format_version` of a saved energy model; `energy.FORMAT_VERSION` is bound
+# from it, and `regimecast --version` prints it without importing `energy`
+MODEL_FORMAT_VERSION = 1
 
-__all__ = [
-    "__version__",
-    "BenchmarkReport",
-    "ConditionReport",
-    "ConditionsNotMet",
-    "ConformalBand",
-    "DegenerateVariable",
-    "DomainError",
-    "EnergyModel",
-    "Estimate",
-    "FactorSpec",
-    "Grid",
-    "GridTooLarge",
-    "IfmStructure",
-    "InsufficientData",
-    "InterventionSpace",
-    "InvalidSpec",
-    "JunctionTree",
-    "MissingOutcome",
-    "ModelFormatError",
-    "NonFinite",
-    "NotChordal",
-    "OutcomeModel",
-    "PrTransformation",
-    "RegimeDataset",
-    "RegimeSet",
-    "RegimeVector",
-    "SigmaGraph",
-    "StructureBundle",
-    "Unidentifiable",
-    "UnknownStructure",
-    "build_junction_tree",
-    "build_system",
-    "builtin_structure",
-    "check_conditions",
-    "conformal_band",
-    "density_ratio",
-    "discretize",
-    "estimate_direct",
-    "estimate_ipw",
-    "exact_density",
-    "fingerprint",
-    "fit",
-    "fit_outcome",
-    "gibbs_sample",
-    "graph_to_dict",
-    "greedy_reduce",
-    "ground_truth_mu",
-    "is_decomposable",
-    "load_graph",
-    "load_manifest",
-    "load_model",
-    "load_outcome",
-    "log_partition",
-    "log_ratio_rows",
-    "log_unnorm",
-    "make_dag_truth",
-    "make_ifm_truth",
-    "make_outcome",
-    "maximal_cliques",
-    "message_passing_identify",
-    "new_model",
-    "normalize_factors",
-    "parse_graph",
-    "parse_regime_text",
-    "pll_gradient",
-    "predict_outcome",
-    "prmse",
-    "pseudo_loglik",
-    "rcor",
-    "read_dataset_csv",
-    "regime_weights",
-    "restrict_regime",
-    "run_benchmark",
-    "sample",
-    "save_model",
-    "save_outcome",
-    "sigma_graph",
-    "sigma_zero_set",
-    "solve_pr",
-    "triangulate",
-    "verify_pr",
-    "write_dataset_csv",
-]
+_EXPORTS = {
+    "algebraic": (
+        "PrTransformation",
+        "Unidentifiable",
+        "build_system",
+        "greedy_reduce",
+        "solve_pr",
+        "verify_pr",
+    ),
+    "energy": (
+        "EnergyModel",
+        "Grid",
+        "discretize",
+        "density_ratio",
+        "fit",
+        "load_model",
+        "log_ratio_rows",
+        "log_unnorm",
+        "new_model",
+        "pll_gradient",
+        "pseudo_loglik",
+        "save_model",
+    ),
+    "errors": (
+        "ConditionsNotMet",
+        "DegenerateVariable",
+        "DomainError",
+        "GridTooLarge",
+        "InsufficientData",
+        "InvalidSpec",
+        "MissingOutcome",
+        "ModelFormatError",
+        "NonFinite",
+        "NotChordal",
+        "UnknownStructure",
+    ),
+    "estimators": (
+        "ConformalBand",
+        "Estimate",
+        "OutcomeModel",
+        "conformal_band",
+        "estimate_direct",
+        "estimate_ipw",
+        "fit_outcome",
+        "load_outcome",
+        "predict_outcome",
+        "regime_weights",
+        "save_outcome",
+    ),
+    "fileio": (
+        "fingerprint",
+        "graph_to_dict",
+        "load_graph",
+        "load_manifest",
+        "parse_graph",
+        "parse_regime_text",
+        "read_dataset_csv",
+        "write_dataset_csv",
+    ),
+    "junction": (
+        "ConditionReport",
+        "JunctionTree",
+        "build_junction_tree",
+        "check_conditions",
+        "is_decomposable",
+        "maximal_cliques",
+        "message_passing_identify",
+        "triangulate",
+    ),
+    "model": (
+        "FactorSpec",
+        "IfmStructure",
+        "InterventionSpace",
+        "RegimeDataset",
+        "RegimeSet",
+        "RegimeVector",
+        "SigmaGraph",
+        "normalize_factors",
+        "restrict_regime",
+        "sigma_graph",
+        "sigma_zero_set",
+    ),
+    "sampling": ("exact_density", "gibbs_sample", "log_partition", "sample"),
+    "simbench": (
+        "BenchmarkReport",
+        "StructureBundle",
+        "builtin_structure",
+        "ground_truth_mu",
+        "make_dag_truth",
+        "make_ifm_truth",
+        "make_outcome",
+        "prmse",
+        "rcor",
+        "run_benchmark",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,40 +20,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, algebraic, junction
+from . import MODEL_FORMAT_VERSION, __version__
 from .errors import ConditionsNotMet, DomainError, InvalidSpec
-from .estimators import (
-    conformal_band,
-    estimate_direct,
-    estimate_ipw,
-    fit_outcome,
-    load_outcome,
-    regime_weights,
-    save_outcome,
-)
-from .energy import (
-    FORMAT_VERSION as MODEL_FORMAT_VERSION,
-    discretize,
-    fit as fit_energy,
-    load_model,
-    new_model,
-    save_model,
-)
-from .fileio import (
-    fingerprint,
-    load_graph,
-    load_manifest,
-    load_train,
-    parse_regime_text,
-    read_json,
-    regime_text,
-    write_dataset_csv,
-)
-from .model import RegimeDataset, normalize_factors, sigma_graph
-from .sampling import sample
-from .simbench import run_benchmark
+
+# Each command imports what it runs when it runs, so `--version`, `--help`
+# and usage errors load no numpy, and a patched module attribute is seen.
 
 CERT_FORMAT = "regimecast-certificate"
 ESTIMATE_FORMAT = "regimecast-estimate"
@@ -87,7 +58,9 @@ def _emit(obj, out) -> None:
         print(text)
 
 
-def _conditions_dict(report: junction.ConditionReport) -> dict:
+def _conditions_dict(report) -> dict:
+    from .fileio import regime_text
+
     return {
         "passed": report.passed,
         "cliques": [
@@ -103,6 +76,8 @@ def _conditions_dict(report: junction.ConditionReport) -> dict:
 def _certificate(train, target, route, conditions, cert=None, reason=None,
                  support=None) -> dict:
     """Certificate JSON; `cert` None means the target was not identified."""
+    from .fileio import regime_text
+
     out = {
         "format": CERT_FORMAT,
         "format_version": FORMAT_VERSION,
@@ -125,6 +100,10 @@ def _cmd_identify(args) -> int:
     if args.route == "tree" and args.reduce:
         print("identify: error: --reduce needs the algebraic route", file=sys.stderr)
         return 1
+    from . import algebraic, junction
+    from .fileio import load_graph, load_train, parse_regime_text, regime_text
+    from .model import normalize_factors
+
     ifm = load_graph(args.graph)
     train = load_train(args.train, ifm.space)
     target = parse_regime_text(args.target, ifm.space)
@@ -160,6 +139,10 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .energy import discretize, fit as fit_energy, new_model, save_model
+    from .estimators import fit_outcome, save_outcome
+    from .fileio import load_graph, load_manifest
+
     ifm = load_graph(args.graph)
     datasets = load_manifest(args.data_manifest, ifm)
     grid = discretize(datasets, bins=args.bins)
@@ -188,6 +171,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .energy import load_model
+    from .fileio import parse_regime_text, write_dataset_csv
+    from .model import RegimeDataset
+    from .sampling import sample
+
     model = load_model(args.model)
     regime = parse_regime_text(args.regime, model.ifm.space)
     draws = sample(model, regime, args.n, burn=args.burn, thin=args.thin, seed=args.seed)
@@ -203,6 +191,14 @@ def _cmd_estimate(args) -> int:
         print("estimate: error: --seed is required unless the method is ipw without --alpha",
               file=sys.stderr)
         return 1
+    import numpy as np
+
+    from .energy import load_model
+    from .estimators import (conformal_band, estimate_direct, estimate_ipw, fit_outcome,
+                             load_outcome, regime_weights)
+    from .fileio import load_manifest, parse_regime_text, regime_text
+    from .sampling import sample
+
     model = load_model(args.model)
     datasets = load_manifest(args.data_manifest, model.ifm)
     target = parse_regime_text(args.target, model.ifm.space)
@@ -249,6 +245,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_conformal(args) -> int:
+    from .energy import load_model
+    from .estimators import conformal_band
+    from .fileio import load_manifest, parse_regime_text, regime_text
+
     model = load_model(args.model)
     datasets = load_manifest(args.data_manifest, model.ifm)
     target = parse_regime_text(args.target, model.ifm.space)
@@ -267,6 +267,9 @@ def _cmd_conformal(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    from .fileio import read_json
+    from .simbench import run_benchmark
+
     config = read_json(args.config) if args.config else {}
     report = run_benchmark(config, jobs=args.jobs)
     report.write_json(args.out)
@@ -277,13 +280,17 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .fileio import fingerprint, load_graph, load_manifest
+    from .junction import is_decomposable
+    from .model import sigma_graph
+
     ifm = load_graph(args.graph)
     result = {
         "ok": True,
         "variables": ifm.m,
         "interventions": ifm.space.d,
         "factors": len(ifm.factors),
-        "chordal": junction.is_decomposable(sigma_graph(ifm)),
+        "chordal": is_decomposable(sigma_graph(ifm)),
         "fingerprint": fingerprint(ifm),
     }
     if args.data_manifest:

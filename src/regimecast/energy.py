@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import MODEL_FORMAT_VERSION as FORMAT_VERSION
 from .errors import DegenerateVariable, InvalidSpec, ModelFormatError, NonFinite, require_keys
 from .fileio import (check_format, fingerprint, graph_to_dict, parse_graph, read_int,
                      read_json, read_list)
@@ -44,7 +45,6 @@ from .nets import (
 )
 
 MODEL_FORMAT = "regimecast-energy-model"
-FORMAT_VERSION = 1
 
 # grids and factor scopes up to this many cells are tabulated
 CELL_CAP = 1_000_000

@@ -6,10 +6,16 @@ so certificate and sampler outputs can be checked against exact numbers.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regimecast
 from regimecast import (
     FactorSpec,
     IfmStructure,
@@ -117,3 +123,15 @@ def exact_iid_draws(model, regime, n, rng) -> np.ndarray:
     centers = np.array(list(itertools.product(*[c for c in model.grid.centers])))
     idx = rng.choice(len(p), size=n, p=p)
     return centers[idx]
+
+
+def run_python(script, *args):
+    """Run `script` in a fresh interpreter that imports the package under
+    test; returns its last stdout line decoded as JSON."""
+    src = str(Path(regimecast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.strip(), proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])

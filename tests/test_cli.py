@@ -1,15 +1,17 @@
 """End-to-end command-line workflow on a small three-switch problem."""
 
+import importlib.util
 import json
 import subprocess
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from regimecast import cli
+from regimecast import __version__, cli, energy
 from regimecast.cli import main
 from regimecast.energy import (discretize, fit, load_model, new_model, pseudo_loglik,
                                save_model)
@@ -24,6 +26,8 @@ from regimecast.model import (
 )
 from regimecast.sampling import sample
 from regimecast.simbench import builtin_structure
+
+from conftest import run_python
 
 TRAIN = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -70,9 +74,12 @@ def workspace(tmp_path_factory):
     return root
 
 
-def test_version_flag(capsys):
+def test_version_flag(workspace, capsys):
     assert main(["--version"]) == 0
-    assert capsys.readouterr().out.startswith("regimecast ")
+    assert capsys.readouterr().out == (
+        f"regimecast {__version__} (model format {energy.FORMAT_VERSION})\n")
+    saved = json.loads((workspace / "model.json").read_text())
+    assert saved["format_version"] == energy.FORMAT_VERSION
 
 
 def test_console_script_is_installed():
@@ -555,3 +562,88 @@ def test_benchmark_command(workspace, tmp_path, capsys):
     jsonschema.validate(report, schema("benchmark_report"))
     rows = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 1 * 1 * len(report["scored_regimes"])
+
+
+# ---- start-up: each process loads only what its command runs ----------------------
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# `python -m regimecast.cli ARGV...`, then the exit code and every loaded module
+STARTUP = """
+import json, runpy, sys
+sys.argv = ["regimecast", *sys.argv[1:]]
+code = None
+try:
+    runpy.run_module("regimecast.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+LIGHT = {"regimecast", "regimecast.cli", "regimecast.errors"}
+MODEL_STACK = {"regimecast.energy", "regimecast.nets", "regimecast.sampling",
+               "regimecast.estimators", "regimecast.simbench"}
+
+
+def startup_modules(argv):
+    """Exit code and loaded module names of one fresh command-line process."""
+    out = run_python(STARTUP, *argv)
+    return out["code"], set(out["modules"])
+
+
+def workflow_argv(workspace, out_dir):
+    """The benchmark's command-line path (validate, identify, fit, two
+    estimates, a band), at tiny sizes on the workspace files."""
+    graph = ["--graph", workspace / "graph.json"]
+    data = ["--data-manifest", workspace / "manifest.json"]
+    model = ["--model", workspace / "model.json", *data, "--target", "1,1,1"]
+    chain = ["--nsamples", "50", "--burn", "5", "--thin", "1"]
+    return {
+        "validate": ["validate", *graph, *data],
+        "identify": ["identify", *graph, "--train", workspace / "train.json",
+                     "--target", "1,1,1"],
+        "fit": ["fit", *graph, *data, "--out", out_dir / "model.json", "--seed", "1",
+                "--bins", "6", "--hidden", "4", "--steps", "2", "--batch", "100",
+                "--outcome-out", out_dir / "outcome.json", "--outcome-hidden", "4",
+                "--outcome-steps", "2"],
+        "estimate_ipw": ["estimate", *model, "--method", "ipw"],
+        "estimate_direct": ["estimate", *model, "--method", "direct",
+                            "--outcome", workspace / "outcome.json", "--seed", "1", *chain],
+        "conformal": ["conformal", *model, "--alpha", "0.2", "--seed", "1",
+                      "--hidden", "4", "--steps", "2", *chain],
+    }
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), (["bogus"], 1)],
+                         ids=["version", "help", "usage-error"])
+def test_version_help_and_usage_errors_load_no_numpy(argv, code):
+    got, modules = startup_modules(argv)
+    assert got == code
+    assert {m for m in modules if m.startswith("regimecast")} <= LIGHT
+    assert "numpy" not in modules
+
+
+def test_each_command_loads_only_what_it_runs(workspace, tmp_path):
+    for label, argv in workflow_argv(workspace, tmp_path).items():
+        code, modules = startup_modules(argv)
+        assert code == 0, label
+        assert not {"regimecast.simbench", "concurrent.futures"} & modules, label
+        if label in ("validate", "identify"):
+            assert not MODEL_STACK & modules, label
+
+
+def test_traced_commands_see_the_tracer_wrappers(workspace, tmp_path, capsys):
+    # commands import at call time, so the benchmark tracer's swap of a module
+    # attribute must reach them
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    argv = workflow_argv(workspace, tmp_path)
+    tracer = spans.Tracer()
+    with tracer.patch():
+        assert cli.main([str(a) for a in argv["validate"]]) == 0
+        assert cli.main([str(a) for a in argv["fit"]]) == 0
+    capsys.readouterr()
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("cli.main") == 2
+    assert names.count("fileio.load_manifest") == 2
+    assert names.count("energy.fit") == 1

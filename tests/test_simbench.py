@@ -28,6 +28,8 @@ from regimecast.simbench import (
     _ridge_fit,
 )
 
+from conftest import run_python
+
 TINY_CONFIG = {
     "structure": "chain3",
     "truth": "ifm",
@@ -430,3 +432,19 @@ def test_run_benchmark_merge_does_not_depend_on_jobs(tmp_path):
     solo.write_csv(tmp_path / "solo.csv")
     pooled.write_csv(tmp_path / "pooled.csv")
     assert (tmp_path / "solo.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+# what the in-process benchmark does: import simbench, then time runs
+RUN_IMPORTS = """
+import json, sys
+import regimecast.simbench
+before = {m for m in sys.modules if m.startswith("regimecast")}
+regimecast.simbench.run_benchmark(json.loads(sys.argv[1]), jobs=1)
+print(json.dumps(sorted({m for m in sys.modules if m.startswith("regimecast")} - before)))
+"""
+
+
+def test_a_run_imports_no_package_module():
+    config = {**TINY_CONFIG, "n_problems": 1,
+              "methods": ["ifm_direct", "ifm_ipw", "ifm_covshift", "ridge"]}
+    assert run_python(RUN_IMPORTS, json.dumps(config)) == []
