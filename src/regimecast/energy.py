@@ -48,6 +48,8 @@ MODEL_FORMAT = "regimecast-energy-model"
 
 # grids and factor scopes up to this many cells are tabulated
 CELL_CAP = 1_000_000
+# grid cells per net evaluation when building a factor table
+TABLE_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,12 @@ def tabulated(model: EnergyModel, scope) -> bool:
 
 
 def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray:
-    """Potential of factor k over its variables' full grid; cached, read-only."""
+    """Potential of factor k over its variables' full grid; cached, read-only.
+
+    The net runs on the grid's cells in row-major order, TABLE_BLOCK cells
+    at a time, each block written into the preallocated table, so the
+    hidden array is at most (hidden, TABLE_BLOCK) whatever the grid size.
+    """
     f = model.ifm.factors[k]
     key = (k, regime.project(f.intv_scope))
     net, table = model.tables.get(key, (None, None))
@@ -203,7 +210,10 @@ def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray
         centers = [model.grid.centers[j] for j in f.var_scope]
         mesh = np.meshgrid(*centers, indexing="ij", copy=False)
         feats = np.stack(mesh).reshape(len(centers), -1).T  # column-major, one copy
-        table = mlp_forward(net, feats)[0].reshape([c.size for c in centers])
+        table = np.empty([c.size for c in centers])
+        flat = table.reshape(-1)
+        for start in range(0, flat.size, TABLE_BLOCK):
+            flat[start:start + TABLE_BLOCK] = mlp_forward(net, feats[start:start + TABLE_BLOCK])[0]
         table.flags.writeable = False
         model.tables[key] = (net, table)
     return table

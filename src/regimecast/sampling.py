@@ -10,12 +10,17 @@ autocorrelation. A grid of one clique is the special case of one table.
 Each model builds its elimination plan once and keeps each message for the
 regimes that agree on the interventions reaching its step. The backward
 pass reads those factor tables and messages; it keeps no clique table.
+Every kernel works bins first: a message builds its clique table with the
+eliminated variable's axis leading, and each draw gathers the slices it
+reads as (nbins, rows), so the logsumexp and the inverse CDF reduce along
+the leading axis, where numpy reduces fastest.
 When some elimination clique has more than `energy.CELL_CAP` cells it runs
 `gibbs_sample`, which moves `CHAINS` chains in lockstep. Conditionals of
 one variable given the rest involve only the factors that read it, so each
 update gathers, for every chain at once, a slice of each such factor's
 cached `energy.factor_table` (or, above the cap, its `energy.potentials`)
-along that variable's axis, normalizes over its bins, and draws.
+along that variable's axis, as (nbins, chains), normalizes over its bins,
+and draws.
 `log_partition` returns the forward pass's by-product, log Z.
 """
 
@@ -96,19 +101,22 @@ def _plan(model: EnergyModel) -> tuple:
 
 def _message(nbins, v, others, inputs) -> np.ndarray:
     """logsumexp over v of the summed inputs: a read-only log table with one
-    axis per variable in `others`."""
-    axes = others + [v]
+    axis per variable in `others`.
+
+    The clique table is built with v's axis first, (nbins[v], others...),
+    with no transposed copy, and reduced over that leading axis in place:
+    numpy reduces a leading axis about twice as fast as a short trailing one.
+    """
+    axes = [v] + others
     table = np.zeros([nbins[j] for j in axes])
     for scope, t in inputs:
-        # scopes are sorted, so moving v's axis last puts t's axes in clique order
-        t = np.moveaxis(t, scope.index(v), -1)
+        # scopes are sorted, so moving v's axis first puts t's axes in clique order
+        t = np.moveaxis(t, scope.index(v), 0)
         table += t.reshape([nbins[j] if j in scope else 1 for j in axes])
-    # logsumexp over v on a copy with v's axis first: numpy reduces a
-    # leading axis about twice as fast as a short trailing one
-    work = table.reshape(-1, nbins[v]).T.copy()
+    work = table.reshape(nbins[v], -1)
     top = work.max(axis=0)
     work -= top
-    msg = (top + np.log(np.exp(work, out=work).sum(axis=0))).reshape(table.shape[:-1])
+    msg = (top + np.log(np.exp(work, out=work).sum(axis=0))).reshape(table.shape[1:])
     msg.flags.writeable = False
     return msg
 
@@ -154,14 +162,23 @@ def log_partition(model: EnergyModel, regime: RegimeVector) -> float:
     return forward[1]
 
 
+def _slices(table: np.ndarray, index: list) -> np.ndarray:
+    """The bin-axis slices table[:, i, j, ...] at the index arrays (rows,)
+    for the other axes, as (bins, rows); (bins, 1) when there is no other
+    axis."""
+    return table[(slice(None), *index)].reshape(table.shape[0], -1)
+
+
 def _inverse_cdf(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One bin per row of logits (rows, bins) from uniforms u (rows,): the
-    first bin whose cumulative mass exceeds u times the total. The logits
-    are shifted in place by their row maximum."""
-    logits -= logits.max(axis=1, keepdims=True)
-    cum = np.cumsum(np.exp(logits), axis=1)
+    """One bin per column of logits (bins, rows) from uniforms u (rows,):
+    the first bin whose cumulative mass exceeds u times the total. A single
+    column (bins, 1) serves every u. Every reduction runs along the leading
+    bin axis, in place: the logits are overwritten with the cumulative
+    masses."""
+    logits -= logits.max(axis=0)
+    cum = np.cumsum(np.exp(logits, out=logits), axis=0, out=logits)
     # the count of cum <= u * total is searchsorted(side="right"), kept in range
-    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), logits.shape[1] - 1)
+    return np.minimum((cum <= u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
 
 
 def sample(model: EnergyModel, regime: RegimeVector, n: int,
@@ -172,10 +189,11 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
     the rows are n iid exact draws: the backward pass visits the variables
     in reverse elimination order, sums the slices of the factor tables and
     messages its step read at the variables already drawn (the additions
-    of the step's clique table) and draws by inverse CDF (`_inverse_cdf`)
-    from column v of one `rng.random((n, m))`; `burn` and `thin` are
-    checked but unused. Otherwise the rows come from `gibbs_sample` with the same
-    arguments. Either way the rows are a deterministic function of the seed.
+    of the step's clique table), gathered bins first as (nbins[v], n), and
+    draws by inverse CDF (`_inverse_cdf`) from column v of one
+    `rng.random((n, m))`; `burn` and `thin` are checked but unused.
+    Otherwise the rows come from `gibbs_sample` with the same arguments.
+    Either way the rows are a deterministic function of the seed.
     """
     _check_draws(n, burn, thin)
     forward = _forward(model, regime)
@@ -186,11 +204,11 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
     u = np.random.default_rng(seed).random((n, model.ifm.m))
     bins = np.empty((n, model.ifm.m), dtype=int)
     for v, others, inputs, _ in reversed(_plan(model)[1]):
-        # (n, bins) rows, or with no other variable in the clique one row for all n
-        logp = np.zeros((n if others else 1, nbins[v]))
+        # (bins, n), or with no other variable in the clique one column for all n
+        logp = np.zeros((nbins[v], n if others else 1))
         for scope, src in inputs:
-            t = np.moveaxis(arrays[src], scope.index(v), -1)
-            logp += t[tuple(bins[:, j] for j in scope if j != v)]
+            t = np.moveaxis(arrays[src], scope.index(v), 0)
+            logp += _slices(t, [bins[:, j] for j in scope if j != v])
         bins[:, v] = _inverse_cdf(logp, u[:, v])
     return model.grid.center_rows(bins)
 
@@ -201,7 +219,8 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     returns (n, m) rows of bin centers.
 
     One scan updates variables 0..m-1 in order from their full conditionals,
-    in every chain at once, from one uniform per chain and update. Each
+    in every chain at once, from one uniform per chain and update; the
+    conditional logits are gathered bins first, as (nbins[r], chains). Each
     chain starts from every variable's middle bin and discards its first
     `burn` scans; after that every `thin`-th scan keeps the state of all
     chains. Rows come out scan by scan (chain 0..C-1 within a scan) and are
@@ -228,9 +247,9 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     chains = min(n, CHAINS)
 
     # per variable r, each factor reading it: (factor, its table with r's axis
-    # moved last or None above the cap, the variables indexing the other axes)
+    # moved first or None above the cap, the variables indexing the other axes)
     plans = [
-        [(k, np.moveaxis(factor_table(model, k, regime), f.var_scope.index(r), -1)
+        [(k, np.moveaxis(factor_table(model, k, regime), f.var_scope.index(r), 0)
           if tabulated(model, f.var_scope) else None,
           [j for j in f.var_scope if j != r])
          for k, f in enumerate(model.ifm.factors) if r in f.var_scope]
@@ -242,14 +261,14 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     out = np.empty((kept_scans, chains, m), dtype=int)
     for scan in range(1, burn + kept_scans * thin + 1):
         for r in range(m):
-            logits = np.zeros((chains, nbins[r]))
+            logits = np.zeros((nbins[r], chains))
             for k, table, others in plans[r]:
                 if table is not None:
-                    logits += table[tuple(state[:, j] for j in others)]
+                    logits += _slices(table, [state[:, j] for j in others])
                 else:
                     swept = np.repeat(state, nbins[r], axis=0)
                     swept[:, r] = np.tile(np.arange(nbins[r]), chains)
-                    logits += potentials(model, k, regime, swept).reshape(chains, nbins[r])
+                    logits += potentials(model, k, regime, swept).reshape(chains, nbins[r]).T
             state[:, r] = _inverse_cdf(logits, rng.random(chains))
         if scan > burn and (scan - burn) % thin == 0:
             out[(scan - burn) // thin - 1] = state

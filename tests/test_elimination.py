@@ -193,3 +193,41 @@ def test_the_cell_cap_is_read_on_every_call_with_a_warm_plan(monkeypatch):
         log_partition(model, r)
     monkeypatch.setattr(energy, "CELL_CAP", int(largest))
     assert np.array_equal(sample(model, r, 60, burn=5, thin=1, seed=2), exact)
+
+
+def oracle_draws(model, regime, n, seed):
+    """Per-row backward sampling from the joint table: each variable, in
+    reverse elimination order, from `exact_density` summed over the
+    variables not yet drawn and sliced at those drawn, by the inverse-CDF
+    rule on column v of the same `rng.random((n, m))`."""
+    p = exact_density(model, regime)
+    u = np.random.default_rng(seed).random((n, model.ifm.m))
+    order = [step[0] for step in reversed(sampling._plan(model)[1])]
+    bins = np.empty((n, model.ifm.m), dtype=int)
+    for i in range(n):
+        for pos, v in enumerate(order):
+            drawn = order[:pos]
+            cond = p.sum(axis=tuple(j for j in range(model.ifm.m) if j != v and j not in drawn))
+            # the summed table keeps v and the drawn axes in variable order
+            kept = sorted(drawn + [v])
+            cond = cond[tuple(bins[i, j] if j != v else slice(None) for j in kept)]
+            cum = np.cumsum(cond)
+            bins[i, v] = min(np.searchsorted(cum, u[i, v] * cum[-1], side="right"), cum.size - 1)
+    return model.grid.center_rows(bins)
+
+
+def test_elimination_draws_equal_a_per_row_oracle_stream():
+    """Exact draws are a fixed function of the seed: every row equals the
+    per-row oracle, so a layout change that moves the stream shows here."""
+    space = InterventionSpace(("s",), (2,))
+    # a four-cycle with a fill edge plus a fifth variable alone in its clique
+    factors = tuple(FactorSpec(p, (0,) if k == 0 else ())
+                    for k, p in enumerate([*FOUR_CYCLE, (4,)]))
+    chords = (IfmStructure(5, space, factors), grid_for((3, 4, 5, 2, 3)))
+    triangle = pairwise_model(3, TRIANGLE, bins=4, seed=6)
+    models = [new_model(*chords, hidden=5, seed=4, out_scale=1.5), triangle]
+    for model in models:
+        for level in (0, 1):
+            r = RegimeVector((level,))
+            want = oracle_draws(model, r, 400, seed=12 + level)
+            assert np.array_equal(sample(model, r, 400, seed=12 + level), want)

@@ -1,6 +1,7 @@
 """Energy model: grids, pseudo-likelihood, fitting, and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -637,6 +638,12 @@ def test_model_from_dict_rejects_missing_keys_nonfinite_weights_and_bad_shapes()
     assert np.array_equal(back.nets[key].w1, np.asarray(net["w1"]))
 
 
+def grid_features(grid, scope):
+    """Every cell of the scope grid in row-major order, one column per variable."""
+    mesh = np.meshgrid(*[grid.centers[j] for j in scope], indexing="ij")
+    return np.column_stack([g.reshape(-1) for g in mesh])
+
+
 def test_factor_tables_lay_the_grid_out_in_scope_order():
     # unequal bin counts per variable, so a swapped or transposed axis shows
     sp = InterventionSpace(("a", "b"), (2, 2))
@@ -644,10 +651,43 @@ def test_factor_tables_lay_the_grid_out_in_scope_order():
     grid = Grid(tuple(np.linspace(-1.0, 1.0 + j, n + 1) for j, n in enumerate((2, 3, 4, 5))))
     model = new_model(ifm, grid, hidden=6, seed=11, out_scale=0.9)
     for k, f in enumerate(ifm.factors):
-        centers = [grid.centers[j] for j in f.var_scope]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        feats = np.column_stack([g.reshape(-1) for g in mesh])
-        ref = mlp_forward(model.net_for(k, RegimeVector((1, 1))), feats)[0]
+        net = model.net_for(k, RegimeVector((1, 1)))
+        ref = mlp_forward(net, grid_features(grid, f.var_scope))[0]
         table = factor_table(model, k, RegimeVector((1, 1)))
-        assert table.shape == tuple(c.size for c in centers)
+        assert table.shape == tuple(grid.nbins[j] for j in f.var_scope)
         assert np.array_equal(table, ref.reshape(table.shape))
+
+
+def test_blocked_factor_tables_equal_the_whole_grid_forward_bitwise():
+    # 30 x 30 x 25 = 22,500 cells: two full blocks and a ragged third
+    sp = InterventionSpace(("a",), (2,))
+    ifm = IfmStructure(3, sp, (FactorSpec((0, 1, 2), (0,)),))
+    grid = Grid(tuple(np.linspace(-1.0, 1.0 + j, n + 1) for j, n in enumerate((30, 30, 25))))
+    model = new_model(ifm, grid, hidden=7, seed=3, out_scale=1.2)
+    for level in (0, 1):
+        r = RegimeVector((level,))
+        table = factor_table(model, 0, r)
+        assert table.size > 2 * energy.TABLE_BLOCK and table.size % energy.TABLE_BLOCK
+        ref = mlp_forward(model.net_for(0, r), grid_features(grid, (0, 1, 2)))[0]
+        assert np.array_equal(table, ref.reshape(table.shape))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+
+def test_a_cold_four_variable_table_build_stays_small_in_memory():
+    """The net's hidden array is at most (hidden, TABLE_BLOCK) per block; on
+    the whole 160,000-cell grid at hidden 15 it alone would be 19.2 MB."""
+    bundle = builtin_structure("sachs")
+    k = next(k for k, f in enumerate(bundle.ifm.factors) if len(f.var_scope) == 4)
+    grid = Grid(tuple(np.linspace(-1.0, 1.0, 21) for _ in range(bundle.ifm.m)))
+    model = new_model(bundle.ifm, grid, hidden=15, seed=1, out_scale=1.0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        table = factor_table(model, k, bundle.test.regimes[-1])
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert table.size == 20 ** 4
+    assert peak < 10 * 2 ** 20, peak

@@ -11,7 +11,7 @@ from regimecast.model import (
     InterventionSpace,
     RegimeVector,
 )
-from regimecast import energy
+from regimecast import energy, sampling
 from regimecast.sampling import CHAINS, exact_density, gibbs_sample, sample
 
 from conftest import tv
@@ -184,3 +184,48 @@ def test_sample_checks_its_arguments_on_the_exact_path():
             sample(model, r, **kwargs)
     with pytest.raises(InvalidSpec):
         sample(model, RegimeVector((2, 0)), 5)
+
+
+def reference_inverse_cdf(logits_row, u):
+    """The per-row rule: the first bin whose cumulative mass exceeds u times
+    the total, kept in range."""
+    cum = np.cumsum(np.exp(logits_row - logits_row.max()))
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), logits_row.size - 1)
+
+
+def test_bins_first_inverse_cdf_matches_the_per_row_rule():
+    rng = np.random.default_rng(8)
+    nbins, rows = 7, 400
+    logits = rng.normal(scale=2.0, size=(nbins, rows))
+    logits[3, ::2] = -60.0  # a bin of negligible mass in every other column
+    u = rng.random(rows)
+    u[:5] = np.nextafter(1.0, 0.0)  # as close to 1 as a uniform gets
+    u[5:8] = 0.0
+    want = [reference_inverse_cdf(logits[:, i], u[i]) for i in range(rows)]
+    got = sampling._inverse_cdf(logits.copy(), u)
+    assert got.tolist() == want
+    assert got[:5].tolist() == [nbins - 1] * 5
+    assert 3 not in got[::2]
+    # one column for all rows: a variable with no other member in its clique
+    column = logits[:, :1]
+    want = [reference_inverse_cdf(column[:, 0], ui) for ui in u]
+    assert sampling._inverse_cdf(column.copy(), u).tolist() == want
+
+
+def test_message_is_the_logsumexp_of_the_brute_force_clique_table():
+    rng = np.random.default_rng(9)
+    nbins = (3, 4, 2, 5)
+    v, others = 1, [0, 2, 3]
+    scopes = [(0, 1), (1, 2, 3), (1,), (1, 3)]
+    inputs = [(s, rng.normal(scale=3.0, size=[nbins[j] for j in s])) for s in scopes]
+    clique = np.zeros(nbins)
+    for scope, t in inputs:
+        clique = clique + t.reshape([nbins[j] if j in scope else 1 for j in range(4)])
+    msg = sampling._message(nbins, v, others, inputs)
+    want = np.logaddexp.reduce(clique, axis=v)
+    assert msg.shape == want.shape and not msg.flags.writeable
+    assert np.allclose(msg, want, rtol=1e-12, atol=0.0)
+    # a variable alone in its clique leaves a scalar
+    alone = sampling._message(nbins, 2, [], [((2,), inputs[1][1][0, :, 0])])
+    assert alone.shape == ()
+    assert alone == pytest.approx(np.logaddexp.reduce(inputs[1][1][0, :, 0]), rel=1e-12)
