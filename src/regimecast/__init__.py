@@ -28,7 +28,6 @@ _EXPORTS = {
         "EnergyModel",
         "Grid",
         "discretize",
-        "density_ratio",
         "fit",
         "load_model",
         "log_ratio_rows",
@@ -102,7 +101,6 @@ _EXPORTS = {
         "BenchmarkReport",
         "StructureBundle",
         "builtin_structure",
-        "ground_truth_mu",
         "make_dag_truth",
         "make_ifm_truth",
         "make_outcome",

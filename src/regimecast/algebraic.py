@@ -36,8 +36,6 @@ class LinearSystem:
     a: np.ndarray
     b: np.ndarray
     symbols: tuple
-    train: RegimeSet
-    target: RegimeVector
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> L
             b[row] = 1.0
     a.flags.writeable = False
     b.flags.writeable = False
-    return LinearSystem(a, b, tuple(symbols), train, target)
+    return LinearSystem(a, b, tuple(symbols))
 
 
 def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):

@@ -40,14 +40,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _band_fields(band) -> dict:
-    """lo, hi, alpha and half_width of a band; infinite values become null."""
-    def finite_or_none(v):
-        v = float(v)
-        return v if math.isfinite(v) else None
-
-    return {"lo": finite_or_none(band.lo), "hi": finite_or_none(band.hi),
-            "alpha": band.alpha, "half_width": finite_or_none(band.half_width)}
+def _finite_or_none(v):
+    """A band end or width as JSON: an infinite value becomes null."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 def _emit(obj, out) -> None:
@@ -187,15 +183,14 @@ def _cmd_estimate(args) -> int:
     if args.outcome and args.method != "direct":
         print("estimate: error: --outcome needs --method direct", file=sys.stderr)
         return 1
-    if (args.method != "ipw" or args.alpha is not None) and args.seed is None:
-        print("estimate: error: --seed is required unless the method is ipw without --alpha",
-              file=sys.stderr)
+    if args.method != "ipw" and args.seed is None:
+        print("estimate: error: --seed is required unless the method is ipw", file=sys.stderr)
         return 1
     import numpy as np
 
     from .energy import load_model
-    from .estimators import (conformal_band, estimate_direct, estimate_ipw, fit_outcome,
-                             load_outcome, regime_weights)
+    from .estimators import (estimate_direct, estimate_ipw, fit_outcome, load_outcome,
+                             regime_weights)
     from .fileio import load_manifest, parse_regime_text, regime_text
     from .sampling import sample
 
@@ -229,17 +224,12 @@ def _cmd_estimate(args) -> int:
         "mu_hat": est.mu,
         "se": est.se,
         "per_regime": None,
-        "band": None,
     }
     if est.per_regime is not None:
         result["per_regime"] = [
             {"regime": regime_text(r.regime), "mu": r.mu, "var_proxy": r.var_proxy}
             for r in est.per_regime
         ]
-    if args.alpha is not None:
-        band = conformal_band(model, datasets, target, args.alpha, seed=args.seed,
-                              nsamples=args.nsamples, burn=args.burn, thin=args.thin)
-        result["band"] = _band_fields(band)
     _emit(result, args.out)
     return 0
 
@@ -261,7 +251,10 @@ def _cmd_conformal(args) -> int:
         "target": regime_text(target),
         "center": band.center,
         "n_scores": band.n_scores,
-        **_band_fields(band),
+        "lo": _finite_or_none(band.lo),
+        "hi": _finite_or_none(band.hi),
+        "alpha": band.alpha,
+        "half_width": _finite_or_none(band.half_width),
     }, args.out)
     return 0
 
@@ -356,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--method", choices=("direct", "ipw", "covshift"), default="direct")
     p.add_argument("--outcome", help="saved outcome model (direct method only)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="also report a conformal band at this miscoverage")
     p.add_argument("--nsamples", type=int, default=2000)
     p.add_argument("--burn", type=int, default=500)
     p.add_argument("--thin", type=int, default=5)

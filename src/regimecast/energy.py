@@ -428,19 +428,6 @@ def log_ratio_rows(model: EnergyModel, x, num: RegimeVector, den: RegimeVector) 
     return delta
 
 
-def density_ratio(model: EnergyModel, x, num: RegimeVector, den: RegimeVector):
-    """Unnormalized density ratio p(x; num) / p(x; den) for raw rows x.
-
-    Factors whose level pattern agrees under both regimes drop out exactly,
-    so regimes differing only in factors that do not read some variables
-    give ratios constant in those variables. Normalizing constants are NOT
-    included; downstream consumers self-normalize.
-    """
-    delta = log_ratio_rows(model, x, num, den)
-    ratio = np.exp(delta)
-    return float(ratio[0]) if np.asarray(x, dtype=float).ndim == 1 else ratio
-
-
 def model_to_dict(model: EnergyModel) -> dict:
     nets = []
     for key in sorted(model.nets):

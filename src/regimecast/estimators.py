@@ -227,6 +227,10 @@ def conformal_band(model: EnergyModel, datasets, target: RegimeVector, alpha: fl
     is the usual split conformal quantile. Coverage is >= 1 - alpha when the
     model's ratios are exact.
 
+    Unnormalized ratios are pooled across regimes before one rescaling, so
+    each regime's weights also carry its own Z_target / Z_regime; the band
+    assumes these partition-function ratios are equal across training regimes.
+
     Args:
         model: fitted energy model supplying density ratios and samples.
         datasets: training data with outcomes.

@@ -72,8 +72,10 @@ def check_format(obj, fmt: str, version: int) -> None:
     """Raise ModelFormatError unless obj is a `fmt` file at `version`."""
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise ModelFormatError(f"not a {fmt} file")
-    if obj.get("format_version") != version:
-        raise ModelFormatError(f"unsupported format_version {obj.get('format_version')!r}")
+    found = obj.get("format_version")
+    # True == 1 in Python, so a boolean is refused by type, as read_int does
+    if isinstance(found, bool) or found != version:
+        raise ModelFormatError(f"unsupported format_version {found!r}")
 
 
 def parse_levels(value, space: InterventionSpace, what: str) -> RegimeVector:

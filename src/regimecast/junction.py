@@ -147,7 +147,6 @@ class CliqueCondition:
     """Coverage result for one clique: which required regimes are missing."""
 
     clique: tuple
-    required: RegimeSet
     missing: tuple
 
     @property
@@ -181,9 +180,8 @@ def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> Condition
     which factor normalization would not change: it adds no sigma-graph edge."""
     entries = []
     for clique in cliques:
-        required = sigma_zero_set(ifm.space, clique)
-        missing = tuple(r for r in required if r not in train)
-        entries.append(CliqueCondition(clique, required, missing))
+        missing = tuple(r for r in sigma_zero_set(ifm.space, clique) if r not in train)
+        entries.append(CliqueCondition(clique, missing))
     return ConditionReport(tuple(entries))
 
 

@@ -94,12 +94,12 @@ class RegimeSet:
     regimes: tuple[RegimeVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "regimes", tuple(self.regimes))
+        regimes = tuple(r if isinstance(r, RegimeVector) else RegimeVector(tuple(r))
+                        for r in self.regimes)
+        object.__setattr__(self, "regimes", regimes)
         d = None
         index = {}
-        for i, r in enumerate(self.regimes):
-            if not isinstance(r, RegimeVector):
-                r = RegimeVector(tuple(r))
+        for i, r in enumerate(regimes):
             if d is None:
                 d = len(r.levels)
             elif len(r.levels) != d:
@@ -198,10 +198,6 @@ class IfmStructure:
                 raise InvalidSpec("var_names length must equal m")
             if len(set(self.var_names)) != self.m:
                 raise InvalidSpec("var_names must be unique")
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
 
 
 @dataclass

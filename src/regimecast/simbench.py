@@ -194,7 +194,6 @@ class DagTruth:
     dag: DagSpec
     mean_nets: tuple
     scale_nets: tuple
-    seed: int
 
     @property
     def m(self) -> int:
@@ -231,7 +230,7 @@ def make_dag_truth(bundle: StructureBundle, seed: int = 0, hidden: int = 10) -> 
         fan_in = len(bundle.dag.parents[k])
         mean_nets.append(tuple(init_mlp(fan_in, hidden, rng, out_scale=1.0) for _ in range(n_sets)))
         scale_nets.append(tuple(init_mlp(fan_in, hidden, rng, out_scale=0.5) for _ in range(n_sets)))
-    return DagTruth(bundle.ifm, bundle.dag, tuple(mean_nets), tuple(scale_nets), seed)
+    return DagTruth(bundle.ifm, bundle.dag, tuple(mean_nets), tuple(scale_nets))
 
 
 @dataclass(eq=False)
@@ -240,7 +239,6 @@ class IfmTruth:
     `burn` and `thin` its draws use when the grid is too large to enumerate."""
 
     model: EnergyModel
-    seed: int
     burn: int
     thin: int
 
@@ -267,7 +265,7 @@ def make_ifm_truth(bundle: StructureBundle, seed: int = 0, bins: int = 20,
     """
     edges = tuple(np.linspace(-span, span, bins + 1) for _ in range(bundle.ifm.m))
     model = new_model(bundle.ifm, Grid(edges), hidden=hidden, seed=seed, out_scale=scale)
-    return IfmTruth(model, seed, burn, thin)
+    return IfmTruth(model, burn, thin)
 
 
 @dataclass(eq=False)
@@ -276,7 +274,6 @@ class OutcomeTruth:
 
     lam: np.ndarray
     noise_sd: float
-    seed: int
 
     def mean(self, x) -> np.ndarray:
         return np.tanh(np.atleast_2d(np.asarray(x, dtype=float)) @ self.lam)
@@ -318,15 +315,7 @@ def make_outcome(truth, seed: int = 0, baseline_x=None, n_calib: int = 20000,
     if var_s <= 1e-12:
         raise DegenerateVariable("baseline signal variance is zero; cannot calibrate")
     lam = lam0 * np.sqrt(signal / var_s)
-    return OutcomeTruth(lam, float(np.sqrt(v_noise)), seed)
-
-
-def ground_truth_mu(truth, outcome: OutcomeTruth, regime: RegimeVector,
-                    nmc: int = 25000, seed: int = 0):
-    """Monte Carlo E[Y; regime]; returns (mu, standard error)."""
-    draws = truth.sample(regime, nmc, seed=seed)
-    vals = outcome.mean(draws)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    return OutcomeTruth(lam, float(np.sqrt(v_noise)))
 
 
 def prmse(estimates, truths, truth_variances) -> float:
@@ -410,7 +399,7 @@ def fit_dag(bundle: StructureBundle, datasets, hidden: int = 10, steps: int = 15
             scales.append(snet)
         mean_nets.append(tuple(means))
         scale_nets.append(tuple(scales))
-    return DagTruth(bundle.ifm, bundle.dag, tuple(mean_nets), tuple(scale_nets), seed)
+    return DagTruth(bundle.ifm, bundle.dag, tuple(mean_nets), tuple(scale_nets))
 
 
 def _ridge_fit(levels_rows: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:

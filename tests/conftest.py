@@ -20,7 +20,6 @@ from regimecast import (
     FactorSpec,
     IfmStructure,
     InterventionSpace,
-    RegimeSet,
     RegimeVector,
     exact_density,
 )
@@ -110,10 +109,6 @@ def reconstruct_density(tm: TableModel, cert) -> np.ndarray:
         log_prod = log_prod + q * np.log(tm.density(regime))
     prod = np.exp(log_prod - log_prod.max())
     return prod / prod.sum()
-
-
-def all_regimes(space: InterventionSpace) -> RegimeSet:
-    return RegimeSet.of(itertools.product(*[range(c) for c in space.cardinalities]))
 
 
 def exact_iid_draws(model, regime, n, rng) -> np.ndarray:

@@ -23,8 +23,7 @@ from regimecast.model import (
 from regimecast.sampling import exact_density, gibbs_sample
 from regimecast.simbench import builtin_structure, run_benchmark
 
-from conftest import all_regimes, exact_iid_draws, random_table_instance, \
-    reconstruct_density, tv
+from conftest import exact_iid_draws, random_table_instance, reconstruct_density, tv
 
 
 def truth_model(seed=0, out_scale=1.0):
@@ -114,7 +113,7 @@ def test_criterion_4_certificates_reconstruct_exact_densities(acceptance_log):
     for _ in range(n_instances):
         tm = random_table_instance(rng)
         norm = normalize_factors(tm.ifm)
-        regimes = all_regimes(tm.ifm.space)
+        regimes = tm.ifm.space.all_regimes()
         n_train = int(rng.integers(2, len(regimes) + 1))
         idx = rng.choice(len(regimes), size=n_train, replace=False)
         train = RegimeSet.of([regimes[int(i)].levels for i in sorted(idx)])

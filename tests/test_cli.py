@@ -423,6 +423,25 @@ def test_model_with_a_repeated_net_is_rejected_input(workspace, tmp_path, capsys
     assert "internal error" not in err and "appears more than once" in err
 
 
+@pytest.mark.parametrize("kind", ["model", "outcome"])
+def test_a_boolean_format_version_is_rejected_input(workspace, tmp_path, capsys, kind):
+    # True == 1, so only a type check keeps a boolean from passing as version 1
+    obj = json.loads((workspace / f"{kind}.json").read_text())
+    obj["format_version"] = True
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["estimate", "--model", str(bad if kind == "model" else workspace / "model.json"),
+            "--data-manifest", str(workspace / "manifest.json"), "--target", "1,1,1"]
+    if kind == "model":
+        argv += ["--method", "ipw"]
+    else:
+        argv += ["--method", "direct", "--outcome", str(bad), "--seed", "0",
+                 "--nsamples", "10", "--burn", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unsupported format_version True" in captured.err
+
+
 def test_fit_output_matches_the_model_schema(workspace):
     obj = json.loads((workspace / "model.json").read_text())
     jsonschema.validate(obj, schema("energy_model"))
@@ -454,7 +473,7 @@ def test_estimate_direct_and_ipw(workspace, capsys):
     direct = json.loads(capsys.readouterr().out)
     jsonschema.validate(direct, schema("estimate"))
     assert direct["method"] == "direct" and direct["per_regime"] is None
-    assert np.isfinite(direct["mu_hat"]) and direct["band"] is None
+    assert np.isfinite(direct["mu_hat"])
 
     # ipw needs no seed and reports its per-regime pieces
     assert main(base + ["--method", "ipw"]) == 0
@@ -464,7 +483,7 @@ def test_estimate_direct_and_ipw(workspace, capsys):
 
     # direct without a seed is a usage error
     assert main(base + ["--method", "direct"]) == 1
-    capsys.readouterr()
+    assert "--seed is required unless the method is ipw" in capsys.readouterr().err
 
 
 def test_estimate_outcome_file_is_for_the_direct_method_only(workspace, capsys):
@@ -503,29 +522,18 @@ def test_estimate_covshift_is_the_weighted_refit(workspace, capsys):
     assert out["mu_hat"] == want.mu and out["se"] == want.se
 
 
-def test_estimate_alpha_needs_a_seed_even_for_ipw(workspace, capsys):
+def test_bands_come_from_conformal_only(workspace, capsys):
     base = ["estimate", "--model", str(workspace / "model.json"),
             "--data-manifest", str(workspace / "manifest.json"),
             "--target", "1,1,1", "--method", "ipw"]
-    # the band draws from the model, so it needs the seed that ipw alone does not
-    assert main(base + ["--alpha", "0.2"]) == 1
-    assert "--seed is required" in capsys.readouterr().err
+    assert main(base + ["--alpha", "0.2", "--seed", "5"]) == 1
+    assert "unrecognized arguments: --alpha 0.2" in capsys.readouterr().err
+    # ipw needs no seed, and its estimate carries no band
     assert main(base) == 0
-    assert json.loads(capsys.readouterr().out)["band"] is None
-
-
-def test_estimate_with_alpha_attaches_a_band(workspace, capsys):
-    rc = main(["estimate", "--model", str(workspace / "model.json"),
-               "--data-manifest", str(workspace / "manifest.json"),
-               "--target", "1,1,1", "--method", "ipw", "--alpha", "0.2",
-               "--seed", "5", "--nsamples", "100", "--burn", "20", "--thin", "1"])
-    assert rc == 0
     out = json.loads(capsys.readouterr().out)
     jsonschema.validate(out, schema("estimate"))
-    band = out["band"]
-    assert band["alpha"] == 0.2
-    assert band["lo"] <= band["hi"]
-    assert band["hi"] - band["lo"] == pytest.approx(2 * band["half_width"])
+    assert "band" not in out
+    assert "band" not in schema("estimate")["properties"]
 
 
 def test_conformal_band_command(workspace, capsys):

@@ -9,7 +9,7 @@ from regimecast.errors import GridTooLarge
 from regimecast.model import FactorSpec, IfmStructure, InterventionSpace, RegimeVector
 from regimecast.sampling import exact_density, gibbs_sample, log_partition, sample
 
-from conftest import all_regimes, random_table_instance
+from conftest import random_table_instance
 
 
 def grid_for(nbins) -> Grid:
@@ -55,7 +55,7 @@ def joint_log_table(model, regime):
 def test_log_partition_matches_brute_force_logsumexp():
     checked = 0
     for model in [*random_models(30), *fixed_models()]:
-        for regime in all_regimes(model.ifm.space):
+        for regime in model.ifm.space.all_regimes():
             logp = joint_log_table(model, regime)
             top = logp.max()
             want = top + np.log(np.exp(logp - top).sum())
@@ -67,7 +67,7 @@ def test_log_partition_matches_brute_force_logsumexp():
 def test_elimination_draws_match_exact_density():
     n = 20_000
     for i, model in enumerate([*random_models(12, seed=1), *fixed_models()]):
-        regimes = all_regimes(model.ifm.space)
+        regimes = model.ifm.space.all_regimes()
         regime = regimes[i % len(regimes)]
         p = exact_density(model, regime).ravel()
         bins = model.grid.bin_rows(sample(model, regime, n, seed=i))

@@ -11,7 +11,6 @@ from regimecast.energy import (
     Grid,
     _pll_from_prep,
     _prepare,
-    density_ratio,
     discretize,
     expected_net_keys,
     factor_table,
@@ -107,7 +106,7 @@ def test_bin_rows_rejects_non_finite_values():
             g.bin_rows([[bad]])
     model = rand_model(seed=1)
     with pytest.raises(InvalidSpec):
-        density_ratio(model, np.array([np.nan, 1.0]), RegimeVector((1, 0)), RegimeVector((0, 0)))
+        log_ratio_rows(model, np.array([np.nan, 1.0]), RegimeVector((1, 0)), RegimeVector((0, 0)))
 
 
 def test_discretize_pools_datasets_and_rejects_constants():
@@ -163,7 +162,6 @@ def test_row_readers_accept_zero_rows():
     empty = log_unnorm(model, np.zeros((0, 2), dtype=int), r)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     assert log_ratio_rows(model, np.zeros((0, 2)), r, den).shape == (0,)
-    assert density_ratio(model, np.zeros((0, 2)), r, den).shape == (0,)
 
 
 def test_factor_tables_are_cached_per_net_object():

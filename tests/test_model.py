@@ -16,7 +16,9 @@ from regimecast import (
     sigma_graph,
     sigma_zero_set,
 )
+from regimecast import algebraic
 from regimecast.model import distinct_rows
+from regimecast.simbench import builtin_structure
 
 
 def space(d=3, card=2):
@@ -57,6 +59,20 @@ def test_regime_set_keeps_order_and_rejects_duplicates():
         RegimeSet.of([(0, 0), (0, 0)])
     merged = rs.union(RegimeSet.of([(1, 1), (1, 0)]))
     assert [r.levels for r in merged] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def test_regime_set_stores_vectors_for_raw_level_tuples():
+    rs = RegimeSet(((0, 1), (1, 0)))
+    assert rs[0] == RegimeVector((0, 1)) and isinstance(rs[0], RegimeVector)
+    assert all(isinstance(r, RegimeVector) for r in rs)
+    assert rs.regimes == RegimeSet.of([(0, 1), (1, 0)]).regimes
+
+    # so a set built from raw tuples certifies like one built from vectors
+    b = builtin_structure("chain3")
+    norm = normalize_factors(b.ifm)
+    raw = RegimeSet(tuple(r.levels for r in b.train))
+    target = RegimeVector((1, 1, 1))
+    assert algebraic.solve_pr(norm, raw, target) == algebraic.solve_pr(norm, b.train, target)
 
 
 def test_factor_spec_requires_sorted_scopes():

@@ -14,7 +14,6 @@ from regimecast.sampling import exact_density
 from regimecast.simbench import (
     builtin_structure,
     fit_dag,
-    ground_truth_mu,
     make_dag_truth,
     make_ifm_truth,
     make_outcome,
@@ -138,13 +137,10 @@ def test_simulators_reject_unknown_keywords():
     chain = builtin_structure("chain3")
     dag = make_dag_truth(sachs, seed=3)
     ifm = make_ifm_truth(chain, seed=3, bins=8, hidden=6, burn=20, thin=1)
-    out = OutcomeTruth(np.ones(sachs.ifm.m), 0.5, seed=0)
     with pytest.raises(TypeError):
         dag.sample(regime, 5, sed=3)
     with pytest.raises(TypeError):
         ifm.sample(RegimeVector((0, 0, 0)), 5, seed=3, burn=20)
-    with pytest.raises(TypeError):
-        ground_truth_mu(dag, out, regime, nmc=10, seed=1, brun=9)
 
 
 def test_make_outcome_calibrates_the_signal_variance():
@@ -169,29 +165,26 @@ def test_make_outcome_calibrates_the_signal_variance():
     again = make_outcome(truth, seed=19, baseline_x=x)
     assert np.array_equal(again.lam, out.lam) and again.noise_sd == out.noise_sd
 
-    mu, se = ground_truth_mu(truth, out, RegimeVector((1, 0, 0)), nmc=500, seed=23)
-    assert -1.0 <= mu <= 1.0 and se > 0.0
 
-
-def test_ground_truth_mu_edge_cases():
+def test_monte_carlo_truth_edge_cases():
+    # the runner's truth for a regime is the mean of out.mean over the truth's draws
     b = builtin_structure("chain3")
     truth = make_ifm_truth(b, seed=43, bins=8, hidden=6, burn=20, thin=1)
     regime = RegimeVector((0, 1, 1))
 
-    zero = OutcomeTruth(np.zeros(1), 0.5, seed=0)
-    mu, se = ground_truth_mu(truth, zero, regime, nmc=200, seed=3)
-    assert mu == 0.0 and se == 0.0
+    zero = OutcomeTruth(np.zeros(1), 0.5)
+    assert np.array_equal(zero.mean(truth.sample(regime, 200, seed=3)), np.zeros(200))
 
     # one variable, so the grid is enumerable and the draws are exact and iid
-    out = OutcomeTruth(np.array([0.9]), 0.3, seed=0)
+    out = OutcomeTruth(np.array([0.9]), 0.3)
     dens = exact_density(truth.model, regime)
     centers = truth.model.grid.centers[0]
     exact = float(dens @ np.tanh(out.lam[0] * centers))
-    mu, se = ground_truth_mu(truth, out, regime, nmc=4000, seed=5)
-    assert abs(mu - exact) <= 3.0 * se
+    vals = out.mean(truth.sample(regime, 4000, seed=5))
+    assert abs(vals.mean() - exact) <= 3.0 * vals.std(ddof=1) / np.sqrt(vals.size)
 
     # odd in lam, and exactly zero on a sign-symmetrized draw set
-    flipped = OutcomeTruth(-out.lam, out.noise_sd, seed=0)
+    flipped = OutcomeTruth(-out.lam, out.noise_sd)
     x = truth.sample(regime, 100, seed=7)
     assert np.array_equal(flipped.mean(x), -out.mean(x))
     mirrored = np.vstack([x, -x])
