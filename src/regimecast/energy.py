@@ -14,10 +14,11 @@ and sampling read it (`potentials` runs the net only above `CELL_CAP` cells).
 Fitting exploits the same fact twice. Rows that fall into the same bins
 have the same conditionals, so each dataset's rows collapse to its distinct
 bin rows, each weighted by its count. The distinct scope cells those rows'
-sweeps reach form one small design per net; each step evaluates every net
-once on its design, gathers the conditional logits by cell index, and
-scatters their count-weighted gradient back onto the cells before one
-backward pass.
+sweeps reach form one small design per net. Each step evaluates every net
+once on its design; then, per variable, one sweep over all datasets' rows
+gathers the conditional logits from the nets' outputs laid end to end,
+and scatters their count-weighted gradient back, one factor at a time,
+before each net's backward pass.
 """
 
 from __future__ import annotations
@@ -229,24 +230,33 @@ def potentials(model: EnergyModel, k: int, regime: RegimeVector, bins: np.ndarra
 
 
 def _prepare(model: EnergyModel, datasets):
-    """Cell designs per net and, per sweep, indices into them.
+    """Cell designs per net and one sweep per variable over all datasets' rows.
 
     Each dataset's bin rows collapse to its distinct bin rows, each counted
-    by how many rows share it. Sweeping variable r of a row over its bins
-    reads, for every factor k on r, the cells of k's scope grid that agree
-    with the row off r. Per net key, the distinct cells any sweep reaches
-    become one design of bin centers; per dataset and variable, each factor
-    on r gets a (distinct rows, nbins[r]) index into its net's design.
-    Returns (designs, sweeps, counts, inverses): sweeps[d] is a list of
-    (r, observed bins, [(key, index)]), counts[d] counts the rows behind
-    each distinct row of dataset d and inverses[d] maps each raw row of
-    dataset d to its distinct row.
+    by how many rows share it; all datasets' distinct rows, in dataset
+    order, form the sweeps' row axis. Sweeping variable r of a row over its
+    bins reads, for every factor k on r, the cells of k's scope grid that
+    agree with the row off r, in the net the row's regime selects. Per net
+    key, the distinct cells any sweep reaches become one design of bin
+    centers. The designs' outputs lie end to end in one flat vector in key
+    order, so each factor's nets are neighbours. Returns (designs, sweeps,
+    counts, inverses): sweeps[r] is (observed, starts, index), with each
+    row's observed cell in the flattened (rows, nbins[r]) logits and, for
+    the i-th factor on r, the (rows, nbins[r]) positions index[i] of its
+    terms in the flat vector, counted from starts[i], where its nets begin;
+    counts[d] counts the rows behind each distinct row of dataset d and
+    inverses[d] maps each raw row of dataset d to its distinct row.
     """
+    if not datasets:
+        raise InvalidSpec("the pseudo-log-likelihood needs at least one dataset")
     nbins = model.grid.nbins
-    flats = {}
-    raw = []
+    factors = model.ifm.factors
+    on = [[k for k, f in enumerate(factors) if r in f.var_scope] for r in range(model.ifm.m)]
+    flats = {}  # per net key: (cells, r, factor position, first row) per sweep part
+    observed = [[] for _ in on]
     counts = []
     inverses = []
+    rows = 0
     for ds in datasets:
         model.ifm.space.check_regime(ds.regime)
         if ds.x.shape[1] != model.ifm.m:
@@ -254,12 +264,10 @@ def _prepare(model: EnergyModel, datasets):
         bins, inv, cnt = distinct_rows(model.grid.bin_rows(ds.x))
         counts.append(cnt)
         inverses.append(inv)
-        per_var = []
-        for r in range(model.ifm.m):
-            entries = []
-            for k, f in enumerate(model.ifm.factors):
-                if r not in f.var_scope:
-                    continue
+        for r, ks in enumerate(on):
+            observed[r].append(bins[:, r])
+            for i, k in enumerate(ks):
+                f = factors[k]
                 key = (k, ds.regime.project(f.intv_scope))
                 dims = [nbins[j] for j in f.var_scope]
                 pos = f.var_scope.index(r)
@@ -268,73 +276,95 @@ def _prepare(model: EnergyModel, datasets):
                 stride = int(np.prod(dims[pos + 1:], dtype=int))
                 flat = (np.ravel_multi_index(cells.T, dims)[:, None]
                         + stride * np.arange(nbins[r]))
-                parts = flats.setdefault(key, [])
-                entries.append((key, len(parts), flat.shape))
-                parts.append(flat.ravel())
-            per_var.append((r, bins[:, r].copy(), entries))
-        raw.append(per_var)
+                flats.setdefault(key, []).append((flat, r, i, rows))
+        rows += cnt.size
 
+    index = [np.empty((len(ks), rows, nbins[r]), dtype=np.intp) for r, ks in enumerate(on)]
     designs = {}
-    inverse = {}
-    for key, parts in flats.items():
-        cells, inv = np.unique(np.concatenate(parts), return_inverse=True)
-        scope = model.ifm.factors[key[0]].var_scope
+    first = {}  # per factor, where its nets' outputs begin in the flat vector
+    offset = 0
+    for key in sorted(flats):
+        parts = flats.pop(key)
+        cells, inv = np.unique(np.concatenate([p[0] for p in parts], axis=None),
+                               return_inverse=True)
+        scope = factors[key[0]].var_scope
         coords = np.unravel_index(cells, [nbins[j] for j in scope])
         designs[key] = np.array(
             [model.grid.centers[j][c] for j, c in zip(scope, coords)]).T  # column-major
-        inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
-
-    sweeps = [
-        [(r, obs, [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries])
-         for r, obs, entries in per_var]
-        for per_var in raw
-    ]
+        inv += offset - first.setdefault(key[0], offset)
+        offset += cells.size
+        at = 0
+        for flat, r, i, row in parts:
+            index[r][i, row:row + flat.shape[0]] = inv[at:at + flat.size].reshape(flat.shape)
+            at += flat.size
+    sweeps = [(np.concatenate(obs) + nbins[r] * np.arange(rows), [first[k] for k in ks],
+               index[r]) for r, (obs, ks) in enumerate(zip(observed, on))]
     return designs, sweeps, counts, inverses
 
 
 def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     """(full-data PLL, gradient or None). The gradient is taken only when
     `drawn` is given, with drawn[d] weighing dataset d's distinct rows;
-    rows a minibatch misses weigh 0 and add exact zeros to every sum."""
+    rows a minibatch misses weigh 0 and add exact zeros to every sum. It
+    is one flat vector, laid out as `nets.train` lays out the nets in
+    sorted key order; `_per_net` splits it."""
     designs, sweeps, counts = prep[:3]
-    vals = {}
+    vals = np.empty(sum(x.shape[0] for x in designs.values()))
     hidden = {}
+    at = 0
     for key, x in designs.items():
-        vals[key], hidden[key] = mlp_forward(model.nets[key], x)
-    dvals = None if drawn is None else {key: np.zeros(v.shape[0]) for key, v in vals.items()}
+        vals[at:at + x.shape[0]], hidden[key] = mlp_forward(model.nets[key], x)
+        at += x.shape[0]
+    cnt = np.concatenate(counts)
+    if drawn is not None:
+        weight = np.concatenate(drawn)[:, None]
+        dvals = np.zeros(vals.size)
     total = 0.0
-    for d, (cnt, per_var) in enumerate(zip(counts, sweeps)):
-        for r, obs, entries in per_var:
-            n = obs.shape[0]
-            logits = np.zeros((n, model.grid.nbins[r]))
-            for key, idx in entries:
-                logits += vals[key][idx]
-            top = logits.max(axis=1, keepdims=True)
-            p = np.exp(logits - top)
-            norm = p.sum(axis=1)
-            lse = top[:, 0] + np.log(norm)
-            rows = np.arange(n)
-            total += float(np.sum(cnt * (logits[rows, obs] - lse)))
-            if drawn is not None:
-                dl = -p / norm[:, None]
-                dl[rows, obs] += 1.0
-                dl *= drawn[d][:, None]
-                for key, idx in entries:
-                    dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
-                                              minlength=dvals[key].size)
+    for obs, starts, index in sweeps:
+        logits = np.zeros(index.shape[1:])
+        for start, ix in zip(starts, index):  # factor order, as one row's sweep adds them
+            logits += vals[start:][ix]
+        top = logits.max(axis=1, keepdims=True)
+        p = np.exp(logits - top)
+        norm = p.sum(axis=1)
+        lse = top[:, 0] + np.log(norm)
+        total += float(np.sum(cnt * (logits.take(obs) - lse)))
+        if drawn is not None:
+            p /= -norm[:, None]
+            p.reshape(-1)[obs] += 1.0
+            p *= weight
+            for start, ix in zip(starts, index):
+                scatter = np.bincount(ix.reshape(-1), p.reshape(-1))
+                dvals[start:start + scatter.size] += scatter
     if not np.isfinite(total):
         raise NonFinite("pseudo-log-likelihood is not finite")
     if drawn is None:
         return total, None
-    grads = {key: [np.zeros_like(p) for p in net.params()] for key, net in model.nets.items()}
+    back = {}
+    at = 0
     for key, x in designs.items():
-        grads[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[key])
-        grads[key][3] = np.zeros(())  # b2: a factor's constant offset cancels in every conditional
-    for key, gs in grads.items():
-        for g in gs:
-            if not np.all(np.isfinite(g)):
-                raise NonFinite(f"gradient for net {key} is not finite")
-    return total, grads
+        back[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[at:at + x.shape[0]])[:3]
+        at += x.shape[0]
+    parts = []
+    for key in sorted(model.nets):
+        parts += back.get(key) or [np.zeros_like(p) for p in model.nets[key].params()[:3]]
+        parts.append(np.zeros(()))  # b2: a factor's constant offset cancels in every conditional
+    grad = np.concatenate(parts, axis=None)
+    if not np.isfinite(grad).all():
+        bad = next(key for key, gs in back.items() if not all(np.isfinite(g).all() for g in gs))
+        raise NonFinite(f"gradient for net {bad} is not finite")
+    return total, grad
+
+
+def _per_net(model: EnergyModel, grad: np.ndarray) -> dict:
+    """A flat gradient as views in params() order per net, keyed like model.nets."""
+    out, at = {}, 0
+    for key in sorted(model.nets):
+        out[key] = []
+        for p in model.nets[key].params():
+            out[key].append(grad[at:at + p.size].reshape(p.shape))
+            at += p.size
+    return out
 
 
 def pseudo_loglik(model: EnergyModel, datasets) -> float:
@@ -346,7 +376,7 @@ def pseudo_loglik(model: EnergyModel, datasets) -> float:
 def pll_gradient(model: EnergyModel, datasets) -> dict:
     """Exact gradient of pseudo_loglik per net, keyed like model.nets."""
     prep = _prepare(model, datasets)
-    return _pll_from_prep(model, prep, prep[2])[1]
+    return _per_net(model, _pll_from_prep(model, prep, prep[2])[1])
 
 
 @dataclass(frozen=True)
@@ -372,8 +402,9 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     built once per call from all rows. A minibatch step draws raw row
     indices, as if no row were merged, and counts them onto the distinct
     rows (missed ones count 0); every step runs each net forward and
-    backward once on its design and costs one unit per distinct row; its
-    sweeps cover every distinct row, so they also sum the full objective.
+    backward once on its design and one sweep per variable over every
+    distinct row, so it also sums the full objective, and hands `train` one
+    flat gradient.
 
     Args:
         model: initialized model to start from.
@@ -390,10 +421,7 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     """
     if batch is not None and batch < 1:
         raise InvalidSpec("batch must be >= 1")
-    if not datasets:
-        raise InvalidSpec("fit needs at least one dataset")
     trained = model.copy()
-    keys = sorted(trained.nets)
     prep = _prepare(trained, datasets)
     counts, inverses = prep[2:]
     rng = np.random.default_rng(seed)
@@ -403,10 +431,10 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
             np.bincount(inv[rng.choice(inv.size, size=min(batch, inv.size), replace=False)],
                         minlength=cnt.size)
             for cnt, inv in zip(counts, inverses)]
-        obj, grads = _pll_from_prep(trained, prep, drawn)
+        obj, grad = _pll_from_prep(trained, prep, drawn)
         # train minimizes; negation is exact, so this is ascent on the PLL
-        return -obj, [-g for key in keys for g in grads[key]]
-    trace = train([trained.nets[key] for key in keys], value_and_grad, steps, lr,
+        return -obj, [-grad]
+    trace = train([trained.nets[key] for key in sorted(trained.nets)], value_and_grad, steps, lr,
                   "pseudo-log-likelihood")
     objectives = tuple(-v for v in trace) + (_pll_from_prep(trained, prep)[0],)
     regressions = tuple(i for i in range(1, len(objectives))

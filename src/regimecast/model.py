@@ -9,6 +9,7 @@ levels, and experimental data arrives as one dataset per regime.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -218,14 +219,25 @@ class RegimeDataset:
         x.flags.writeable = False
         self.x = x
         if self.y is not None:
-            y = np.asarray(self.y, dtype=float).reshape(-1)
-            if y.shape[0] != x.shape[0]:
-                raise InvalidSpec("y length must match the number of rows")
-            if not np.all(np.isfinite(y)):
-                raise InvalidSpec("y contains non-finite entries")
-            y = y.copy()
-            y.flags.writeable = False
-            self.y = y
+            self.y = self._checked_y(self.y)
+
+    def _checked_y(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.x.shape[0]:
+            raise InvalidSpec("y length must match the number of rows")
+        if not np.all(np.isfinite(y)):
+            raise InvalidSpec("y contains non-finite entries")
+        y = y.copy()
+        y.flags.writeable = False
+        return y
+
+    def with_y(self, y) -> "RegimeDataset":
+        """The same regime and rows with outcomes y, checked as the constructor
+        checks them; the read-only x and its `distinct` are shared, not copied."""
+        out = copy.copy(self)
+        out.y = self._checked_y(y)
+        out.distinct = self.distinct
+        return out
 
     @property
     def n(self) -> int:

@@ -570,7 +570,7 @@ def _run_problem(args):
         rng_y = np.random.default_rng(seeds["noise"])
         datasets_y = []
         for ds in sh["datasets"]:
-            datasets_y.append(RegimeDataset(ds.regime, ds.x, outcome.draw(ds.x, rng_y)))
+            datasets_y.append(ds.with_y(outcome.draw(ds.x, rng_y)))
 
     mu_true, var_true = {}, {}
     for t in targets:

@@ -9,6 +9,7 @@ import pytest
 from regimecast import energy
 from regimecast.energy import (
     Grid,
+    _per_net,
     _pll_from_prep,
     _prepare,
     discretize,
@@ -32,8 +33,9 @@ from regimecast.model import (
     InterventionSpace,
     RegimeDataset,
     RegimeVector,
+    distinct_rows,
 )
-from regimecast.nets import mlp_forward
+from regimecast.nets import mlp_backward, mlp_forward
 from regimecast.sampling import exact_density, log_partition
 from regimecast.simbench import builtin_structure
 
@@ -283,8 +285,9 @@ def test_cell_design_pll_matches_brute_force_full_and_minibatch(seed):
     rows = [rng.choice(ds.n, size=2, replace=False) for ds in data]
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
     # a minibatch step's objective is the full data's, its gradient the draw's
-    got, grads = _pll_from_prep(model, prep, drawn_counts(prep, rows))
+    got, grad = _pll_from_prep(model, prep, drawn_counts(prep, rows))
     assert got == pytest.approx(full, rel=1e-10)
+    grads = _per_net(model, grad)
     want = pll_gradient(model, sub)
     for key in model.nets:
         for g, w in zip(grads[key], want[key]):
@@ -304,8 +307,9 @@ def test_pll_on_duplicated_rows_matches_the_raw_rows(seed):
     sub = [RegimeDataset(ds.regime, ds.x[r]) for ds, r in zip(data, rows)]
     full = brute_pseudo_loglik(model, data)
     for counts, raw in ((prep[2], data), (drawn, sub)):
-        got, grads = _pll_from_prep(model, prep, counts)
+        got, grad = _pll_from_prep(model, prep, counts)
         assert got == pytest.approx(full, rel=1e-10)
+        grads = _per_net(model, grad)
         want = rowwise_gradient(model, raw)
         for key in model.nets:
             for g, w in zip(grads[key], want[key]):
@@ -340,6 +344,144 @@ def test_gradient_of_an_unreached_net_is_exactly_zero():
     grads = pll_gradient(model, data)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads[unreached])
     assert any(np.any(g != 0.0) for g in grads[(0, (1,))])
+
+
+def reference_pll(model, datasets, drawn=None):
+    """The per-(dataset, variable) sweep loop that `_pll_from_prep` replaced,
+    kept as an oracle: (PLL, gradient per net or None), drawn[d] weighing
+    dataset d's distinct rows as in `_pll_from_prep`."""
+    nbins = model.grid.nbins
+    flats, sweeps, counts = {}, [], []
+    for ds in datasets:
+        bins, _, cnt = distinct_rows(model.grid.bin_rows(ds.x))
+        counts.append(cnt)
+        per_var = []
+        for r in range(model.ifm.m):
+            entries = []
+            for k, f in enumerate(model.ifm.factors):
+                if r not in f.var_scope:
+                    continue
+                key = (k, ds.regime.project(f.intv_scope))
+                dims = [nbins[j] for j in f.var_scope]
+                pos = f.var_scope.index(r)
+                cells = bins[:, f.var_scope]
+                cells[:, pos] = 0
+                stride = int(np.prod(dims[pos + 1:], dtype=int))
+                flat = (np.ravel_multi_index(cells.T, dims)[:, None]
+                        + stride * np.arange(nbins[r]))
+                parts = flats.setdefault(key, [])
+                entries.append((key, len(parts), flat.shape))
+                parts.append(flat.ravel())
+            per_var.append((r, bins[:, r].copy(), entries))
+        sweeps.append(per_var)
+    designs, inverse = {}, {}
+    for key, parts in flats.items():
+        cells, inv = np.unique(np.concatenate(parts), return_inverse=True)
+        scope = model.ifm.factors[key[0]].var_scope
+        coords = np.unravel_index(cells, [nbins[j] for j in scope])
+        designs[key] = np.array([model.grid.centers[j][c] for j, c in zip(scope, coords)]).T
+        inverse[key] = np.split(inv, np.cumsum([p.size for p in parts])[:-1])
+
+    vals, hidden = {}, {}
+    for key, x in designs.items():
+        vals[key], hidden[key] = mlp_forward(model.nets[key], x)
+    dvals = {key: np.zeros(v.shape[0]) for key, v in vals.items()}
+    total = 0.0
+    for d, (cnt, per_var) in enumerate(zip(counts, sweeps)):
+        for r, obs, entries in per_var:
+            n = obs.shape[0]
+            entries = [(key, inverse[key][part].reshape(shape)) for key, part, shape in entries]
+            logits = np.zeros((n, nbins[r]))
+            for key, idx in entries:
+                logits += vals[key][idx]
+            top = logits.max(axis=1, keepdims=True)
+            p = np.exp(logits - top)
+            norm = p.sum(axis=1)
+            lse = top[:, 0] + np.log(norm)
+            rows = np.arange(n)
+            total += float(np.sum(cnt * (logits[rows, obs] - lse)))
+            if drawn is not None:
+                dl = -p / norm[:, None]
+                dl[rows, obs] += 1.0
+                dl *= drawn[d][:, None]
+                for key, idx in entries:
+                    dvals[key] += np.bincount(idx.ravel(), weights=dl.ravel(),
+                                              minlength=dvals[key].size)
+    if drawn is None:
+        return total, None
+    grads = {key: [np.zeros_like(p) for p in net.params()] for key, net in model.nets.items()}
+    for key, x in designs.items():
+        grads[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[key])
+        grads[key][3] = np.zeros(())
+    return total, grads
+
+
+def builtin_model(name, seed, n=12, bins=4):
+    """A random model on a built-in structure, with n rows on its grid per
+    training regime; rows are drawn from 3n grid points, so some repeat."""
+    bundle = builtin_structure(name)
+    rng = np.random.default_rng(seed)
+    grid = Grid(tuple(np.linspace(-1.0, 1.0, bins + 1) for _ in range(bundle.ifm.m)))
+    model = new_model(bundle.ifm, grid, hidden=3, seed=seed, out_scale=0.9)
+    data = []
+    for regime in bundle.train.regimes:
+        pool = rng.uniform(-1.0, 1.0, size=(3 * n, bundle.ifm.m))
+        data.append(RegimeDataset(regime, pool[rng.integers(0, 3 * n, size=n)]))
+    return model, data
+
+
+def assert_same_gradients(got, want, rel):
+    assert set(got) == set(want)
+    for key in want:
+        for g, w in zip(got[key], want[key], strict=True):
+            assert g.shape == np.shape(w)
+            assert np.allclose(g, w, rtol=rel, atol=rel * max(1.0, np.abs(w).max(initial=0.0)))
+
+
+@pytest.mark.parametrize("name", ["chain3", "sachs", "dream"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flat_sweeps_match_the_per_dataset_reference(name, seed):
+    model, data = builtin_model(name, seed)
+    prep = _prepare(model, data)
+    rng = np.random.default_rng(seed + 300)
+    rows = [rng.choice(ds.n, size=5, replace=False) for ds in data]
+    for drawn in (prep[2], drawn_counts(prep, rows)):
+        got, grad = _pll_from_prep(model, prep, drawn)
+        want, want_grads = reference_pll(model, data, drawn)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert_same_gradients(_per_net(model, grad), want_grads, rel=1e-12)
+    assert _pll_from_prep(model, prep)[0] == pytest.approx(reference_pll(model, data)[0],
+                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["chain3", "sachs"])
+def test_splitting_a_dataset_in_two_of_one_regime_changes_nothing(name):
+    model, data = builtin_model(name, 4, n=20)
+    split = [piece for ds in data
+             for piece in (RegimeDataset(ds.regime, ds.x[:7]), RegimeDataset(ds.regime, ds.x[7:]))]
+    assert pseudo_loglik(model, split) == pytest.approx(pseudo_loglik(model, data), rel=1e-12)
+    assert_same_gradients(pll_gradient(model, split), pll_gradient(model, data), rel=1e-12)
+
+
+def test_the_pll_needs_a_dataset():
+    model, _ = builtin_model("sachs", 0)
+    for call in (pseudo_loglik, pll_gradient):
+        with pytest.raises(InvalidSpec, match="at least one dataset"):
+            call(model, [])
+
+def test_a_non_finite_net_gradient_is_named(monkeypatch):
+    model, data = random_structure_model(5)
+    bad = (0, (1,))
+    real_backward = energy.mlp_backward
+
+    def backward(net, x, h, dout):
+        grads = real_backward(net, x, h, dout)
+        if net is model.nets[bad]:
+            grads[0][0, 0] = np.inf
+        return grads
+    monkeypatch.setattr(energy, "mlp_backward", backward)
+    with pytest.raises(NonFinite, match=r"gradient for net \(0, \(1,\)\) is not finite"):
+        pll_gradient(model, data)
 
 
 # A constant offset of a factor cancels in every conditional, so the PLL

@@ -130,6 +130,19 @@ def test_fit_outcome_on_repeated_rows_is_the_count_weighted_fit():
         assert np.allclose(p, q, rtol=1e-12, atol=0.0)
 
 
+def test_fit_outcome_on_shared_rows_is_bitwise_the_fresh_fit():
+    rng = np.random.default_rng(23)
+    data = make_data(rng, [(0, 0), (1, 0), (0, 1)], n=40)
+    ys = [rng.normal(size=ds.n) for ds in data]
+    shared = [RegimeDataset(ds.regime, ds.x).with_y(y) for ds, y in zip(data, ys)]
+    fresh = [RegimeDataset(ds.regime, ds.x, y) for ds, y in zip(data, ys)]
+    for weights in (None, [rng.uniform(0.1, 2.0, size=ds.n) for ds in data]):
+        a = fit_outcome(shared, hidden=4, steps=30, lr=3e-2, seed=5, weights=weights)
+        b = fit_outcome(fresh, hidden=4, steps=30, lr=3e-2, seed=5, weights=weights)
+        for p, q in zip(a.net.params(), b.net.params(), strict=True):
+            assert p.tobytes() == q.tobytes()
+
+
 def test_fit_outcome_steps_see_each_distinct_row_once(monkeypatch):
     rng = np.random.default_rng(22)
     data = []

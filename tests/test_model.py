@@ -135,6 +135,23 @@ def test_dataset_distinct_rows_are_found_once():
     assert np.array_equal(rows[inverse], x)
 
 
+def test_with_y_shares_the_rows_and_checks_the_outcomes():
+    x = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0]])
+    ds = RegimeDataset(RegimeVector((0,)), x)
+    y = np.array([0.5, -1.0, 2.0])
+    out = ds.with_y(y)
+    assert out.regime == ds.regime and out.x is ds.x and out.distinct is ds.distinct
+    assert np.array_equal(out.y, y) and out.y is not y and not out.y.flags.writeable
+    assert ds.y is None
+    assert out.with_y(y[::-1]).distinct is ds.distinct
+    for bad, message in (([1.0, 2.0], "y length"), ([1.0, np.nan, 2.0], "non-finite"),
+                         ([[1.0, np.inf, 0.0]], "non-finite")):
+        with pytest.raises(InvalidSpec, match=message):
+            ds.with_y(bad)
+        with pytest.raises(InvalidSpec, match=message):
+            RegimeDataset(ds.regime, x, bad)
+
+
 def test_normalize_merges_equal_scopes():
     sp = space(2)
     ifm = IfmStructure(
