@@ -38,7 +38,6 @@ _EXPORTS = {
         "save_model",
     ),
     "errors": (
-        "ConditionsNotMet",
         "DegenerateVariable",
         "DomainError",
         "GridTooLarge",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "MissingOutcome",
         "ModelFormatError",
         "NonFinite",
-        "NotChordal",
         "UnknownStructure",
     ),
     "estimators": (
@@ -75,13 +73,10 @@ _EXPORTS = {
     ),
     "junction": (
         "ConditionReport",
-        "JunctionTree",
-        "build_junction_tree",
+        "certify",
         "check_conditions",
         "is_decomposable",
-        "maximal_cliques",
         "message_passing_identify",
-        "triangulate",
     ),
     "model": (
         "FactorSpec",

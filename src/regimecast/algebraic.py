@@ -60,13 +60,12 @@ class PrTransformation:
 
 @dataclass(frozen=True)
 class Unidentifiable:
-    """Returned when no exponent vector satisfies the constraint system."""
+    """Returned when a route finds no certificate; `reason` says why."""
 
     target: RegimeVector
     train: RegimeSet
+    route: str
     reason: str
-    factor: int | None = None
-    value: tuple | None = None
 
 
 def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> LinearSystem:
@@ -108,7 +107,7 @@ def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):
     solution is returned, so equal inputs always give equal outputs.
     """
     if len(train) == 0:
-        return Unidentifiable(target, train, "no training regimes")
+        return Unidentifiable(target, train, ROUTE_ALGEBRAIC, "no training regimes")
     system = build_system(ifm, train, target)
     q, _, rank, _ = np.linalg.lstsq(system.a, system.b, rcond=None)
     resid = np.abs(system.a @ q - system.b)
@@ -119,12 +118,9 @@ def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):
         return Unidentifiable(
             target,
             train,
-            reason=(
-                f"no exponents reproduce pattern {value} of factor {factor} "
-                f"(interventions {scope}); residual {resid[row]:.3g}"
-            ),
-            factor=factor,
-            value=value,
+            ROUTE_ALGEBRAIC,
+            f"no exponents reproduce pattern {value} of factor {factor} "
+            f"(interventions {scope}); residual {resid[row]:.3g}",
         )
     return PrTransformation(
         target,

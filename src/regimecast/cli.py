@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import MODEL_FORMAT_VERSION, __version__
-from .errors import ConditionsNotMet, DomainError, InvalidSpec
+from .errors import DomainError, InvalidSpec
 
 # Each command imports what it runs when it runs, so `--version`, `--help`
 # and usage errors load no numpy, and a patched module attribute is seen.
@@ -69,21 +69,22 @@ def _conditions_dict(report) -> dict:
     }
 
 
-def _certificate(train, target, route, conditions, cert=None, reason=None,
-                 support=None) -> dict:
-    """Certificate JSON; `cert` None means the target was not identified."""
+def _certificate(result, conditions, support=None) -> dict:
+    """Certificate JSON for a PrTransformation or an Unidentifiable."""
+    from .algebraic import PrTransformation
     from .fileio import regime_text
 
+    identified = isinstance(result, PrTransformation)
     out = {
         "format": CERT_FORMAT,
         "format_version": FORMAT_VERSION,
-        "identifiable": cert is not None,
-        "route": route,
-        "target": regime_text(target),
-        "train": [regime_text(r) for r in train],
-        "exponents": None if cert is None else [float(q) for q in cert.exponents],
-        "solution_dim": None if cert is None else cert.solution_dim,
-        "reason": reason,
+        "identifiable": identified,
+        "route": result.route,
+        "target": regime_text(result.target),
+        "train": [regime_text(r) for r in result.train],
+        "exponents": list(result.exponents) if identified else None,
+        "solution_dim": result.solution_dim if identified else None,
+        "reason": None if identified else result.reason,
     }
     if conditions is not None:
         out["conditions"] = conditions
@@ -103,34 +104,17 @@ def _cmd_identify(args) -> int:
     ifm = load_graph(args.graph)
     train = load_train(args.train, ifm.space)
     target = parse_regime_text(args.target, ifm.space)
-    norm = normalize_factors(ifm)
+    report, (result,) = junction.certify(ifm, train, [target], args.route)
+    conditions = None if report is None else _conditions_dict(report)
 
-    conditions = None
-    if args.route in ("auto", "tree"):
-        conditions = _conditions_dict(junction.check_conditions(norm, train))
-
-    if args.route == "tree" or (args.route == "auto" and conditions["passed"]
-                                and not args.reduce):
-        try:
-            cert = junction.message_passing_identify(norm, train, target)
-        except ConditionsNotMet as exc:
-            result = _certificate(train, target, "junction-tree", conditions, reason=str(exc))
-        else:
-            result = _certificate(train, target, "junction-tree", conditions, cert)
-    else:
-        solved = algebraic.solve_pr(norm, train, target)
-        if isinstance(solved, algebraic.Unidentifiable):
-            result = _certificate(train, target, "algebraic", conditions, reason=solved.reason)
-        elif args.reduce:
-            kept = algebraic.greedy_reduce(norm, train, target)
-            solved = algebraic.solve_pr(norm, kept, target)
-            support = [regime_text(r) for r in kept]
-            # exponents stay aligned with "train", which is the kept set here
-            result = _certificate(kept, target, "algebraic", conditions, solved,
-                                  support=support)
-        else:
-            result = _certificate(train, target, "algebraic", conditions, solved)
-    _emit(result, args.out)
+    support = None
+    if args.reduce and isinstance(result, algebraic.PrTransformation):
+        norm = normalize_factors(ifm)
+        kept = algebraic.greedy_reduce(norm, train, target)
+        # exponents stay aligned with "train", which is the kept set here
+        result = algebraic.solve_pr(norm, kept, target)
+        support = [regime_text(r) for r in kept]
+    _emit(_certificate(result, conditions, support), args.out)
     return 0
 
 

@@ -17,14 +17,6 @@ class DegenerateVariable(DomainError):
     """A variable with zero observed range cannot be binned."""
 
 
-class NotChordal(DomainError):
-    """Graph operation that requires chordality got a non-chordal graph."""
-
-
-class ConditionsNotMet(DomainError):
-    """Training regimes do not cover the combinations message passing needs."""
-
-
 class NonFinite(DomainError):
     """An objective or gradient evaluated to NaN or infinity."""
 

@@ -1,4 +1,5 @@
-"""Identification by message passing on a junction tree of the sigma graph.
+"""Certification of unseen regimes: `certify` picks the route, and the
+junction-tree route lives here.
 
 One min-fill elimination of the graph on intervention indices tests
 chordality, fills the graph in and lists its maximal cliques. A maximum-weight
@@ -8,8 +9,10 @@ covers, for every clique, all level combinations over that clique with
 everything else at baseline, an unseen regime's density is the product of its
 clique densities divided by its separator densities. The whole
 derivation collapses to an integer exponent vector over training regimes,
-which is what gets returned. Identification eliminates once per call;
-`sampling` runs the same elimination on the graph of its variables.
+which is what gets returned. `certify` takes this route when training covers
+every clique (or when asked to) and `algebraic.solve_pr` otherwise. The tree
+route eliminates once per call, whatever the number of targets; `sampling`
+runs the same elimination on the graph of its variables.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import ROUTE_TREE, PrTransformation, verify_pr
-from .errors import ConditionsNotMet, NotChordal
+from . import algebraic
+from .algebraic import ROUTE_TREE, PrTransformation, Unidentifiable, verify_pr
+from .errors import InvalidSpec
 from .model import (
     IfmStructure,
     RegimeSet,
-    RegimeVector,
     SigmaGraph,
+    normalize_factors,
     restrict_regime,
     sigma_graph,
     sigma_zero_set,
@@ -70,50 +74,14 @@ def is_decomposable(g: SigmaGraph) -> bool:
     return not _eliminate(g)[0]
 
 
-def triangulate(g: SigmaGraph) -> SigmaGraph:
-    """Chordal completion by minimum fill-in, lowest vertex index on ties.
-
-    Chordal inputs come back unchanged: they always have a zero-fill vertex
-    to eliminate, so the heuristic never adds an edge it does not need.
-    """
-    return SigmaGraph(g.d, g.edges | _eliminate(g)[0])
-
-
-def maximal_cliques(g: SigmaGraph) -> list:
-    """Maximal cliques of a chordal graph as sorted tuples, sorted overall."""
-    fill, cliques, _ = _eliminate(g)
-    if fill:
-        raise NotChordal("clique extraction requires a chordal graph")
-    return cliques
-
-
-@dataclass(frozen=True)
-class JunctionTree:
-    """Clique tree with running intersection: cliques and the edges between them.
-
-    Every clique tree of a chordal graph has the same separators, so the
-    tree carries no root; `separator(i, j)` is the overlap of a tree edge.
-    """
-
-    cliques: tuple
-    edges: tuple
-
-    def separator(self, i: int, j: int) -> tuple:
-        return tuple(sorted(set(self.cliques[i]) & set(self.cliques[j])))
-
-
-def build_junction_tree(g: SigmaGraph) -> JunctionTree:
-    """Build a junction tree over the maximal cliques of a chordal graph.
+def _junction_tree(cliques: list) -> tuple:
+    """Edges (i, j), i < j, of a junction tree over a graph's maximal cliques
+    (sorted tuples, sorted overall), as `_eliminate` lists them.
 
     The tree is the maximum-weight spanning tree under separator size, with
     ties broken by lexicographically smallest clique pair; zero-weight links
     are allowed so disconnected graphs still produce one tree.
     """
-    return _junction_tree(maximal_cliques(g))
-
-
-def _junction_tree(cliques: list) -> JunctionTree:
-    """`build_junction_tree` on a graph's maximal cliques (sorted tuples, sorted)."""
     n = len(cliques)
     members = [set(c) for c in cliques]
 
@@ -139,7 +107,7 @@ def _junction_tree(cliques: list) -> JunctionTree:
         if len(edges) == n - 1:
             break
 
-    return JunctionTree(cliques=tuple(cliques), edges=tuple(sorted(edges)))
+    return tuple(sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -185,9 +153,8 @@ def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> Condition
     return ConditionReport(tuple(entries))
 
 
-def message_passing_identify(ifm: IfmStructure, train: RegimeSet,
-                             target: RegimeVector) -> PrTransformation:
-    """Derive the target's exponent certificate from its junction tree.
+def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> list:
+    """Derive each target's exponent certificate from one junction tree.
 
     Each clique contributes the regime holding the target's levels on the
     clique (baseline elsewhere) with exponent +1, and each tree edge divides
@@ -199,38 +166,62 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet,
     Args:
         ifm: factor structure.
         train: available training regimes.
-        target: regime to identify.
+        targets: regimes to identify.
 
     Returns:
-        Integer-exponent certificate over `train`, verified before return.
-
-    Raises:
-        ConditionsNotMet: training coverage fails for some clique; the
-            report rides on the exception as `.report`.
+        Per target, an integer-exponent certificate over `train`, verified
+        before return, or an Unidentifiable when training coverage fails for
+        some clique.
     """
-    ifm.space.check_regime(target)
-    counts = np.zeros(len(train))
-
-    if target in train:
-        counts[train.index_of(target)] = 1.0
-        return PrTransformation(target, train, tuple(counts), ROUTE_TREE)
-
+    for target in targets:
+        ifm.space.check_regime(target)
     # one elimination of the untriangulated graph gives the filled graph's cliques
     cliques = _eliminate(sigma_graph(ifm))[1]
-    report = _conditions(ifm, cliques, train)
-    if not report.passed:
-        bad = [e.clique for e in report.entries if not e.passed]
-        exc = ConditionsNotMet(f"training set misses combinations over cliques {bad}")
-        exc.report = report
-        raise exc
+    bad = [e.clique for e in _conditions(ifm, cliques, train).entries if not e.passed]
+    edges = () if bad else _junction_tree(cliques)
 
-    jt = _junction_tree(cliques)
-    for clique in cliques:
-        counts[train.index_of(restrict_regime(target, clique))] += 1
-    for i, j in jt.edges:
-        counts[train.index_of(restrict_regime(target, jt.separator(i, j)))] -= 1
+    results = []
+    for target in targets:
+        if bad and target not in train:
+            results.append(Unidentifiable(
+                target, train, ROUTE_TREE,
+                f"training set misses combinations over cliques {bad}"))
+            continue
+        counts = np.zeros(len(train))
+        if target in train:
+            counts[train.index_of(target)] = 1.0
+        else:
+            for clique in cliques:
+                counts[train.index_of(restrict_regime(target, clique))] += 1
+            for i, j in edges:
+                separator = set(cliques[i]) & set(cliques[j])
+                counts[train.index_of(restrict_regime(target, separator))] -= 1
+        cert = PrTransformation(target, train, tuple(counts), ROUTE_TREE)
+        if not verify_pr(ifm, cert):
+            raise AssertionError("message-passing certificate failed verification")
+        results.append(cert)
+    return results
 
-    cert = PrTransformation(target, train, tuple(counts), ROUTE_TREE)
-    if not verify_pr(ifm, cert):
-        raise AssertionError("message-passing certificate failed verification")
-    return cert
+
+ROUTES = ("auto", "tree", "algebraic")
+
+
+def certify(ifm: IfmStructure, train: RegimeSet, targets, route: str = "auto") -> tuple:
+    """Certify each target from `train` along one of ROUTES.
+
+    "tree" runs `message_passing_identify` and "algebraic" runs
+    `algebraic.solve_pr` per target, both on the normalized structure built
+    here; "auto" takes the tree when training covers every clique. Returns
+    the clique-coverage report (None on the algebraic route) and, per target,
+    a PrTransformation or an Unidentifiable. An unknown route raises
+    InvalidSpec.
+    """
+    if route not in ROUTES:
+        raise InvalidSpec(f"unknown route {route!r}; expected one of {', '.join(ROUTES)}")
+    norm = normalize_factors(ifm)
+    report = None
+    if route != "algebraic":
+        report = check_conditions(norm, train)
+        if route == "tree" or report.passed:
+            return report, message_passing_identify(norm, train, targets)
+    return report, [algebraic.solve_pr(norm, train, t) for t in targets]

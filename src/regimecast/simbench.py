@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebraic, estimators
+from . import estimators, junction
+from .algebraic import PrTransformation, Unidentifiable
 from .energy import EnergyModel, Grid, discretize, fit as fit_energy, new_model
 from .errors import DegenerateVariable, InvalidSpec, UnknownStructure
 from .fileio import read_int, read_list, regime_text
@@ -33,7 +34,6 @@ from .model import (
     RegimeDataset,
     RegimeSet,
     RegimeVector,
-    normalize_factors,
 )
 from .nets import init_mlp, mlp_backward, mlp_forward, train
 from .sampling import sample
@@ -692,14 +692,10 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             truth = make_dag_truth(bundle, truth_seed, hidden=cfg["dag_hidden"])
 
     with _stage("certify test regimes"):
-        norm = normalize_factors(bundle.ifm)
-        targets, unidentifiable = [], []
-        for t in bundle.test:
-            result = algebraic.solve_pr(norm, bundle.train, t)
-            if isinstance(result, algebraic.PrTransformation):
-                targets.append(t)
-            else:
-                unidentifiable.append({"regime": regime_text(t), "reason": result.reason})
+        _, results = junction.certify(bundle.ifm, bundle.train, bundle.test)
+        targets = [r.target for r in results if isinstance(r, PrTransformation)]
+        unidentifiable = [{"regime": regime_text(r.target), "reason": r.reason}
+                          for r in results if isinstance(r, Unidentifiable)]
 
     with _stage("simulate training data"):
         datasets = []

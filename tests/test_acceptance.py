@@ -44,7 +44,6 @@ def cell_centers(model):
 
 def test_criterion_1_chain_certificate_on_both_routes(acceptance_log):
     bundle = builtin_structure("chain3")
-    norm = normalize_factors(bundle.ifm)
     target = RegimeVector((1, 1, 1))
     want = np.zeros(6)
     want[bundle.train.index_of(RegimeVector((1, 1, 0)))] = 1.0
@@ -52,13 +51,14 @@ def test_criterion_1_chain_certificate_on_both_routes(acceptance_log):
     want[bundle.train.index_of(RegimeVector((0, 1, 0)))] = -1.0
 
     t0 = time.perf_counter()
-    tree = junction.message_passing_identify(norm, bundle.train, target)
-    alg = algebraic.solve_pr(norm, bundle.train, target)
+    (tree,) = junction.certify(bundle.ifm, bundle.train, [target], "tree")[1]
+    (alg,) = junction.certify(bundle.ifm, bundle.train, [target], "algebraic")[1]
     elapsed = time.perf_counter() - t0
 
-    ok_tree = np.array_equal(np.asarray(tree.exponents), want)
-    ok_alg = isinstance(alg, PrTransformation) and np.allclose(alg.exponents, want,
-                                                               atol=1e-9)
+    ok_tree = isinstance(tree, PrTransformation) and tree.route == "junction-tree" \
+        and np.array_equal(np.asarray(tree.exponents), want)
+    ok_alg = isinstance(alg, PrTransformation) and alg.route == "algebraic" \
+        and np.allclose(alg.exponents, want, atol=1e-9)
     ok = ok_tree and ok_alg and elapsed < 1.0
     acceptance_log(f"{'PASS' if ok else 'FAIL'} criterion 1: chain certificate "
                    f"+1/+1/-1 on both routes ({elapsed:.3f}s)")

@@ -68,9 +68,8 @@ def test_every_leave_one_out_is_unidentifiable():
         res = solve_pr(ifm, sub, target)
         assert isinstance(res, Unidentifiable)
         assert res.target == target
-        assert res.reason
-        assert isinstance(res.factor, int)
-        assert isinstance(res.value, tuple)
+        assert res.route == "algebraic"
+        assert res.reason.startswith("no exponents reproduce pattern")
 
 
 def test_empty_train_is_unidentifiable():

@@ -3,22 +3,21 @@
 import pytest
 
 from regimecast import (
-    ConditionsNotMet,
     FactorSpec,
     IfmStructure,
     InterventionSpace,
     PrTransformation,
     RegimeSet,
+    Unidentifiable,
     check_conditions,
-    maximal_cliques,
     message_passing_identify,
     normalize_factors,
     sigma_graph,
     sigma_zero_set,
     solve_pr,
-    triangulate,
     verify_pr,
 )
+from regimecast.junction import _eliminate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -44,7 +43,7 @@ def problems(draw):
     ifm = IfmStructure(m, space, tuple(factors))
 
     train = RegimeSet(())
-    for clique in maximal_cliques(triangulate(sigma_graph(normalize_factors(ifm)))):
+    for clique in _eliminate(sigma_graph(normalize_factors(ifm)))[1]:
         train = train.union(sigma_zero_set(space, clique))
     drop = draw(st.none() | st.integers(0, len(train) - 1))
     if drop is not None:
@@ -52,15 +51,6 @@ def problems(draw):
     regimes = space.all_regimes().regimes
     unseen = [r for r in regimes if r not in train]
     return ifm, train, draw(st.sampled_from(unseen or regimes))
-
-
-def tree_outcome(ifm, train, target):
-    """The tree route's certificate, or its refusal message."""
-    try:
-        cert = message_passing_identify(ifm, train, target)
-    except ConditionsNotMet as exc:
-        return str(exc), exc.report
-    return cert.train, cert.exponents, cert.route
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
@@ -72,12 +62,13 @@ def test_tree_and_algebraic_routes_certify_together(problem):
     # route gives the same answer with or without normalization
     assert sigma_graph(ifm).edges == sigma_graph(norm).edges
     assert check_conditions(ifm, train) == check_conditions(norm, train)
-    assert tree_outcome(ifm, train, target) == tree_outcome(norm, train, target)
+    (tree,) = message_passing_identify(ifm, train, [target])
+    assert message_passing_identify(norm, train, [target]) == [tree]
+    assert tree.route == "junction-tree"
     if check_conditions(ifm, train).passed:
-        tree = message_passing_identify(ifm, train, target)
         alg = solve_pr(norm, train, target)
         assert isinstance(alg, PrTransformation)
         assert verify_pr(norm, tree) and verify_pr(norm, alg)
     elif target not in train:
-        with pytest.raises(ConditionsNotMet):
-            message_passing_identify(ifm, train, target)
+        assert isinstance(tree, Unidentifiable)
+        assert tree.reason.startswith("training set misses combinations over cliques")

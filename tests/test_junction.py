@@ -1,4 +1,5 @@
-"""Chordality, triangulation, junction trees, message-passing certificates."""
+"""Chordality, elimination, junction trees, message-passing certificates, and
+the one certification call."""
 
 import itertools
 
@@ -6,31 +7,39 @@ import numpy as np
 import pytest
 
 from regimecast import (
-    ConditionsNotMet,
     FactorSpec,
     IfmStructure,
     InterventionSpace,
-    NotChordal,
+    PrTransformation,
     RegimeSet,
     RegimeVector,
     SigmaGraph,
-    build_junction_tree,
+    Unidentifiable,
+    certify,
     check_conditions,
     is_decomposable,
-    maximal_cliques,
     message_passing_identify,
     normalize_factors,
     sigma_graph,
-    triangulate,
+    solve_pr,
     verify_pr,
 )
 from regimecast import junction
+from regimecast.errors import InvalidSpec
+from regimecast.junction import _eliminate, _junction_tree
+from regimecast.simbench import builtin_structure
 
 from conftest import TableModel, reconstruct_density, tv
 
 
 def graph(d, edges):
     return SigmaGraph(d, frozenset((min(a, b), max(a, b)) for a, b in edges))
+
+
+def filled(g):
+    """The graph plus its elimination fill, and that filled graph's cliques."""
+    fill, cliques, _ = _eliminate(g)
+    return SigmaGraph(g.d, g.edges | fill), cliques
 
 
 # eight binary interventions, seven pairwise-switched factors on one variable
@@ -61,7 +70,7 @@ def test_chordality_known_cases():
 
 def test_triangulate_four_cycle_adds_expected_chord():
     g = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    tri = triangulate(g)
+    tri, _ = filled(g)
     assert is_decomposable(tri)
     # min-fill with lowest-index ties eliminates vertex 0 first
     assert tri.edges - g.edges == frozenset({(1, 3)})
@@ -69,20 +78,20 @@ def test_triangulate_four_cycle_adds_expected_chord():
 
 def test_triangulate_keeps_chordal_graph():
     g = graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert triangulate(g).edges == g.edges
+    assert _eliminate(g)[0] == set()
 
 
 def test_maximal_cliques():
     g = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert maximal_cliques(g) == [(0, 1, 2), (2, 3)]
-    assert maximal_cliques(graph(3, [])) == [(0,), (1,), (2,)]
+    assert _eliminate(g)[1] == [(0, 1, 2), (2, 3)]
+    assert _eliminate(graph(3, []))[1] == [(0,), (1,), (2,)]
 
 
 def test_junction_tree_shape():
-    g = sigma_graph(eight_intv_structure())
-    tree = build_junction_tree(g)
-    assert tree.cliques == tuple(sorted(PAIR_SCOPES))
-    links = {(tree.cliques[i], tree.cliques[j]): tree.separator(i, j) for i, j in tree.edges}
+    cliques = _eliminate(sigma_graph(eight_intv_structure()))[1]
+    assert cliques == sorted(PAIR_SCOPES)
+    links = {(cliques[i], cliques[j]): tuple(sorted(set(cliques[i]) & set(cliques[j])))
+             for i, j in _junction_tree(cliques)}
     assert links == {
         ((0, 1), (1, 2)): (1,),
         ((0, 1), (1, 4)): (1,),
@@ -100,18 +109,18 @@ def test_running_intersection_on_random_chordal_graphs():
         n_edges = int(rng.integers(d - 1, d * (d - 1) // 2 + 1))
         pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
         take = rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False)
-        tri = triangulate(graph(d, [pairs[i] for i in take]))
+        tri, cliques = filled(graph(d, [pairs[i] for i in take]))
         assert is_decomposable(tri)
-        tree = build_junction_tree(tri)
+        edges = _junction_tree(cliques)
 
         # every graph edge is inside some clique
         for a, b in tri.edges:
-            assert any(a in cl and b in cl for cl in tree.cliques)
+            assert any(a in cl and b in cl for cl in cliques)
 
-        n = len(tree.cliques)
-        assert len(tree.edges) == n - 1
+        n = len(cliques)
+        assert len(edges) == n - 1
         nbrs = [set() for _ in range(n)]
-        for i, j in tree.edges:
+        for i, j in edges:
             nbrs[i].add(j)
             nbrs[j].add(i)
 
@@ -131,10 +140,10 @@ def test_running_intersection_on_random_chordal_graphs():
             prev = walk_from(i)
             assert len(prev) == n  # connected: n - 1 edges reaching every clique
             for j in range(i + 1, n):
-                shared = set(tree.cliques[i]) & set(tree.cliques[j])
+                shared = set(cliques[i]) & set(cliques[j])
                 k = j
                 while k is not None:
-                    assert shared <= set(tree.cliques[k])
+                    assert shared <= set(cliques[k])
                     k = prev[k]
 
 
@@ -161,8 +170,8 @@ def test_message_passing_certificate_exponents():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(norm, train, target)
-    assert verify_pr(norm, cert)
+    (cert,) = message_passing_identify(norm, train, [target])
+    assert cert.route == "junction-tree" and verify_pr(norm, cert)
 
     by_regime = dict(zip([r.levels for r in cert.train], cert.exponents))
     for s in PAIR_SCOPES:
@@ -183,7 +192,7 @@ def test_message_passing_matches_table_oracle():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(norm, train, target)
+    (cert,) = message_passing_identify(norm, train, [target])
 
     rng = np.random.default_rng(7)
     tables = {}
@@ -199,7 +208,7 @@ def test_message_passing_short_circuits_known_target():
     norm = normalize_factors(ifm)
     train = full_train()
     target = train[3]
-    cert = message_passing_identify(norm, train, target)
+    (cert,) = message_passing_identify(norm, train, [target])
     expected = [0.0] * len(train)
     expected[3] = 1.0
     assert list(cert.exponents) == expected
@@ -209,36 +218,69 @@ def test_message_passing_requires_coverage():
     ifm = eight_intv_structure()
     norm = normalize_factors(ifm)
     train = RegimeSet.of([ones_at(()), ones_at((0,))])
-    with pytest.raises(ConditionsNotMet) as err:
-        message_passing_identify(norm, train, RegimeVector(ones_at((0, 1))))
-    assert not err.value.report.passed
+    target = RegimeVector(ones_at((0, 1)))
+    unseen, seen = message_passing_identify(norm, train, [target, train[1]])
+    assert isinstance(unseen, Unidentifiable)
+    assert (unseen.target, unseen.train, unseen.route) == (target, train, "junction-tree")
+    assert unseen.reason.startswith("training set misses combinations over cliques [(0, 1),")
+    # a target already in training needs no coverage
+    assert isinstance(seen, PrTransformation) and seen.exponents == (0.0, 1.0)
+    # the tree is the route asked for, so the report rides along with the refusal
+    report, results = certify(ifm, train, [target], "tree")
+    assert not report.passed and results == [unseen]
 
 
 def test_identification_eliminates_once(monkeypatch):
-    calls = {}
+    calls = []
+    eliminate = junction._eliminate
 
-    def count(name):
-        real = getattr(junction, name)
+    def counted(g):
+        calls.append(g.d)
+        return eliminate(g)
 
-        def counted(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
-        monkeypatch.setattr(junction, name, counted)
-
-    count("_eliminate")
-    ifm = eight_intv_structure()
-    target = RegimeVector(ones_at(tuple(range(8))))
-    cert = message_passing_identify(ifm, full_train(), target)
-    assert calls == {"_eliminate": 1}
+    monkeypatch.setattr(junction, "_eliminate", counted)
+    bundle = builtin_structure("dream")
+    assert len(bundle.test) == 45
+    report, results = certify(bundle.ifm, bundle.train, bundle.test)
+    all_targets = len(calls)
     calls.clear()
-    report = check_conditions(ifm, full_train())
-    assert calls == {"_eliminate": 1}
-    monkeypatch.undo()
+    certify(bundle.ifm, bundle.train, bundle.test.regimes[:1])
+    # the tree route's work on the graph does not grow with the targets
+    assert all_targets == len(calls) > 0
+    calls.clear()
+    check_conditions(bundle.ifm, bundle.train)
+    assert len(calls) == 1
+    assert report.passed
+    assert all(r.route == "junction-tree" and verify_pr(normalize_factors(bundle.ifm), r)
+               for r in results)
 
-    # the one elimination of the untriangulated graph gives the filled graph's cliques
-    tri = triangulate(sigma_graph(normalize_factors(ifm)))
-    assert [e.clique for e in report.entries] == maximal_cliques(tri)
-    assert report.passed and verify_pr(normalize_factors(ifm), cert)
+
+def test_certify_matches_a_per_target_solver_loop():
+    # "auto" takes the tree only where coverage holds, and the tree certifies
+    # exactly the targets the exponent system can solve
+    for name in ("chain3", "triangle", "sachs", "dream"):
+        bundle = builtin_structure(name)
+        norm = normalize_factors(bundle.ifm)
+        targets = bundle.test.regimes + bundle.train.regimes[-1:]
+        for train in (bundle.train, RegimeSet(bundle.train.regimes[:-1])):
+            report, results = certify(bundle.ifm, train, targets)
+            assert report == check_conditions(norm, train)
+            loop = [solve_pr(norm, train, t) for t in targets]
+            assert [r.target for r in results] == list(targets)
+            assert [isinstance(r, PrTransformation) for r in results] == \
+                [isinstance(r, PrTransformation) for r in loop], name
+            assert [getattr(r, "reason", None) for r in results] == \
+                [getattr(r, "reason", None) for r in loop], name
+            assert all(r.route == ("junction-tree" if report.passed else "algebraic")
+                       for r in results)
+
+
+def test_certify_rejects_an_unknown_route():
+    bundle = builtin_structure("chain3")
+    with pytest.raises(InvalidSpec, match="unknown route 'exact'"):
+        certify(bundle.ifm, bundle.train, bundle.test, "exact")
+    report, results = certify(bundle.ifm, bundle.train, bundle.test, "algebraic")
+    assert report is None and all(r.route == "algebraic" for r in results)
 
 
 def test_factor_scopes_live_inside_cliques():
@@ -259,8 +301,7 @@ def test_factor_scopes_live_inside_cliques():
             if j not in covered:
                 factors.append(FactorSpec((0,), (j,)))
         ifm = IfmStructure(1, space, tuple(factors))
-        tri = triangulate(sigma_graph(normalize_factors(ifm)))
-        cliques = maximal_cliques(tri)
+        cliques = _eliminate(sigma_graph(normalize_factors(ifm)))[1]
         for f in ifm.factors:
             assert any(set(f.intv_scope) <= set(cl) for cl in cliques)
 
@@ -302,13 +343,9 @@ def test_graph_helpers_match_brute_force_on_every_small_graph():
         count += 1
         chordal = brute_chordal(g)
         assert is_decomposable(g) == chordal
-        tri = triangulate(g)
+        tri, cliques = filled(g)
         assert tri.d == g.d and g.edges <= tri.edges and brute_chordal(tri)
-        assert maximal_cliques(tri) == brute_cliques(tri)
+        assert cliques == brute_cliques(tri)
         if chordal:
             assert tri.edges == g.edges
-            assert maximal_cliques(g) == brute_cliques(g)
-        else:
-            with pytest.raises(NotChordal):
-                maximal_cliques(g)
     assert count == 1099

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from regimecast import simbench
+from regimecast import junction, simbench
 from regimecast.cli import main
 from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
+from regimecast.fileio import graph_to_dict
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
 from regimecast.simbench import (
@@ -386,6 +387,30 @@ def test_run_benchmark_weighs_each_target_once(monkeypatch):
     calls.clear()
     run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ridge"]})
     assert calls == []
+
+
+def test_identify_and_run_benchmark_make_one_certify_call(monkeypatch, tmp_path, capsys):
+    calls = []
+    certify = junction.certify
+
+    def counted(ifm, train, targets, route="auto"):
+        calls.append(route)
+        return certify(ifm, train, targets, route)
+
+    monkeypatch.setattr(junction, "certify", counted)
+    bundle = builtin_structure("chain3")
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(bundle.ifm)))
+    (tmp_path / "train.json").write_text(json.dumps([list(r.levels) for r in bundle.train]))
+    assert main(["identify", "--graph", str(tmp_path / "graph.json"),
+                 "--train", str(tmp_path / "train.json"), "--target", "1,1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["identifiable"]
+    assert calls == ["auto"]
+
+    calls.clear()
+    report = run_benchmark({**TINY_CONFIG, "methods": ["ridge"]})
+    # every test regime goes through the one call, on identify's default route
+    assert calls == ["auto"]
+    assert report.data["scored_regimes"] == ["1,1,1", "1,0,1"]
 
 
 class _SerialPool:
