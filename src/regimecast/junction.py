@@ -2,17 +2,20 @@
 junction-tree route lives here.
 
 One min-fill elimination of the graph on intervention indices tests
-chordality, fills the graph in and lists its maximal cliques. A maximum-weight
-spanning tree over them is a junction tree; it needs no root, because every
-clique tree of the graph has the same separators. Provided training data
-covers, for every clique, all level combinations over that clique with
-everything else at baseline, an unseen regime's density is the product of its
-clique densities divided by its separator densities. The whole
-derivation collapses to an integer exponent vector over training regimes,
-which is what gets returned. `certify` takes this route when training covers
-every clique (or when asked to) and `algebraic.solve_pr` otherwise. The tree
-route eliminates once per call, whatever the number of targets; `sampling`
-runs the same elimination on the graph of its variables.
+chordality, fills the graph in, lists its maximal cliques and records each
+step's vertex v with its later neighbours L_v; the order is perfect for the
+filled graph. Provided training data covers, for every clique, all level
+combinations over that clique with everything else at baseline, the chain
+rule along that order writes an unseen regime's density as
+p_0 · prod_v p(A_v) / p(L_v), A_v = {v} | L_v, each factor the density of the
+regime restricted to that set. Non-maximal A_v cancel against some L_u, which
+leaves the clique densities over the clique-tree separators, so no tree is
+built. The whole derivation collapses to an integer exponent vector over
+training regimes, which is what gets returned. `certify` takes this route
+when training covers every clique (or when asked to) and `algebraic.solve_pr`
+otherwise. The tree route eliminates once per call, whatever the number of
+targets; `sampling` reads the same elimination record on the graph of its
+variables.
 """
 
 from __future__ import annotations
@@ -39,18 +42,18 @@ from .model import (
 def _eliminate(g: SigmaGraph) -> tuple:
     """Min-fill elimination, lowest vertex index on ties.
 
-    Returns (fill, cliques, order): the edges it adds, the maximal sets
-    among {vertex} | {its neighbours not yet eliminated} as sorted tuples,
-    sorted overall, and the vertices in elimination order. The order is
-    perfect for the filled graph (input plus fill), so those sets are its
-    maximal cliques; a graph is chordal exactly when there is no fill (it
-    always has a zero-fill vertex).
+    Returns (fill, cliques, steps): the edges it adds, the maximal sets among
+    {v} | later for the steps (v, later), as sorted tuples, sorted overall,
+    and per step in elimination order the vertex v and its later neighbours
+    (those not yet eliminated) as a sorted tuple. The order is perfect for
+    the filled graph (input plus fill), so those sets are its maximal
+    cliques; a graph is chordal exactly when there is no fill (it always has
+    a zero-fill vertex).
     """
     adj = g.adjacency()
     remaining = set(range(g.d))
     fill = set()
-    sets = set()
-    order = []
+    steps = []
 
     def missing(v):
         nbrs = sorted(adj[v] & remaining)
@@ -63,51 +66,15 @@ def _eliminate(g: SigmaGraph) -> tuple:
             adj[b].add(a)
             fill.add((a, b))
         remaining.discard(v)
-        order.append(v)
-        sets.add(frozenset((adj[v] & remaining) | {v}))
+        steps.append((v, tuple(sorted(adj[v] & remaining))))
+    sets = {frozenset((v, *later)) for v, later in steps}
     cliques = [c for c in sets if not any(c < other for other in sets)]
-    return fill, sorted(tuple(sorted(c)) for c in cliques), order
+    return fill, sorted(tuple(sorted(c)) for c in cliques), steps
 
 
 def is_decomposable(g: SigmaGraph) -> bool:
     """True when the graph is chordal (every cycle >= 4 has a chord)."""
     return not _eliminate(g)[0]
-
-
-def _junction_tree(cliques: list) -> tuple:
-    """Edges (i, j), i < j, of a junction tree over a graph's maximal cliques
-    (sorted tuples, sorted overall), as `_eliminate` lists them.
-
-    The tree is the maximum-weight spanning tree under separator size, with
-    ties broken by lexicographically smallest clique pair; zero-weight links
-    are allowed so disconnected graphs still produce one tree.
-    """
-    n = len(cliques)
-    members = [set(c) for c in cliques]
-
-    candidates = sorted(
-        itertools.combinations(range(n), 2),
-        key=lambda ij: (-len(members[ij[0]] & members[ij[1]]), cliques[ij[0]], cliques[ij[1]]),
-    )
-
-    comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    edges = []
-    for i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            comp[ri] = rj
-            edges.append((i, j))
-        if len(edges) == n - 1:
-            break
-
-    return tuple(sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -154,14 +121,16 @@ def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> Condition
 
 
 def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> list:
-    """Derive each target's exponent certificate from one junction tree.
+    """Derive each target's exponent certificate from one min-fill elimination.
 
-    Each clique contributes the regime holding the target's levels on the
-    clique (baseline elsewhere) with exponent +1, and each tree edge divides
-    out the regime restricted to its separator. Every clique tree of a
-    chordal graph has the same separators, so no root is needed, and factor
-    normalization adds no sigma-graph edge, so none is needed either. A
-    target already in training short-circuits to the one-hot certificate.
+    Each step (v, later) contributes exponent +1 at the regime holding the
+    target's levels on {v} | later (baseline elsewhere), and each step but
+    the last -1 at the regime restricted to `later`. The last step's `later`
+    is empty, so its division cancels the baseline factor p_0. Every such
+    set lies in a clique of the filled graph, so clique coverage puts each
+    regime in training. Factor normalization adds no sigma-graph edge, so
+    none is needed. A target already in training short-circuits to the
+    one-hot certificate.
 
     Args:
         ifm: factor structure.
@@ -175,10 +144,10 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> li
     """
     for target in targets:
         ifm.space.check_regime(target)
-    # one elimination of the untriangulated graph gives the filled graph's cliques
-    cliques = _eliminate(sigma_graph(ifm))[1]
+    # one elimination of the untriangulated graph gives the filled graph's
+    # cliques and the steps every certificate reads
+    _, cliques, steps = _eliminate(sigma_graph(ifm))
     bad = [e.clique for e in _conditions(ifm, cliques, train).entries if not e.passed]
-    edges = () if bad else _junction_tree(cliques)
 
     results = []
     for target in targets:
@@ -191,11 +160,10 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> li
         if target in train:
             counts[train.index_of(target)] = 1.0
         else:
-            for clique in cliques:
-                counts[train.index_of(restrict_regime(target, clique))] += 1
-            for i, j in edges:
-                separator = set(cliques[i]) & set(cliques[j])
-                counts[train.index_of(restrict_regime(target, separator))] -= 1
+            for v, later in steps:
+                counts[train.index_of(restrict_regime(target, (v, *later)))] += 1
+            for _, later in steps[:-1]:
+                counts[train.index_of(restrict_regime(target, later))] -= 1
         cert = PrTransformation(target, train, tuple(counts), ROUTE_TREE)
         if not verify_pr(ifm, cert):
             raise AssertionError("message-passing certificate failed verification")

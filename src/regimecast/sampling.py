@@ -76,25 +76,25 @@ def _plan(model: EnergyModel) -> tuple:
     linking variables that share a factor.
 
     steps[i] = (v, others, inputs, reach): the variable eliminated, the rest
-    of its clique, the pool entries that read v as (scope, source) in pool
-    order, and the interventions that reach the step through them. Sources
-    0..K-1 are the factors and K + i is step i's message; `rest` lists the
-    sources left in the pool at the end. memo maps (i, the regime projected
-    onto reach) to (the input arrays, the message made from them).
+    of its clique (its later neighbours, as `_eliminate` records them), the
+    pool entries that read v as (scope, source) in pool order, and the
+    interventions that reach the step through them. Sources 0..K-1 are the
+    factors and K + i is step i's message; `rest` lists the sources left in
+    the pool at the end. memo maps (i, the regime projected onto reach) to
+    (the input arrays, the message made from them).
     """
     if model.plan is None:
         factors = model.ifm.factors
         edges = {e for f in factors for e in itertools.combinations(f.var_scope, 2)}
-        _, cliques, order = _eliminate(SigmaGraph(model.ifm.m, frozenset(edges)))
+        _, cliques, elimination = _eliminate(SigmaGraph(model.ifm.m, frozenset(edges)))
         pool = [(f.var_scope, k, set(f.intv_scope)) for k, f in enumerate(factors)]
         steps = []
-        for v in order:
+        for v, others in elimination:
             mine = [entry for entry in pool if v in entry[0]]
             pool = [entry for entry in pool if v not in entry[0]]
-            others = sorted({j for scope, _, _ in mine for j in scope} - {v})
             reach = set().union(*(r for _, _, r in mine))
             steps.append((v, others, [(scope, src) for scope, src, _ in mine], sorted(reach)))
-            pool.append((tuple(others), len(factors) + len(steps) - 1, reach))
+            pool.append((others, len(factors) + len(steps) - 1, reach))
         model.plan = (cliques, steps, [src for _, src, _ in pool], {})
     return model.plan
 
@@ -107,7 +107,7 @@ def _message(nbins, v, others, inputs) -> np.ndarray:
     with no transposed copy, and reduced over that leading axis in place:
     numpy reduces a leading axis about twice as fast as a short trailing one.
     """
-    axes = [v] + others
+    axes = (v, *others)
     table = np.zeros([nbins[j] for j in axes])
     for scope, t in inputs:
         # scopes are sorted, so moving v's axis first puts t's axes in clique order

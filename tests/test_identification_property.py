@@ -72,3 +72,11 @@ def test_tree_and_algebraic_routes_certify_together(problem):
     elif target not in train:
         assert isinstance(tree, Unidentifiable)
         assert tree.reason.startswith("training set misses combinations over cliques")
+    # every certificate the tree route gives outside training: integer
+    # exponents summing to exactly 1 that solve the exponent system
+    unseen = [r for r in ifm.space.all_regimes().regimes if r not in train]
+    for cert in message_passing_identify(ifm, train, unseen):
+        if isinstance(cert, PrTransformation):
+            assert all(q == int(q) for q in cert.exponents)
+            assert sum(cert.exponents) == 1
+            assert verify_pr(norm, cert)

@@ -1,5 +1,5 @@
-"""Chordality, elimination, junction trees, message-passing certificates, and
-the one certification call."""
+"""Chordality, elimination, message-passing certificates, and the one
+certification call."""
 
 import itertools
 
@@ -26,7 +26,7 @@ from regimecast import (
 )
 from regimecast import junction
 from regimecast.errors import InvalidSpec
-from regimecast.junction import _eliminate, _junction_tree
+from regimecast.junction import _eliminate
 from regimecast.simbench import builtin_structure
 
 from conftest import TableModel, reconstruct_density, tv
@@ -85,66 +85,7 @@ def test_maximal_cliques():
     g = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert _eliminate(g)[1] == [(0, 1, 2), (2, 3)]
     assert _eliminate(graph(3, []))[1] == [(0,), (1,), (2,)]
-
-
-def test_junction_tree_shape():
-    cliques = _eliminate(sigma_graph(eight_intv_structure()))[1]
-    assert cliques == sorted(PAIR_SCOPES)
-    links = {(cliques[i], cliques[j]): tuple(sorted(set(cliques[i]) & set(cliques[j])))
-             for i, j in _junction_tree(cliques)}
-    assert links == {
-        ((0, 1), (1, 2)): (1,),
-        ((0, 1), (1, 4)): (1,),
-        ((1, 2), (2, 3)): (2,),
-        ((2, 3), (3, 5)): (3,),
-        ((2, 3), (3, 7)): (3,),
-        ((3, 5), (5, 6)): (5,),
-    }
-
-
-def test_running_intersection_on_random_chordal_graphs():
-    rng = np.random.default_rng(42)
-    for _ in range(30):
-        d = int(rng.integers(3, 9))
-        n_edges = int(rng.integers(d - 1, d * (d - 1) // 2 + 1))
-        pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-        take = rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False)
-        tri, cliques = filled(graph(d, [pairs[i] for i in take]))
-        assert is_decomposable(tri)
-        edges = _junction_tree(cliques)
-
-        # every graph edge is inside some clique
-        for a, b in tri.edges:
-            assert any(a in cl and b in cl for cl in cliques)
-
-        n = len(cliques)
-        assert len(edges) == n - 1
-        nbrs = [set() for _ in range(n)]
-        for i, j in edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-
-        def walk_from(i):
-            """Each clique's predecessor on its tree path from clique i."""
-            prev = {i: None}
-            stack = [i]
-            while stack:
-                k = stack.pop()
-                for nb in nbrs[k] - prev.keys():
-                    prev[nb] = k
-                    stack.append(nb)
-            return prev
-
-        # running intersection: C_i & C_j lies in every clique on their path
-        for i in range(n):
-            prev = walk_from(i)
-            assert len(prev) == n  # connected: n - 1 edges reaching every clique
-            for j in range(i + 1, n):
-                shared = set(cliques[i]) & set(cliques[j])
-                k = j
-                while k is not None:
-                    assert shared <= set(cliques[k])
-                    k = prev[k]
+    assert _eliminate(sigma_graph(eight_intv_structure()))[1] == sorted(PAIR_SCOPES)
 
 
 def test_check_conditions_reports_missing_regimes():
@@ -346,6 +287,13 @@ def test_graph_helpers_match_brute_force_on_every_small_graph():
         tri, cliques = filled(g)
         assert tri.d == g.d and g.edges <= tri.edges and brute_chordal(tri)
         assert cliques == brute_cliques(tri)
+        # each step records its vertex's neighbours in the filled graph that
+        # are eliminated after it
+        steps = _eliminate(g)[2]
+        order = [v for v, _ in steps]
+        assert sorted(order) == list(range(g.d))
+        for i, (v, later) in enumerate(steps):
+            assert later == tuple(sorted(u for u in order[i + 1:] if tri.has_edge(u, v)))
         if chordal:
             assert tri.edges == g.edges
     assert count == 1099
