@@ -2,6 +2,7 @@
 certification call."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,7 +86,19 @@ def test_maximal_cliques():
     g = graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert _eliminate(g)[1] == [(0, 1, 2), (2, 3)]
     assert _eliminate(graph(3, []))[1] == [(0,), (1,), (2,)]
-    assert _eliminate(sigma_graph(eight_intv_structure()))[1] == sorted(PAIR_SCOPES)
+
+
+def test_junction_tree_shape():
+    _, cliques, steps = _eliminate(sigma_graph(eight_intv_structure()))
+    assert cliques == sorted(PAIR_SCOPES)
+    # +1 per step's {v} | later, -1 per later set but the last (empty) one:
+    # what is left is +1 per clique and -1 per junction-tree separator
+    net = Counter(tuple(sorted((v, *later))) for v, later in steps)
+    net.subtract(later for _, later in steps[:-1])
+    assert {s: k for s, k in net.items() if k} == {
+        **{c: 1 for c in PAIR_SCOPES},
+        (1,): -2, (2,): -1, (3,): -2, (5,): -1,
+    }
 
 
 def test_check_conditions_reports_missing_regimes():
