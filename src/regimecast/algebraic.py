@@ -80,20 +80,17 @@ def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> L
         space.check_regime(r)
 
     symbols = []
+    patterns = []  # per factor: the target's pattern, then each training regime's
     for k, f in enumerate(ifm.factors):
-        values = {r.project(f.intv_scope) for r in train}
-        values.add(target.project(f.intv_scope))
-        symbols.extend((k, v) for v in sorted(values))
+        patterns.append([r.project(f.intv_scope) for r in (target, *train)])
+        symbols.extend((k, v) for v in sorted(set(patterns[-1])))
+    row = {s: i for i, s in enumerate(symbols)}
 
     a = np.zeros((len(symbols), len(train)))
     b = np.zeros(len(symbols))
-    for row, (k, v) in enumerate(symbols):
-        scope = ifm.factors[k].intv_scope
-        for i, r in enumerate(train):
-            if r.project(scope) == v:
-                a[row, i] = 1.0
-        if target.project(scope) == v:
-            b[row] = 1.0
+    for k, (aim, *values) in enumerate(patterns):
+        a[[row[k, v] for v in values], range(len(values))] = 1.0
+        b[row[k, aim]] = 1.0
     a.flags.writeable = False
     b.flags.writeable = False
     return LinearSystem(a, b, tuple(symbols))

@@ -13,12 +13,13 @@ its scope grid; `factor_table` caches it on the model, and densities, ratios
 and sampling read it (`potentials` runs the net only above `CELL_CAP` cells).
 Fitting exploits the same fact twice. Rows that fall into the same bins
 have the same conditionals, so each dataset's rows collapse to its distinct
-bin rows, each weighted by its count. The distinct scope cells those rows'
-sweeps reach form one small design per net. Each step evaluates every net
-once on its design; then, per variable, one sweep over all datasets' rows
-gathers the conditional logits from the nets' outputs laid end to end,
-and scatters their count-weighted gradient back, one factor at a time,
-before each net's backward pass.
+bin rows, each weighted by its count. Per factor, one `np.unique` over the
+codes of every row's sweeps, each packing a level pattern and a scope
+cell, finds the cells they reach: one small design per net. Each step
+evaluates every net once on its design; then, per variable, one sweep over
+all datasets' rows gathers the conditional logits from the nets' outputs
+laid end to end, and scatters their count-weighted gradient back, one
+factor at a time, before each net's backward pass.
 """
 
 from __future__ import annotations
@@ -234,72 +235,55 @@ def _prepare(model: EnergyModel, datasets):
 
     Each dataset's bin rows collapse to its distinct bin rows, each counted
     by how many rows share it; all datasets' distinct rows, in dataset
-    order, form the sweeps' row axis. Sweeping variable r of a row over its
-    bins reads, for every factor k on r, the cells of k's scope grid that
-    agree with the row off r, in the net the row's regime selects. Per net
-    key, the distinct cells any sweep reaches become one design of bin
-    centers. The designs' outputs lie end to end in one flat vector in key
-    order, so each factor's nets are neighbours. Returns (designs, sweeps,
-    counts, inverses): sweeps[r] is (observed, starts, index), with each
-    row's observed cell in the flattened (rows, nbins[r]) logits and, for
-    the i-th factor on r, the (rows, nbins[r]) positions index[i] of its
-    terms in the flat vector, counted from starts[i], where its nets begin;
+    order, form the sweeps' row axis. Per factor, each row's level pattern
+    and scope cell pack into one code, pattern * |scope grid| + cell (both
+    raveled row-major), and sweeping variable r over its bins steps that
+    code by r's stride. One `np.unique` over all of the factor's sweep
+    codes finds the cells they reach, sorted by pattern and then cell: each
+    pattern's cells become its net's design of bin centers, so the designs'
+    outputs lie end to end in one flat vector in key order, and the inverse,
+    cut per variable, places each sweep term from where the factor's nets
+    begin. Returns (designs, sweeps, counts, inverses): sweeps[r] is
+    (observed, starts, index), with each row's observed cell in the
+    flattened (rows, nbins[r]) logits and, for the i-th factor on r, its
+    inverse's (rows, nbins[r]) view index[i], counted from starts[i];
     counts[d] counts the rows behind each distinct row of dataset d and
     inverses[d] maps each raw row of dataset d to its distinct row.
     """
     if not datasets:
         raise InvalidSpec("the pseudo-log-likelihood needs at least one dataset")
-    nbins = model.grid.nbins
-    factors = model.ifm.factors
-    on = [[k for k, f in enumerate(factors) if r in f.var_scope] for r in range(model.ifm.m)]
-    flats = {}  # per net key: (cells, r, factor position, first row) per sweep part
-    observed = [[] for _ in on]
-    counts = []
-    inverses = []
-    rows = 0
     for ds in datasets:
         model.ifm.space.check_regime(ds.regime)
         if ds.x.shape[1] != model.ifm.m:
             raise InvalidSpec("dataset width does not match the structure")
-        bins, inv, cnt = distinct_rows(model.grid.bin_rows(ds.x))
-        counts.append(cnt)
-        inverses.append(inv)
-        for r, ks in enumerate(on):
-            observed[r].append(bins[:, r])
-            for i, k in enumerate(ks):
-                f = factors[k]
-                key = (k, ds.regime.project(f.intv_scope))
-                dims = [nbins[j] for j in f.var_scope]
-                pos = f.var_scope.index(r)
-                cells = bins[:, f.var_scope]
-                cells[:, pos] = 0
-                stride = int(np.prod(dims[pos + 1:], dtype=int))
-                flat = (np.ravel_multi_index(cells.T, dims)[:, None]
-                        + stride * np.arange(nbins[r]))
-                flats.setdefault(key, []).append((flat, r, i, rows))
-        rows += cnt.size
-
-    index = [np.empty((len(ks), rows, nbins[r]), dtype=np.intp) for r, ks in enumerate(on)]
+    bins, inverses, counts = zip(*(distinct_rows(model.grid.bin_rows(ds.x)) for ds in datasets))
+    levels = np.repeat([ds.regime.levels for ds in datasets], [c.size for c in counts], axis=0)
+    bins = np.concatenate(bins)
+    nbins = model.grid.nbins
+    sweeps = [(bins[:, r] + nb * np.arange(bins.shape[0]), [], []) for r, nb in enumerate(nbins)]
     designs = {}
-    first = {}  # per factor, where its nets' outputs begin in the flat vector
     offset = 0
-    for key in sorted(flats):
-        parts = flats.pop(key)
-        cells, inv = np.unique(np.concatenate([p[0] for p in parts], axis=None),
-                               return_inverse=True)
-        scope = factors[key[0]].var_scope
-        coords = np.unravel_index(cells, [nbins[j] for j in scope])
-        designs[key] = np.array(
-            [model.grid.centers[j][c] for j, c in zip(scope, coords)]).T  # column-major
-        inv += offset - first.setdefault(key[0], offset)
+    for k, f in enumerate(model.ifm.factors):
+        cards = [model.ifm.space.cardinalities[j] for j in f.intv_scope]
+        dims = [nbins[j] for j in f.var_scope]
+        code = np.ravel_multi_index(
+            np.hstack([levels[:, list(f.intv_scope)], bins[:, f.var_scope]]).T, cards + dims)
+        reach = [code[:, None] + math.prod(dims[pos + 1:]) * (np.arange(nbins[r]) - bins[:, [r]])
+                 for pos, r in enumerate(f.var_scope)]
+        cells, inv = np.unique(np.concatenate(reach, axis=None), return_inverse=True)
+        for r, sweep in zip(f.var_scope, reach):
+            sweeps[r][1].append(offset)
+            sweeps[r][2].append(inv[:sweep.size].reshape(sweep.shape))
+            inv = inv[sweep.size:]
         offset += cells.size
-        at = 0
-        for flat, r, i, row in parts:
-            index[r][i, row:row + flat.shape[0]] = inv[at:at + flat.size].reshape(flat.shape)
-            at += flat.size
-    sweeps = [(np.concatenate(obs) + nbins[r] * np.arange(rows), [first[k] for k in ks],
-               index[r]) for r, (obs, ks) in enumerate(zip(observed, on))]
-    return designs, sweeps, counts, inverses
+        size = math.prod(dims)
+        cuts = np.searchsorted(cells, size * np.arange(1, math.prod(cards)))
+        for value, part in zip(itertools.product(*map(range, cards)), np.split(cells % size, cuts)):
+            if part.size:
+                coords = np.unravel_index(part, dims)
+                designs[(k, value)] = np.array(
+                    [model.grid.centers[j][c] for j, c in zip(f.var_scope, coords)]).T  # column-major
+    return designs, sweeps, list(counts), list(inverses)
 
 
 def _pll_from_prep(model: EnergyModel, prep, drawn=None):
@@ -321,7 +305,7 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
         dvals = np.zeros(vals.size)
     total = 0.0
     for obs, starts, index in sweeps:
-        logits = np.zeros(index.shape[1:])
+        logits = np.zeros(index[0].shape)
         for start, ix in zip(starts, index):  # factor order, as one row's sweep adds them
             logits += vals[start:][ix]
         top = logits.max(axis=1, keepdims=True)

@@ -177,13 +177,14 @@ def fingerprint(ifm: IfmStructure) -> str:
 def read_dataset_csv(path, ifm: IfmStructure, regime: RegimeVector) -> RegimeDataset:
     """Read one regime's rows; columns are matched to variables by header name."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidSpec(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
+            lines = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not text, a field too long
+            raise InvalidSpec(f"{path}: {exc}") from None
+    if not lines:
+        raise InvalidSpec(f"{path}: empty file")
+    header = [h.strip() for h in lines[0]]
+    rows = [row for row in lines[1:] if row]
 
     # a final "y" is the outcome only beside a full set of variable columns,
     # so a variable may itself be named "y"

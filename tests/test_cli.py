@@ -411,6 +411,22 @@ def test_manifest_with_a_repeated_key_is_rejected_input(workspace, tmp_path, cap
     assert str(bad) in err and f"duplicate key {pairs[0][0]!r}" in err
 
 
+@pytest.mark.parametrize("data", [b"x1,y\n0.5,\xff\n", b"x1,y\n\xe9,0.5\n",
+                                  b"x1,y\n" + b"1" * 200_000 + b",0.5\n"],
+                         ids=["byte-0xff", "byte-0xe9", "oversized-field"])
+def test_unreadable_csv_is_rejected_input(workspace, tmp_path, capsys, data):
+    manifest = json.loads((workspace / "manifest.json").read_text())
+    manifest = {str(workspace / rel): levels for rel, levels in manifest.items()}
+    bad = tmp_path / "data_0.csv"
+    bad.write_bytes(data)
+    manifest[str(bad)] = manifest.pop(str(workspace / "data_0.csv"))
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["validate", "--graph", str(workspace / "graph.json"),
+                 "--data-manifest", str(tmp_path / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and str(bad) in err
+
+
 def test_model_with_a_repeated_net_is_rejected_input(workspace, tmp_path, capsys):
     obj = json.loads((workspace / "model.json").read_text())
     obj["nets"].append({**obj["nets"][0], "b2": obj["nets"][0]["b2"] + 1.0})

@@ -1,5 +1,6 @@
 """Energy model: grids, pseudo-likelihood, fitting, and serialization."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -344,6 +345,40 @@ def test_gradient_of_an_unreached_net_is_exactly_zero():
     grads = pll_gradient(model, data)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads[unreached])
     assert any(np.any(g != 0.0) for g in grads[(0, (1,))])
+
+
+FIT_SHA256 = "c55fb4ddda2dae0dfad3bfcbc53698efbdfb41768aa7e06a94b9174f0ecd75a7"
+
+
+def test_fit_inputs_and_steps_are_pinned():
+    """One sha256 over `_prepare`'s output, the PLL and its gradient, and the
+    objectives of a 3-step fit, full-batch and minibatch, on every random
+    structure. Arrays are hashed in C order, so a change of memory layout
+    alone does not move the digest; a change of any value, cell or key does."""
+    digest = hashlib.sha256()
+
+    def update(*arrays):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    for seed in range(8):
+        for duplicated in (False, True):
+            model, data = random_structure_model(seed, duplicated)
+            prep = _prepare(model, data)
+            designs, sweeps, counts, inverses = prep
+            for key, x in designs.items():
+                digest.update(repr(key).encode())
+                update(x)
+            for observed, starts, index in sweeps:
+                digest.update(repr(starts).encode())
+                update(observed, *(np.asarray(ix, dtype=np.intp) for ix in index))
+            update(*counts, *inverses)
+            obj, grad = _pll_from_prep(model, prep, counts)
+            digest.update(repr(obj).encode())
+            update(grad)
+            for batch in (None, 6):
+                _, log = fit(model, data, steps=3, lr=3e-2, batch=batch, seed=seed)
+                digest.update(repr(log.objectives).encode())
+    assert digest.hexdigest() == FIT_SHA256
 
 
 def reference_pll(model, datasets, drawn=None):
