@@ -14,6 +14,7 @@ solution so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,32 +69,41 @@ class Unidentifiable:
     reason: str
 
 
+@lru_cache(maxsize=64)
+def _training_rows(ifm: IfmStructure, train: RegimeSet) -> tuple:
+    """The sorted (factor, pattern) rows training shows, and a read-only matrix
+    of each training regime's 1s: the part of the system every target shares."""
+    for r in train:
+        ifm.space.check_regime(r)
+    patterns = [[r.project(f.intv_scope) for r in train] for f in ifm.factors]
+    symbols = sorted({(k, v) for k, values in enumerate(patterns) for v in values})
+    row = {s: i for i, s in enumerate(symbols)}
+    a = np.zeros((len(symbols), len(train)))
+    for k, values in enumerate(patterns):
+        a[[row[k, v] for v in values], range(len(values))] = 1.0
+    a.flags.writeable = False
+    return a, tuple(symbols)
+
+
 def build_system(ifm: IfmStructure, train: RegimeSet, target: RegimeVector) -> LinearSystem:
     """Assemble the exponent constraints for the given training set and target.
 
+    A pattern only the target shows adds a zero row to the training rows.
     Works for any structure; running it after normalize_factors gives the
     tightest system (nested factor scopes add only redundant rows).
     """
-    space = ifm.space
-    space.check_regime(target)
-    for r in train:
-        space.check_regime(r)
-
-    symbols = []
-    patterns = []  # per factor: the target's pattern, then each training regime's
-    for k, f in enumerate(ifm.factors):
-        patterns.append([r.project(f.intv_scope) for r in (target, *train)])
-        symbols.extend((k, v) for v in sorted(set(patterns[-1])))
+    ifm.space.check_regime(target)
+    seen_a, seen = _training_rows(ifm, train)
+    aims = [(k, target.project(f.intv_scope)) for k, f in enumerate(ifm.factors)]
+    symbols = tuple(sorted({*seen, *aims}))
     row = {s: i for i, s in enumerate(symbols)}
-
     a = np.zeros((len(symbols), len(train)))
+    a[[row[s] for s in seen]] = seen_a
     b = np.zeros(len(symbols))
-    for k, (aim, *values) in enumerate(patterns):
-        a[[row[k, v] for v in values], range(len(values))] = 1.0
-        b[row[k, aim]] = 1.0
+    b[[row[s] for s in aims]] = 1.0
     a.flags.writeable = False
     b.flags.writeable = False
-    return LinearSystem(a, b, tuple(symbols))
+    return LinearSystem(a, b, symbols)
 
 
 def solve_pr(ifm: IfmStructure, train: RegimeSet, target: RegimeVector):

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -744,6 +743,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     }
     tasks = list(zip(range(cfg["n_problems"]), problem_seeds))
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_set_shared,
                                  initargs=(shared,)) as pool:
             problems = list(pool.map(_run_problem, tasks))

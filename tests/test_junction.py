@@ -209,6 +209,28 @@ def test_identification_eliminates_once(monkeypatch):
                for r in results)
 
 
+def test_certification_projects_each_training_regime_once(monkeypatch):
+    calls = []
+    project = RegimeVector.project
+
+    def counted(regime, subset):
+        calls.append(subset)
+        return project(regime, subset)
+
+    monkeypatch.setattr(RegimeVector, "project", counted)
+    bundle = builtin_structure("dream")
+    targets = bundle.ifm.space.all_regimes()
+    k = len(normalize_factors(bundle.ifm).factors)
+    assert len(targets) == 1024
+    for route in ("auto", "algebraic"):
+        calls.clear()
+        _, results = certify(bundle.ifm, bundle.train, targets, route)
+        assert all(isinstance(r, PrTransformation) for r in results)
+        # each target's patterns, and each training regime's once per call,
+        # not once per target
+        assert len(calls) <= k * (len(bundle.train) + len(targets)), route
+
+
 def test_certify_matches_a_per_target_solver_loop():
     # "auto" takes the tree only where coverage holds, and the tree certifies
     # exactly the targets the exponent system can solve
@@ -216,7 +238,7 @@ def test_certify_matches_a_per_target_solver_loop():
         bundle = builtin_structure(name)
         norm = normalize_factors(bundle.ifm)
         targets = bundle.test.regimes + bundle.train.regimes[-1:]
-        for train in (bundle.train, RegimeSet(bundle.train.regimes[:-1])):
+        for train in (bundle.train, RegimeSet(bundle.train.regimes[:-1]), RegimeSet(())):
             report, results = certify(bundle.ifm, train, targets)
             assert report == check_conditions(norm, train)
             loop = [solve_pr(norm, train, t) for t in targets]

@@ -1,6 +1,9 @@
-"""The package namespace resolves each public name from its home module."""
+"""The package namespace resolves each public name from its home module, and
+no module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +46,20 @@ def test_names_are_resolved_on_every_access(monkeypatch):
 
 def test_the_model_format_number_has_one_definition():
     assert energy.FORMAT_VERSION is regimecast.MODEL_FORMAT_VERSION
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a linter's unused-import rule, from the standard library alone
+    unused = []
+    for path in sorted(Path(regimecast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

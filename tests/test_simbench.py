@@ -433,7 +433,8 @@ class _SerialPool:
 
 
 def test_run_benchmark_pool_never_outnumbers_the_problems(monkeypatch):
-    monkeypatch.setattr(simbench, "ProcessPoolExecutor", _SerialPool)
+    # run_benchmark imports the pool class only when it pools
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     _SerialPool.sizes.clear()
     # no process is started: the pool is a serial stand-in
     pooled = run_benchmark({**TINY_CONFIG, "methods": ["ridge"]}, jobs=8)
@@ -452,13 +453,16 @@ def test_run_benchmark_merge_does_not_depend_on_jobs(tmp_path):
     assert (tmp_path / "solo.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
 
 
-# what the in-process benchmark does: import simbench, then time runs
+# what the in-process benchmark does: import simbench, then time runs; a
+# serial run loads no package module and no process-pool machinery
 RUN_IMPORTS = """
 import json, sys
 import regimecast.simbench
 before = {m for m in sys.modules if m.startswith("regimecast")}
 regimecast.simbench.run_benchmark(json.loads(sys.argv[1]), jobs=1)
-print(json.dumps(sorted({m for m in sys.modules if m.startswith("regimecast")} - before)))
+pool = {m for m in sys.modules if m == "concurrent.futures.process"
+        or m.split(".")[0] == "multiprocessing"}
+print(json.dumps(sorted({m for m in sys.modules if m.startswith("regimecast")} - before | pool)))
 """
 
 
