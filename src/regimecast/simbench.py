@@ -5,8 +5,9 @@ location/scale nets (intervention levels switch the parameters of their
 target node's equation) and a product-of-potentials truth with randomly
 seeded nets over the same factors. Outcomes are y = tanh(lam . x) + noise
 with the signal variance calibrated under the baseline regime. The runner
-simulates training regimes, certifies every test regime before scoring it,
-fits the estimators, and reports per-problem errors plus summaries.
+certifies every test regime before scoring it, draws every truth row it
+needs in one stage and then drops the simulator, fits the estimators, and
+reports per-problem errors plus summaries.
 """
 
 from __future__ import annotations
@@ -553,29 +554,30 @@ def _set_shared(shared):
     _SHARED = shared
 
 
+def _true_moments(truth, regime, n, seed, outcomes):
+    """Each outcome's true mean and variance of y under `regime`, from n of
+    the truth's draws; the draws are freed on return."""
+    x = truth.sample(regime, n, seed=seed)
+    moments = []
+    for outcome in outcomes:
+        vals = outcome.mean(x)
+        moments.append((float(vals.mean()), float(vals.var()) + outcome.noise_sd ** 2))
+    return moments
+
+
 def _run_problem(args):
-    """One outcome problem end to end; reads the shared fitted state."""
-    p, seeds = args
+    """One outcome problem end to end, from its outcome truth, each scored
+    regime's true (mean, variance) and the shared fitted state."""
+    p, seeds, outcome, true = args
     sh = _SHARED
     cfg = sh["cfg"]
-    truth = sh["truth"]
     targets = sh["targets"]
 
     with _stage(f"problem {p}: draw outcomes"):
-        outcome = make_outcome(
-            truth, seeds["outcome"], baseline_x=sh["calib_x"],
-            signal_range=tuple(cfg["signal_range"]), preset=cfg["variance_preset"],
-        )
         rng_y = np.random.default_rng(seeds["noise"])
         datasets_y = []
         for ds in sh["datasets"]:
             datasets_y.append(ds.with_y(outcome.draw(ds.x, rng_y)))
-
-    mu_true, var_true = {}, {}
-    for t in targets:
-        vals = outcome.mean(sh["mc_x"][t])
-        mu_true[t] = float(vals.mean())
-        var_true[t] = float(vals.var()) + outcome.noise_sd ** 2
 
     methods = {}
     onet = None
@@ -619,8 +621,8 @@ def _run_problem(args):
         entry = {"estimates": {regime_text(t): est[t] for t in targets}}
         if targets:
             ests = [est[t] for t in targets]
-            trus = [mu_true[t] for t in targets]
-            entry["prmse"] = prmse(ests, trus, [var_true[t] for t in targets])
+            trus = [true[t][0] for t in targets]
+            entry["prmse"] = prmse(ests, trus, [true[t][1] for t in targets])
             entry["rcor"] = rcor(ests, trus) if len(targets) >= 2 else None
         else:
             entry["prmse"] = None
@@ -630,7 +632,7 @@ def _run_problem(args):
     return {
         "problem": p,
         "truth": {
-            regime_text(t): {"mu": mu_true[t], "var": var_true[t]} for t in targets
+            regime_text(t): {"mu": mu, "var": var} for t, (mu, var) in true.items()
         },
         "methods": methods,
     }
@@ -640,14 +642,21 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     """Run the full pipeline for a config; deterministic given the config.
 
     Stages: build the structure, seed the truth, certify every test regime
-    (unidentifiable ones are reported, never scored), simulate training X
-    once, fit the density model once, draw evaluation samples, weigh the
-    training rows toward each scored regime once (when `ifm_ipw` or
-    `ifm_covshift` is asked for; both read these weights), then score
-    `n_problems` independent outcome problems. With jobs > 1 problems run in
-    at most that many worker processes, never more than there are problems;
-    the merge is by problem index so the report does not depend on jobs.
-    A jobs below 1 raises InvalidSpec.
+    (unidentifiable ones are reported, never scored), then simulate: draw
+    every row the truth gives (training X, baseline calibration rows and
+    each scored regime's Monte Carlo rows), calibrate each problem's
+    outcome truth on the calibration rows and take each scored regime's
+    true mean and variance under it from the Monte Carlo rows. The
+    simulator and its rows are dropped there, so its factor tables are
+    freed before the density model is fitted once. Then draw the fitted
+    model's samples, weigh the training rows toward each scored regime once
+    (when `ifm_ipw` or `ifm_covshift` is asked for; both read these
+    weights), and score `n_problems` independent outcome problems. With
+    jobs > 1 problems run in at most that many worker processes, never more
+    than there are problems; workers receive the fitted state, the training
+    rows and, per problem, one outcome truth with its true means and
+    variances, never the simulator. The merge is by problem index so the
+    report does not depend on jobs. A jobs below 1 raises InvalidSpec.
     """
     if jobs < 1:
         raise InvalidSpec(f"jobs must be >= 1, got {jobs}")
@@ -696,11 +705,25 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         unidentifiable = [{"regime": regime_text(r.target), "reason": r.reason}
                           for r in results if isinstance(r, Unidentifiable)]
 
-    with _stage("simulate training data"):
+    with _stage("simulate from the truth"):
         datasets = []
         for regime, dseed in zip(bundle.train, data_seeds):
             n = cfg["n_baseline"] if regime.is_baseline() else cfg["n_regime"]
             datasets.append(RegimeDataset(regime, truth.sample(regime, n, seed=dseed)))
+        calib_x = truth.sample(truth.baseline(), cfg["mc_samples"], seed=calib_seed)
+    outcomes = []
+    for p, seeds in enumerate(problem_seeds):
+        with _stage(f"problem {p}: draw outcomes"):
+            outcomes.append(make_outcome(
+                truth, seeds["outcome"], baseline_x=calib_x,
+                signal_range=tuple(cfg["signal_range"]), preset=cfg["variance_preset"],
+            ))
+    with _stage("simulate from the truth"):
+        moments = {t: _true_moments(truth, t, cfg["mc_samples"], ms, outcomes)
+                   for t, ms in zip(targets, mc_seeds)}
+    # nothing reads the simulator or its rows after this, so its factor
+    # tables and messages are freed before the fit
+    del truth, calib_x
 
     with _stage("fit density model"):
         grid = discretize(datasets, bins=cfg["bins"])
@@ -708,10 +731,8 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         model, _fitlog = fit_energy(model0, datasets, steps=cfg["fit_steps"], lr=cfg["fit_lr"])
 
     with _stage("draw evaluation samples"):
-        calib_x = truth.sample(truth.baseline(), cfg["mc_samples"], seed=calib_seed)
-        mc_x, draws_fit, draws_dag = {}, {}, {}
-        for t, ms, gs in zip(targets, mc_seeds, gibbs_seeds):
-            mc_x[t] = truth.sample(t, cfg["mc_samples"], seed=ms)
+        draws_fit, draws_dag = {}, {}
+        for t, gs in zip(targets, gibbs_seeds):
             draws_fit[t] = sample(
                 model, t, cfg["gibbs_n"], burn=cfg["gibbs_burn"],
                 thin=cfg["gibbs_thin"], seed=gs,
@@ -732,16 +753,14 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
 
     shared = {
         "cfg": cfg,
-        "truth": truth,
         "targets": targets,
         "datasets": datasets,
-        "calib_x": calib_x,
-        "mc_x": mc_x,
         "draws_fit": draws_fit,
         "draws_dag": draws_dag,
         "weights": weights,
     }
-    tasks = list(zip(range(cfg["n_problems"]), problem_seeds))
+    tasks = [(p, seeds, outcome, {t: moments[t][p] for t in targets})
+             for p, (seeds, outcome) in enumerate(zip(problem_seeds, outcomes))]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_set_shared,

@@ -1,7 +1,10 @@
 """Benchmark structures, simulators, metrics, and the pipeline runner."""
 
 import csv
+import io
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -411,6 +414,84 @@ def test_identify_and_run_benchmark_make_one_certify_call(monkeypatch, tmp_path,
     # every test regime goes through the one call, on identify's default route
     assert calls == ["auto"]
     assert report.data["scored_regimes"] == ["1,1,1", "1,0,1"]
+
+
+def test_the_ifm_simulator_is_freed_before_the_density_fit(monkeypatch):
+    refs, alive_at_fit = [], []
+    make, fit = simbench.make_ifm_truth, simbench.fit_energy
+
+    def kept(*args, **kwargs):
+        truth = make(*args, **kwargs)
+        refs.append(weakref.ref(truth.model))
+        return truth
+
+    def checked(*args, **kwargs):
+        alive_at_fit.append([ref() is not None for ref in refs])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(simbench, "make_ifm_truth", kept)
+    monkeypatch.setattr(simbench, "fit_energy", checked)
+    run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ridge"]})
+    # the truth's model, with its cached factor tables and messages, is gone
+    assert alive_at_fit == [[False]]
+
+
+class _Spy(pickle.Pickler):
+    """Pickles like a worker's initargs and keeps every object it meets."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO())
+        self.seen = []
+
+    def persistent_id(self, obj):
+        self.seen.append(obj)
+
+
+@pytest.mark.parametrize("config", [
+    {**TINY_CONFIG, "methods": ["ifm_direct", "ifm_ipw", "ridge"]},
+    {**TINY_CONFIG, "structure": "sachs", "truth": "dag", "methods": ["dag_direct", "ridge"],
+     "n_baseline": 100, "n_regime": 40, "mc_samples": 100, "dag_hidden": 3, "dag_steps": 2,
+     "fit_steps": 2, "gibbs_n": 20, "outcome_steps": 2},
+], ids=["ifm", "dag"])
+def test_the_shared_state_holds_no_simulator(monkeypatch, config):
+    truths, drawn, states = [], [], []
+    make_ifm, make_dag, set_shared = (simbench.make_ifm_truth, simbench.make_dag_truth,
+                                      simbench._set_shared)
+
+    def kept(make):
+        def build(*args, **kwargs):
+            truths.append(make(*args, **kwargs))
+            return truths[-1]
+        return build
+
+    def recorded(shared):
+        if shared is not None:
+            spy = _Spy()
+            spy.dump(shared)
+            states.append(spy.seen)
+        set_shared(shared)
+
+    def counted(draw):
+        # `fit_dag` returns a DagTruth too; only the simulator's rows count
+        def sample(self, *args, **kwargs):
+            x = draw(self, *args, **kwargs)
+            if self is truths[0]:
+                drawn.append(x)
+            return x
+        return sample
+
+    monkeypatch.setattr(simbench, "make_ifm_truth", kept(make_ifm))
+    monkeypatch.setattr(simbench, "make_dag_truth", kept(make_dag))
+    monkeypatch.setattr(simbench.IfmTruth, "sample", counted(simbench.IfmTruth.sample))
+    monkeypatch.setattr(simbench.DagTruth, "sample", counted(simbench.DagTruth.sample))
+    monkeypatch.setattr(simbench, "_set_shared", recorded)
+    run_benchmark(config)
+    assert len(truths) == len(states) == 1
+    banned = {id(truths[0]), id(getattr(truths[0], "model", truths[0]))} | set(map(id, drawn))
+    # what a worker receives: the fitted state and copies of the training
+    # rows; no simulator, and none of its calibration or Monte Carlo rows
+    assert not [obj for obj in states[0]
+                if isinstance(obj, (simbench.IfmTruth, simbench.DagTruth)) or id(obj) in banned]
 
 
 class _SerialPool:
