@@ -114,7 +114,14 @@ def discretize(datasets, bins: int = 20) -> Grid:
     for j in range(x.shape[1]):
         if hi[j] <= lo[j]:
             raise DegenerateVariable(f"variable {j} has zero observed range")
-        edges.append(np.linspace(lo[j], hi[j], bins + 1))
+        with np.errstate(over="ignore"):  # a span past the float range
+            finite = np.isfinite(hi[j] - lo[j])
+        e = np.linspace(lo[j], hi[j], bins + 1) if finite else None
+        if e is None or not np.all(np.diff(e) > 0):
+            raise DegenerateVariable(
+                f"variable {j} spans [{float(lo[j])!r}, {float(hi[j])!r}], which {bins} bins "
+                "cannot split into finite, strictly increasing edges")
+        edges.append(e)
     return Grid(tuple(edges))
 
 

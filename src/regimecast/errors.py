@@ -14,7 +14,8 @@ class InvalidSpec(DomainError):
 
 
 class DegenerateVariable(DomainError):
-    """A variable with zero observed range cannot be binned."""
+    """A variable whose observed range is zero, not finite, or too narrow
+    for the bins cannot be binned."""
 
 
 class NonFinite(DomainError):

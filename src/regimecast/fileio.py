@@ -195,13 +195,13 @@ def read_dataset_csv(path, ifm: IfmStructure, regime: RegimeVector) -> RegimeDat
     order = [var_cols.index(name) for name in ifm.var_names]
 
     try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    except ValueError as exc:
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:  # a field that is not a number, or rows of unequal width
         raise InvalidSpec(f"{path}: {exc}") from None
     if data.size == 0:
         raise InvalidSpec(f"{path}: no data rows")
     if data.shape[1] != len(header):
-        raise InvalidSpec(f"{path}: ragged rows")
+        raise InvalidSpec(f"{path}: rows have {data.shape[1]} fields, header has {len(header)}")
 
     x = data[:, order]
     y = data[:, -1] if has_y else None

@@ -13,9 +13,10 @@ leaves the clique densities over the clique-tree separators, so no tree is
 built. The whole derivation collapses to an integer exponent vector over
 training regimes, which is what gets returned. `certify` takes this route
 when training covers every clique (or when asked to) and `algebraic.solve_pr`
-otherwise. The tree route eliminates once per call, whatever the number of
-targets; `sampling` reads the same elimination record on the graph of its
-variables.
+otherwise. `message_passing_identify` eliminates once per call, whatever the
+number of targets; `certify` on the tree route eliminates once more, in
+`check_conditions` for its report, while `bench/spans.py` wraps both names.
+`sampling` reads the same elimination record on the graph of its variables.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import (
     RegimeSet,
     SigmaGraph,
     normalize_factors,
-    restrict_regime,
     sigma_graph,
     sigma_zero_set,
 )
@@ -123,14 +123,14 @@ def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> Condition
 def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> list:
     """Derive each target's exponent certificate from one min-fill elimination.
 
-    Each step (v, later) contributes exponent +1 at the regime holding the
-    target's levels on {v} | later (baseline elsewhere), and each step but
-    the last -1 at the regime restricted to `later`. The last step's `later`
-    is empty, so its division cancels the baseline factor p_0. Every such
-    set lies in a clique of the filled graph, so clique coverage puts each
-    regime in training. Factor normalization adds no sigma-graph edge, so
-    none is needed. A target already in training short-circuits to the
-    one-hot certificate.
+    The chain rule along the order is one signed list of intervention sets,
+    built once per call: +1 at {v} | later for each step (v, later) and -1 at
+    `later` for each but the last step, whose empty `later` cancels p_0. A
+    target's certificate adds each sign at the training regime holding the
+    target's levels on the set and baseline elsewhere, found by its levels.
+    Each set lies in a clique of the filled graph, so clique coverage puts
+    that regime in training; factor normalization adds no sigma-graph edge.
+    A target already in training short-circuits to the one-hot certificate.
 
     Args:
         ifm: factor structure.
@@ -145,25 +145,25 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> li
     for target in targets:
         ifm.space.check_regime(target)
     # one elimination of the untriangulated graph gives the filled graph's
-    # cliques and the steps every certificate reads
+    # cliques and the signed sets every certificate reads
     _, cliques, steps = _eliminate(sigma_graph(ifm))
     bad = [e.clique for e in _conditions(ifm, cliques, train).entries if not e.passed]
+    signed = [(1, {v, *later}) for v, later in steps] + [(-1, set(later)) for _, later in steps[:-1]]
+    position = {r.levels: i for i, r in enumerate(train)}
 
     results = []
     for target in targets:
-        if bad and target not in train:
+        counts = np.zeros(len(train))
+        if target.levels in position:
+            counts[position[target.levels]] = 1.0
+        elif bad:
             results.append(Unidentifiable(
                 target, train, ROUTE_TREE,
                 f"training set misses combinations over cliques {bad}"))
             continue
-        counts = np.zeros(len(train))
-        if target in train:
-            counts[train.index_of(target)] = 1.0
         else:
-            for v, later in steps:
-                counts[train.index_of(restrict_regime(target, (v, *later)))] += 1
-            for _, later in steps[:-1]:
-                counts[train.index_of(restrict_regime(target, later))] -= 1
+            for sign, zs in signed:
+                counts[position[tuple(v if i in zs else 0 for i, v in enumerate(target))]] += sign
         cert = PrTransformation(target, train, tuple(counts), ROUTE_TREE)
         if not verify_pr(ifm, cert):
             raise AssertionError("message-passing certificate failed verification")

@@ -300,6 +300,26 @@ def test_a_diverging_fit_prints_no_numpy_warning(workspace, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1 - 1e-15, 1 + 1e-15)],
+                         ids=["span-overflows", "too-narrow-for-the-bins"])
+def test_a_variable_that_cannot_be_binned_is_named(workspace, tmp_path, capsys, lo, hi):
+    x = np.array([[lo], [hi], [lo]])
+    write_dataset_csv(tmp_path / "data.csv", chain_ifm(),
+                      RegimeDataset(RegimeVector((0, 0, 0)), x, np.zeros(3)))
+    (tmp_path / "manifest.json").write_text(json.dumps({"data.csv": [0, 0, 0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--graph", str(workspace / "graph.json"),
+                   "--data-manifest", str(tmp_path / "manifest.json"),
+                   "--out", str(tmp_path / "m.json"), "--bins", "20", "--steps", "1",
+                   "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"variable 0 spans [{lo!r}, {hi!r}]" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_unexpected_failure_is_an_internal_error(workspace, monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("unexpected")
@@ -427,6 +447,48 @@ def test_unreadable_csv_is_rejected_input(workspace, tmp_path, capsys, data):
     assert "internal error" not in err and str(bad) in err
 
 
+@pytest.mark.parametrize("graph, data, manifest, named", [
+    (lambda g: [g], None, None, "graph spec must be a JSON object"),
+    (lambda g: {k: v for k, v in g.items() if k != "factors"}, None, None,
+     "graph spec missing 'factors'"),
+    (lambda g: {**g, "variables": ["x1", "x1"]}, None, None, "variable names must be unique"),
+    (lambda g: {**g, "interventions": [{"cardinality": 2}, *g["interventions"][1:]]}, None,
+     None, "each intervention needs 'name' and 'cardinality'"),
+    (lambda g: {**g, "factors": [["x1"], *g["factors"][1:]]}, None, None,
+     "each factor must be a JSON object"),
+    (lambda g: {**g, "factors": [{**g["factors"][0], "color": 1}, *g["factors"][1:]]}, None,
+     None, "unknown factor keys ['color']"),
+    (None, "", None, "data.csv: empty file"),
+    (None, "x1,y\n0.5,abc\n", None, "data.csv: could not convert string to float: 'abc'"),
+    (None, "x1,y\n", None, "data.csv: no data rows"),
+    (None, "x1,y\n0.5\n1.5\n", None, "data.csv: rows have 1 fields, header has 2"),
+    (None, None, "{}", "must be a non-empty JSON object"),
+    (None, None, "[]", "must be a non-empty JSON object"),
+], ids=["graph-not-an-object", "graph-missing-key", "repeated-variable",
+        "nameless-intervention", "factor-not-an-object", "unknown-factor-key", "empty-csv",
+        "non-numeric-field", "header-without-rows", "rows-of-the-wrong-width",
+        "empty-manifest", "manifest-not-an-object"])
+def test_every_input_check_is_rejected_input(workspace, tmp_path, capsys, graph, data,
+                                            manifest, named):
+    spec = json.loads((workspace / "graph.json").read_text())
+    if graph is not None:
+        spec = graph(spec)
+    (tmp_path / "graph.json").write_text(json.dumps(spec))
+    (tmp_path / "data.csv").write_text("x1,y\n0.5,1.0\n" if data is None else data)
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"data.csv": [0, 0, 0]}) if manifest is None else manifest)
+    argv = ["validate", "--graph", str(tmp_path / "graph.json")]
+    if graph is None:
+        argv += ["--data-manifest", str(tmp_path / "manifest.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and named in err
+    if graph is None and manifest is None:
+        assert str(tmp_path / "data.csv") in err
+    elif manifest is not None:
+        assert str(tmp_path / "manifest.json") in err
+
+
 def test_model_with_a_repeated_net_is_rejected_input(workspace, tmp_path, capsys):
     obj = json.loads((workspace / "model.json").read_text())
     obj["nets"].append({**obj["nets"][0], "b2": obj["nets"][0]["b2"] + 1.0})
@@ -536,6 +598,36 @@ def test_estimate_covshift_is_the_weighted_refit(workspace, capsys):
                         weights=[regime_weights(model, ds, target) for ds in datasets])
     want = estimate_direct(refit, sample(model, target, 60, burn=10, thin=1, seed=draw_seed))
     assert out["mu_hat"] == want.mu and out["se"] == want.se
+
+
+def test_estimate_direct_fits_the_outcome_when_none_is_given(workspace, capsys):
+    rc = main(["estimate", "--model", str(workspace / "model.json"),
+               "--data-manifest", str(workspace / "manifest.json"),
+               "--target", "1,1,1", "--method", "direct",
+               "--seed", "7", "--nsamples", "60", "--burn", "10", "--thin", "1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    jsonschema.validate(out, schema("estimate"))
+    assert out["method"] == "direct" and out["per_regime"] is None
+
+    # the library composition; --seed seeds both the outcome fit and the draws
+    model = load_model(workspace / "model.json")
+    datasets = load_manifest(workspace / "manifest.json", model.ifm)
+    target = RegimeVector((1, 1, 1))
+    want = estimate_direct(fit_outcome(datasets, seed=7),
+                           sample(model, target, 60, burn=10, thin=1, seed=7))
+    assert out["mu_hat"] == want.mu and out["se"] == want.se
+
+
+def test_out_writes_the_json_stdout_would_show(workspace, tmp_path, capsys):
+    argv = ["identify", "--graph", str(workspace / "graph.json"),
+            "--train", str(workspace / "train.json"), "--target", "1,1,1"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "cert.json").read_text() == shown
+    assert shown.endswith("}\n")
 
 
 def test_bands_come_from_conformal_only(workspace, capsys):

@@ -131,6 +131,19 @@ def test_dataset_csv_round_trip_with_a_variable_named_y(tmp_path):
         assert back.y is None if y is None else np.array_equal(back.y, y)
 
 
+def test_csv_fields_read_as_python_floats(tmp_path):
+    # the per-field float() parse is the reference for every field spelling
+    fields = [" 1.5", "2 ", "1_0", "-0", "1e-400", "+1", "1.", ".5", "-2.5E3", "１",
+              "0.1", "1e308", "-4.9e-324", "12345678901234567890"]
+    ifm = parse_graph(GRAPH)
+    p = tmp_path / "d.csv"
+    p.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in zip(fields, fields[::-1])))
+    back = read_dataset_csv(p, ifm, RegimeVector((0, 0)))
+    want = np.array([[float(a), float(b)] for a, b in zip(fields, fields[::-1])])
+    assert np.array_equal(back.x, want)
+    assert np.array_equal(np.signbit(back.x), np.signbit(want))
+
+
 def test_read_dataset_csv_requires_named_header(tmp_path):
     ifm = parse_graph(GRAPH)
     p = tmp_path / "d.csv"

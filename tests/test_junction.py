@@ -231,6 +231,30 @@ def test_certification_projects_each_training_regime_once(monkeypatch):
         assert len(calls) <= k * (len(bundle.train) + len(targets)), route
 
 
+def test_the_tree_route_builds_no_regime_per_target(monkeypatch):
+    bundle = builtin_structure("dream")
+    targets = bundle.ifm.space.all_regimes()
+    report = check_conditions(normalize_factors(bundle.ifm), bundle.train)
+    cards = bundle.ifm.space.cardinalities
+    zero_sets = sum(int(np.prod([cards[z] for z in e.clique])) for e in report.entries)
+    assert len(targets) == 1024 and zero_sets == 20
+    built = []
+    post_init = RegimeVector.__post_init__
+
+    def counted(regime):
+        built.append(1)
+        post_init(regime)
+
+    monkeypatch.setattr(RegimeVector, "__post_init__", counted)
+    for route in ("auto", "tree"):
+        built.clear()
+        _, results = certify(bundle.ifm, bundle.train, targets, route)
+        assert all(r.route == "junction-tree" for r in results)
+        # only the clique zero sets, once for the report and once more inside
+        # message_passing_identify; each target's regimes are looked up by levels
+        assert len(built) <= 2 * zero_sets, route
+
+
 def test_certify_matches_a_per_target_solver_loop():
     # "auto" takes the tree only where coverage holds, and the tree certifies
     # exactly the targets the exponent system can solve

@@ -169,6 +169,19 @@ def test_make_outcome_calibrates_the_signal_variance():
     again = make_outcome(truth, seed=19, baseline_x=x)
     assert np.array_equal(again.lam, out.lam) and again.noise_sd == out.noise_sd
 
+    # without baseline_x, as the benchmark calls it: calibrated on the truth's
+    # own baseline draws, seeded from the outcome's stream after lam and the signal
+    drawn = make_outcome(truth, seed=19)
+    rng = np.random.default_rng(19)
+    rng.standard_normal(truth.m)
+    rng.uniform(0.6, 0.8)
+    base = truth.sample(truth.baseline(), 20000, seed=int(rng.integers(2 ** 63)))
+    signal = float(np.var(base @ drawn.lam))
+    assert 0.6 <= signal <= 0.8
+    assert signal + drawn.noise_sd ** 2 == pytest.approx(1.0)
+    same = make_outcome(truth, seed=19, baseline_x=base)
+    assert np.array_equal(same.lam, drawn.lam) and same.noise_sd == drawn.noise_sd
+
 
 def test_monte_carlo_truth_edge_cases():
     # the runner's truth for a regime is the mean of out.mean over the truth's draws
