@@ -13,13 +13,15 @@ its scope grid; `factor_table` caches it on the model, and densities, ratios
 and sampling read it (`potentials` runs the net only above `CELL_CAP` cells).
 Fitting exploits the same fact twice. Rows that fall into the same bins
 have the same conditionals, so each dataset's rows collapse to its distinct
-bin rows, each weighted by its count. Per factor, one `np.unique` over the
-codes of every row's sweeps, each packing a level pattern and a scope
-cell, finds the cells they reach: one small design per net. Each step
+bin rows, each weighted by its count. Per factor, the codes of every
+row's sweeps, each packing a level pattern and a scope cell, are ranked to
+find the cells they reach (by marks over the factor's code space, or by
+`np.unique` above `CELL_CAP` codes): one small design per net. Each step
 evaluates every net once on its design; then, per variable, one sweep over
 all datasets' rows gathers the conditional logits from the nets' outputs
 laid end to end, and scatters their count-weighted gradient back, one
-factor at a time, before each net's backward pass.
+factor at a time, before each net's backward pass, after which the net's
+hidden layer is freed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .nets import (
 
 MODEL_FORMAT = "regimecast-energy-model"
 
-# grids and factor scopes up to this many cells are tabulated
+# grids and factor scopes up to this many cells are tabulated; a factor with
+# up to this many (level pattern, cell) codes ranks its PLL codes by marks
 CELL_CAP = 1_000_000
 # grid cells per net evaluation when building a factor table
 TABLE_BLOCK = 8192
@@ -210,6 +213,13 @@ def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray
     The net runs on the grid's cells in row-major order, TABLE_BLOCK cells
     at a time, each block written into the preallocated table, so the
     hidden array is at most (hidden, TABLE_BLOCK) whatever the grid size.
+    No feature array spans the grid either. A cell's trailing coordinates
+    repeat every `period` cells (one step of the leading axis), so one
+    column-major buffer, built once per table, holds the bin centers of the
+    first `period + TABLE_BLOCK - 1` cells: the block starting at cell
+    q * period + off reads its rows from `off` on, once their leading
+    column is rewritten q steps on. Blocks start at multiples of
+    TABLE_BLOCK, so each table equals one whole-grid forward pass bitwise.
     """
     f = model.ifm.factors[k]
     key = (k, regime.project(f.intv_scope))
@@ -217,12 +227,23 @@ def factor_table(model: EnergyModel, k: int, regime: RegimeVector) -> np.ndarray
     if net is not model.nets[key]:
         net = model.nets[key]
         centers = [model.grid.centers[j] for j in f.var_scope]
-        mesh = np.meshgrid(*centers, indexing="ij", copy=False)
-        feats = np.stack(mesh).reshape(len(centers), -1).T  # column-major, one copy
         table = np.empty([c.size for c in centers])
         flat = table.reshape(-1)
+        period = flat.size // table.shape[0]
+        span = min(flat.size, period + TABLE_BLOCK - 1)
+        whole = span - span % period
+        x = np.empty((span, len(centers)), order="F")
+        # axis pos - 1 steps every prod(shape[pos:]) cells; rows past the
+        # last whole period repeat the first ones
+        for pos, (col, c) in enumerate(zip(x.T[1:], centers[1:]), 2):
+            col[:whole].reshape(-1, c.size, math.prod(table.shape[pos:]))[:] = c[:, None]
+            col[whole:] = col[:span - whole]
+        lead = np.arange(span) // period
         for start in range(0, flat.size, TABLE_BLOCK):
-            flat[start:start + TABLE_BLOCK] = mlp_forward(net, feats[start:start + TABLE_BLOCK])[0]
+            q, off = divmod(start, period)
+            end = off + min(TABLE_BLOCK, flat.size - start)
+            x[off:end, 0] = centers[0][q:][lead[off:end]]
+            flat[start:start + TABLE_BLOCK] = mlp_forward(net, x[off:end])[0]
         table.flags.writeable = False
         model.tables[key] = (net, table)
     return table
@@ -245,17 +266,22 @@ def _prepare(model: EnergyModel, datasets):
     order, form the sweeps' row axis. Per factor, each row's level pattern
     and scope cell pack into one code, pattern * |scope grid| + cell (both
     raveled row-major), and sweeping variable r over its bins steps that
-    code by r's stride. One `np.unique` over all of the factor's sweep
-    codes finds the cells they reach, sorted by pattern and then cell: each
-    pattern's cells become its net's design of bin centers, so the designs'
-    outputs lie end to end in one flat vector in key order, and the inverse,
-    cut per variable, places each sweep term from where the factor's nets
-    begin. Returns (designs, sweeps, counts, inverses): sweeps[r] is
-    (observed, starts, index), with each row's observed cell in the
-    flattened (rows, nbins[r]) logits and, for the i-th factor on r, its
-    inverse's (rows, nbins[r]) view index[i], counted from starts[i];
-    counts[d] counts the rows behind each distinct row of dataset d and
-    inverses[d] maps each raw row of dataset d to its distinct row.
+    code by r's stride. Ranking all of the factor's sweep codes finds the
+    cells they reach, sorted by pattern and then cell. If the factor has at
+    most CELL_CAP codes (patterns times scope cells), the reached codes are
+    marked in a bool array over them, the marks in order are the cells, and
+    each code maps to its mark's position, with no sort; above that, where
+    the marks and ranks (9 bytes a code) could take hundreds of MB, one
+    `np.unique` does the same. Each pattern's cells become its net's design
+    of bin centers, so the designs' outputs lie end to end in one flat
+    vector in key order, and the inverse, cut per variable, places each
+    sweep term from where the factor's nets begin. Returns (designs,
+    sweeps, counts, inverses): sweeps[r] is (observed, starts, index),
+    with each row's observed cell in the flattened (rows, nbins[r]) logits
+    and, for the i-th factor on r, its inverse's (rows, nbins[r]) view
+    index[i], counted from starts[i]; counts[d] counts the rows behind each
+    distinct row of dataset d and inverses[d] maps each raw row of dataset
+    d to its distinct row.
     """
     if not datasets:
         raise InvalidSpec("the pseudo-log-likelihood needs at least one dataset")
@@ -277,7 +303,18 @@ def _prepare(model: EnergyModel, datasets):
             np.hstack([levels[:, list(f.intv_scope)], bins[:, f.var_scope]]).T, cards + dims)
         reach = [code[:, None] + math.prod(dims[pos + 1:]) * (np.arange(nbins[r]) - bins[:, [r]])
                  for pos, r in enumerate(f.var_scope)]
-        cells, inv = np.unique(np.concatenate(reach, axis=None), return_inverse=True)
+        codes = np.concatenate(reach, axis=None)
+        space = math.prod(cards + dims)
+        if space <= CELL_CAP:  # rank the reached codes without sorting them
+            mark = np.zeros(space, dtype=bool)
+            mark[codes] = True
+            cells = np.flatnonzero(mark)
+            rank = np.empty(space, dtype=np.intp)
+            rank[cells] = np.arange(cells.size)
+            inv = rank[codes]
+            del mark, rank
+        else:
+            cells, inv = np.unique(codes, return_inverse=True)
         for r, sweep in zip(f.var_scope, reach):
             sweeps[r][1].append(offset)
             sweeps[r][2].append(inv[:sweep.size].reshape(sweep.shape))
@@ -298,13 +335,20 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     `drawn` is given, with drawn[d] weighing dataset d's distinct rows;
     rows a minibatch misses weigh 0 and add exact zeros to every sum. It
     is one flat vector, laid out as `nets.train` lays out the nets in
-    sorted key order; `_per_net` splits it."""
+    sorted key order; `_per_net` splits it.
+
+    Each net's hidden layer is kept only while its gradient needs it: the
+    pass without `drawn` keeps none, and the gradient pass drops each one
+    after its net's backward pass."""
     designs, sweeps, counts = prep[:3]
     vals = np.empty(sum(x.shape[0] for x in designs.values()))
     hidden = {}
     at = 0
     for key, x in designs.items():
-        vals[at:at + x.shape[0]], hidden[key] = mlp_forward(model.nets[key], x)
+        vals[at:at + x.shape[0]], h = mlp_forward(model.nets[key], x)
+        if drawn is not None:
+            hidden[key] = h
+        del h
         at += x.shape[0]
     cnt = np.concatenate(counts)
     if drawn is not None:
@@ -334,7 +378,7 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     back = {}
     at = 0
     for key, x in designs.items():
-        back[key] = mlp_backward(model.nets[key], x, hidden[key], dvals[at:at + x.shape[0]])[:3]
+        back[key] = mlp_backward(model.nets[key], x, hidden.pop(key), dvals[at:at + x.shape[0]])[:3]
         at += x.shape[0]
     parts = []
     for key in sorted(model.nets):

@@ -148,7 +148,13 @@ def parse_graph(obj) -> IfmStructure:
 
 
 def load_graph(path) -> IfmStructure:
-    return parse_graph(read_json(path))
+    """Read a graph spec; every defect, the structure's own checks included,
+    is an InvalidSpec naming the path."""
+    obj = read_json(path)
+    try:
+        return parse_graph(obj)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
 
 
 def graph_to_dict(ifm: IfmStructure) -> dict:
@@ -175,16 +181,20 @@ def fingerprint(ifm: IfmStructure) -> str:
 
 
 def read_dataset_csv(path, ifm: IfmStructure, regime: RegimeVector) -> RegimeDataset:
-    """Read one regime's rows; columns are matched to variables by header name."""
+    """Read one regime's rows; columns are matched to variables by header name.
+    A field that is not a finite number is an InvalidSpec naming the path,
+    the line and the column."""
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            lines = list(csv.reader(fh))
+            lines = [(reader.line_num, row) for row in reader]
         except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not text, a field too long
             raise InvalidSpec(f"{path}: {exc}") from None
     if not lines:
         raise InvalidSpec(f"{path}: empty file")
-    header = [h.strip() for h in lines[0]]
-    rows = [row for row in lines[1:] if row]
+    header = [h.strip() for h in lines[0][1]]
+    numbered = [(line, row) for line, row in lines[1:] if row]
+    rows = [row for _, row in numbered]
 
     # a final "y" is the outcome only beside a full set of variable columns,
     # so a variable may itself be named "y"
@@ -202,6 +212,12 @@ def read_dataset_csv(path, ifm: IfmStructure, regime: RegimeVector) -> RegimeDat
         raise InvalidSpec(f"{path}: no data rows")
     if data.shape[1] != len(header):
         raise InvalidSpec(f"{path}: rows have {data.shape[1]} fields, header has {len(header)}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        line, row = numbered[i]
+        raise InvalidSpec(f"{path}: line {line}, column {header[j]!r}: "
+                          f"{row[j].strip()!r} is not a finite number")
 
     x = data[:, order]
     y = data[:, -1] if has_y else None

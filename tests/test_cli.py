@@ -458,16 +458,31 @@ def test_unreadable_csv_is_rejected_input(workspace, tmp_path, capsys, data):
      "each factor must be a JSON object"),
     (lambda g: {**g, "factors": [{**g["factors"][0], "color": 1}, *g["factors"][1:]]}, None,
      None, "unknown factor keys ['color']"),
+    (lambda g: {**g, "interventions": [{**g["interventions"][0], "cardinality": 1},
+                                       *g["interventions"][1:]]}, None, None,
+     "needs an integer level count >= 2, got 1"),
+    (lambda g: {**g, "factors": [{**g["factors"][0], "variables": []}, *g["factors"][1:]]},
+     None, None, "factor must read at least one variable"),
+    (lambda g: {**g, "variables": [*g["variables"], "x2"]}, None, None,
+     "variables not read by any factor: [1]"),
     (None, "", None, "data.csv: empty file"),
     (None, "x1,y\n0.5,abc\n", None, "data.csv: could not convert string to float: 'abc'"),
     (None, "x1,y\n", None, "data.csv: no data rows"),
     (None, "x1,y\n0.5\n1.5\n", None, "data.csv: rows have 1 fields, header has 2"),
+    (None, "x1,y\n0.5,1.0\n1e400,2.0\n", None,
+     "data.csv: line 3, column 'x1': '1e400' is not a finite number"),
+    (None, "x1,y\n-inf,1.0\n", None,
+     "data.csv: line 2, column 'x1': '-inf' is not a finite number"),
+    (None, "x1,y\n0.5,1.0\n\n0.7, nan\n", None,
+     "data.csv: line 4, column 'y': 'nan' is not a finite number"),
     (None, None, "{}", "must be a non-empty JSON object"),
     (None, None, "[]", "must be a non-empty JSON object"),
 ], ids=["graph-not-an-object", "graph-missing-key", "repeated-variable",
-        "nameless-intervention", "factor-not-an-object", "unknown-factor-key", "empty-csv",
+        "nameless-intervention", "factor-not-an-object", "unknown-factor-key",
+        "one-level-intervention", "factor-without-variables", "unread-variable", "empty-csv",
         "non-numeric-field", "header-without-rows", "rows-of-the-wrong-width",
-        "empty-manifest", "manifest-not-an-object"])
+        "overflowing-field", "infinite-field", "nan-outcome", "empty-manifest",
+        "manifest-not-an-object"])
 def test_every_input_check_is_rejected_input(workspace, tmp_path, capsys, graph, data,
                                             manifest, named):
     spec = json.loads((workspace / "graph.json").read_text())
@@ -483,9 +498,11 @@ def test_every_input_check_is_rejected_input(workspace, tmp_path, capsys, graph,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "internal error" not in err and named in err
-    if graph is None and manifest is None:
+    if graph is not None:
+        assert str(tmp_path / "graph.json") in err
+    elif manifest is None:
         assert str(tmp_path / "data.csv") in err
-    elif manifest is not None:
+    else:
         assert str(tmp_path / "manifest.json") in err
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -350,35 +351,73 @@ def test_gradient_of_an_unreached_net_is_exactly_zero():
 FIT_SHA256 = "c55fb4ddda2dae0dfad3bfcbc53698efbdfb41768aa7e06a94b9174f0ecd75a7"
 
 
-def test_fit_inputs_and_steps_are_pinned():
+def test_fit_inputs_and_steps_are_pinned(monkeypatch):
     """One sha256 over `_prepare`'s output, the PLL and its gradient, and the
     objectives of a 3-step fit, full-batch and minibatch, on every random
     structure. Arrays are hashed in C order, so a change of memory layout
-    alone does not move the digest; a change of any value, cell or key does."""
-    digest = hashlib.sha256()
+    alone does not move the digest; a change of any value, cell or key does.
+    With CELL_CAP at 1 no scope is tabulated, so `_prepare` ranks every
+    factor's codes by `np.unique` instead of by marks: the same digest."""
+    for cell_cap in (energy.CELL_CAP, 1):
+        monkeypatch.setattr(energy, "CELL_CAP", cell_cap)
+        digest = hashlib.sha256()
 
-    def update(*arrays):
-        for a in arrays:
-            digest.update(np.ascontiguousarray(a).tobytes())
-    for seed in range(8):
-        for duplicated in (False, True):
-            model, data = random_structure_model(seed, duplicated)
-            prep = _prepare(model, data)
-            designs, sweeps, counts, inverses = prep
-            for key, x in designs.items():
-                digest.update(repr(key).encode())
-                update(x)
-            for observed, starts, index in sweeps:
-                digest.update(repr(starts).encode())
-                update(observed, *(np.asarray(ix, dtype=np.intp) for ix in index))
-            update(*counts, *inverses)
-            obj, grad = _pll_from_prep(model, prep, counts)
-            digest.update(repr(obj).encode())
-            update(grad)
-            for batch in (None, 6):
-                _, log = fit(model, data, steps=3, lr=3e-2, batch=batch, seed=seed)
-                digest.update(repr(log.objectives).encode())
-    assert digest.hexdigest() == FIT_SHA256
+        def update(*arrays):
+            for a in arrays:
+                digest.update(np.ascontiguousarray(a).tobytes())
+        for seed in range(8):
+            for duplicated in (False, True):
+                model, data = random_structure_model(seed, duplicated)
+                prep = _prepare(model, data)
+                designs, sweeps, counts, inverses = prep
+                for key, x in designs.items():
+                    digest.update(repr(key).encode())
+                    update(x)
+                for observed, starts, index in sweeps:
+                    digest.update(repr(starts).encode())
+                    update(observed, *(np.asarray(ix, dtype=np.intp) for ix in index))
+                update(*counts, *inverses)
+                obj, grad = _pll_from_prep(model, prep, counts)
+                digest.update(repr(obj).encode())
+                update(grad)
+                for batch in (None, 6):
+                    _, log = fit(model, data, steps=3, lr=3e-2, batch=batch, seed=seed)
+                    digest.update(repr(log.objectives).encode())
+        assert digest.hexdigest() == FIT_SHA256, cell_cap
+
+
+def test_codes_are_ranked_by_marks_up_to_the_cap_and_by_unique_above(monkeypatch):
+    """A factor's codes are its level patterns times its scope cells. With
+    CELL_CAP at 100, the 8 x 8 factor switched by the 3-level intervention
+    has 192 codes and takes `np.unique`, though its 64-cell scope is
+    tabulated; the two one-variable factors (16 and 8 codes) take marks.
+    `_prepare` returns what it returns at the default cap, which marks all."""
+    space = InterventionSpace(("a", "b"), (2, 3))
+    ifm = IfmStructure(2, space, (FactorSpec((0, 1), (1,)), FactorSpec((0,), (0,)),
+                                  FactorSpec((1,), ())))
+    grid = Grid(tuple(np.linspace(-1.0, 1.0, 9) for _ in range(2)))
+    model = new_model(ifm, grid, hidden=3, seed=4, out_scale=0.9)
+    rng = np.random.default_rng(4)
+    data = [RegimeDataset(RegimeVector(levels), rng.uniform(-1.0, 1.0, size=(30, 2)))
+            for levels in [(0, 0), (1, 1), (0, 2)]]
+    real_unique, sizes = np.unique, []
+
+    def unique(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real_unique(a, *args, **kwargs)
+    monkeypatch.setattr(np, "unique", unique)
+    marked = _prepare(model, data)
+    assert sizes == []
+    monkeypatch.setattr(energy, "CELL_CAP", 100)
+    split = _prepare(model, data)
+    # factor 0 is the first in both variables' sweeps
+    assert sizes == [sum(index[0].size for _, _, index in marked[1])]
+    assert marked[0].keys() == split[0].keys()
+    for key, x in marked[0].items():
+        assert np.array_equal(x, split[0][key])
+    for (obs, starts, index), (obs2, starts2, index2) in zip(marked[1], split[1]):
+        assert np.array_equal(obs, obs2) and starts == starts2
+        assert all(np.array_equal(a, b) for a, b in zip(index, index2))
 
 
 def reference_pll(model, datasets, drawn=None):
@@ -517,6 +556,40 @@ def test_a_non_finite_net_gradient_is_named(monkeypatch):
     monkeypatch.setattr(energy, "mlp_backward", backward)
     with pytest.raises(NonFinite, match=r"gradient for net \(0, \(1,\)\) is not finite"):
         pll_gradient(model, data)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_hidden_layer_is_freed_after_its_backward_pass(monkeypatch, seed):
+    """Weak references to the hidden arrays `mlp_forward` returns: without a
+    gradient none outlives its net's forward pass; with one, each is dead
+    once its net's backward pass has run."""
+    model, data = random_structure_model(seed)
+    prep = _prepare(model, data)
+    real_forward, real_backward = energy.mlp_forward, energy.mlp_backward
+    hidden, done = {}, []
+
+    def forward(net, x):
+        out, h = real_forward(net, x)
+        hidden[id(net)] = weakref.ref(h)
+        return out, h
+
+    def forward_keeping_none(net, x):
+        assert all(ref() is None for ref in hidden.values())
+        return forward(net, x)
+
+    def backward(net, x, h, dout):
+        assert all(hidden[id(n)]() is None for n in done)
+        done.append(net)
+        return real_backward(net, x, h, dout)
+    monkeypatch.setattr(energy, "mlp_forward", forward_keeping_none)
+    _pll_from_prep(model, prep)
+    assert len(hidden) == len(prep[0]) >= 2
+
+    hidden.clear()
+    monkeypatch.setattr(energy, "mlp_forward", forward)
+    monkeypatch.setattr(energy, "mlp_backward", backward)
+    _pll_from_prep(model, prep, prep[2])
+    assert len(done) == len(prep[0])
 
 
 # A constant offset of a factor cancels in every conditional, so the PLL
@@ -834,25 +907,31 @@ def test_factor_tables_lay_the_grid_out_in_scope_order():
 
 
 def test_blocked_factor_tables_equal_the_whole_grid_forward_bitwise():
-    # 30 x 30 x 25 = 22,500 cells: two full blocks and a ragged third
-    sp = InterventionSpace(("a",), (2,))
-    ifm = IfmStructure(3, sp, (FactorSpec((0, 1, 2), (0,)),))
-    grid = Grid(tuple(np.linspace(-1.0, 1.0 + j, n + 1) for j, n in enumerate((30, 30, 25))))
-    model = new_model(ifm, grid, hidden=7, seed=3, out_scale=1.2)
-    for level in (0, 1):
-        r = RegimeVector((level,))
-        table = factor_table(model, 0, r)
-        assert table.size > 2 * energy.TABLE_BLOCK and table.size % energy.TABLE_BLOCK
-        ref = mlp_forward(model.net_for(0, r), grid_features(grid, (0, 1, 2)))[0]
-        assert np.array_equal(table, ref.reshape(table.shape))
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0, 0] = 0.0
+    # every grid spans more than two blocks and ends in a ragged one.
+    # 30 x 30 x 25: a block holds 10.9 steps of the leading axis; 20^4: 1.02
+    # (a period of 8,000 cells, so blocks straddle steps); 150 x 131: 62.5;
+    # 17,000 bins of one variable: the period is one cell.
+    for dims in ((30, 30, 25), (20, 20, 20, 20), (150, 131), (17_000,)):
+        scope = tuple(range(len(dims)))
+        sp = InterventionSpace(("a",), (2,))
+        ifm = IfmStructure(len(dims), sp, (FactorSpec(scope, (0,)),))
+        grid = Grid(tuple(np.linspace(-1.0, 1.0 + j, n + 1) for j, n in enumerate(dims)))
+        model = new_model(ifm, grid, hidden=7, seed=3, out_scale=1.2)
+        for level in (0, 1):
+            r = RegimeVector((level,))
+            table = factor_table(model, 0, r)
+            assert table.size > 2 * energy.TABLE_BLOCK and table.size % energy.TABLE_BLOCK
+            ref = mlp_forward(model.net_for(0, r), grid_features(grid, scope))[0]
+            assert np.array_equal(table, ref.reshape(table.shape)), dims
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * len(dims)] = 0.0
 
 
 def test_a_cold_four_variable_table_build_stays_small_in_memory():
     """The net's hidden array is at most (hidden, TABLE_BLOCK) per block; on
-    the whole 160,000-cell grid at hidden 15 it alone would be 19.2 MB."""
+    the whole 160,000-cell grid at hidden 15 it alone would be 19.2 MB. No
+    feature array spans the grid either: one (160,000, 4) array is 5.1 MB."""
     bundle = builtin_structure("sachs")
     k = next(k for k, f in enumerate(bundle.ifm.factors) if len(f.var_scope) == 4)
     grid = Grid(tuple(np.linspace(-1.0, 1.0, 21) for _ in range(bundle.ifm.m)))
@@ -865,4 +944,4 @@ def test_a_cold_four_variable_table_build_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert table.size == 20 ** 4
-    assert peak < 10 * 2 ** 20, peak
+    assert peak < 4 * 2 ** 20, peak
