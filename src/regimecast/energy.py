@@ -17,11 +17,11 @@ bin rows, each weighted by its count. Per factor, the codes of every
 row's sweeps, each packing a level pattern and a scope cell, are ranked to
 find the cells they reach (by marks over the factor's code space, or by
 `np.unique` above `CELL_CAP` codes): one small design per net. Each step
-evaluates every net once on its design; then, per variable, one sweep over
-all datasets' rows gathers the conditional logits from the nets' outputs
-laid end to end, and scatters their count-weighted gradient back, one
-factor at a time, before each net's backward pass, after which the net's
-hidden layer is freed.
+evaluates every net once on its design, keeping only the outputs; then, per
+variable, one sweep over all datasets' rows gathers the conditional logits
+from the outputs laid end to end, and scatters their count-weighted
+gradient back, one factor at a time. Each net's backward pass recomputes
+its hidden layer, so at most one hidden layer is alive at a time.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ class Grid:
         return np.column_stack([self.centers[j][bins[:, j]] for j in cols])
 
 
-def discretize(datasets, bins: int = 20) -> Grid:
-    """Uniform per-variable grids spanning the pooled range of the datasets."""
+def discretize(datasets, bins: int = 20, names=None) -> Grid:
+    """Uniform per-variable grids spanning the pooled range of the datasets;
+    `names`, one per column, name a variable that cannot be binned."""
     if bins < 1:
         raise InvalidSpec("need at least one bin")
     if not datasets:
@@ -115,14 +116,15 @@ def discretize(datasets, bins: int = 20) -> Grid:
     hi = x.max(axis=0)
     edges = []
     for j in range(x.shape[1]):
+        var = f"variable {j}" if names is None else f"variable {j} ({names[j]})"
         if hi[j] <= lo[j]:
-            raise DegenerateVariable(f"variable {j} has zero observed range")
+            raise DegenerateVariable(f"{var} has zero observed range")
         with np.errstate(over="ignore"):  # a span past the float range
             finite = np.isfinite(hi[j] - lo[j])
         e = np.linspace(lo[j], hi[j], bins + 1) if finite else None
         if e is None or not np.all(np.diff(e) > 0):
             raise DegenerateVariable(
-                f"variable {j} spans [{float(lo[j])!r}, {float(hi[j])!r}], which {bins} bins "
+                f"{var} spans [{float(lo[j])!r}, {float(hi[j])!r}], which {bins} bins "
                 "cannot split into finite, strictly increasing edges")
         edges.append(e)
     return Grid(tuple(edges))
@@ -337,18 +339,15 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     is one flat vector, laid out as `nets.train` lays out the nets in
     sorted key order; `_per_net` splits it.
 
-    Each net's hidden layer is kept only while its gradient needs it: the
-    pass without `drawn` keeps none, and the gradient pass drops each one
-    after its net's backward pass."""
+    At most one net's hidden layer is alive at a time. The forward pass
+    keeps only the outputs; the gradient pass runs each net forward again
+    on its design just before its backward pass, which is bitwise the same
+    layer, since no parameter changes within a call, and frees it after."""
     designs, sweeps, counts = prep[:3]
     vals = np.empty(sum(x.shape[0] for x in designs.values()))
-    hidden = {}
     at = 0
     for key, x in designs.items():
-        vals[at:at + x.shape[0]], h = mlp_forward(model.nets[key], x)
-        if drawn is not None:
-            hidden[key] = h
-        del h
+        vals[at:at + x.shape[0]] = mlp_forward(model.nets[key], x)[0]
         at += x.shape[0]
     cnt = np.concatenate(counts)
     if drawn is not None:
@@ -378,7 +377,8 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     back = {}
     at = 0
     for key, x in designs.items():
-        back[key] = mlp_backward(model.nets[key], x, hidden.pop(key), dvals[at:at + x.shape[0]])[:3]
+        net = model.nets[key]
+        back[key] = mlp_backward(net, x, mlp_forward(net, x)[1], dvals[at:at + x.shape[0]])[:3]
         at += x.shape[0]
     parts = []
     for key in sorted(model.nets):
@@ -436,10 +436,10 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     The distinct bin rows and cell designs (see the module docstring) are
     built once per call from all rows. A minibatch step draws raw row
     indices, as if no row were merged, and counts them onto the distinct
-    rows (missed ones count 0); every step runs each net forward and
-    backward once on its design and one sweep per variable over every
-    distinct row, so it also sums the full objective, and hands `train` one
-    flat gradient.
+    rows (missed ones count 0); every step runs each net forward, one sweep
+    per variable over every distinct row, and each net forward again and
+    backward on its design, so it also sums the full objective, and hands
+    `train` one flat gradient.
 
     Args:
         model: initialized model to start from.

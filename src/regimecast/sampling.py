@@ -77,7 +77,8 @@ def _plan(model: EnergyModel) -> tuple:
 
     steps[i] = (v, others, inputs, reach): the variable eliminated, the rest
     of its clique (its later neighbours, as `_eliminate` records them), the
-    pool entries that read v as (scope, source) in pool order, and the
+    pool entries that read v as (scope, source, order) in pool order, with
+    `order` the axis order that puts v's axis first (`_bins_first`), and the
     interventions that reach the step through them. Sources 0..K-1 are the
     factors and K + i is step i's message; `rest` lists the sources left in
     the pool at the end. memo maps (i, the regime projected onto reach) to
@@ -93,10 +94,18 @@ def _plan(model: EnergyModel) -> tuple:
             mine = [entry for entry in pool if v in entry[0]]
             pool = [entry for entry in pool if v not in entry[0]]
             reach = set().union(*(r for _, _, r in mine))
-            steps.append((v, others, [(scope, src) for scope, src, _ in mine], sorted(reach)))
+            steps.append((v, others, [(scope, src, _bins_first(scope, v)) for scope, src, _ in mine],
+                          sorted(reach)))
             pool.append((others, len(factors) + len(steps) - 1, reach))
         model.plan = (cliques, steps, [src for _, src, _ in pool], {})
     return model.plan
+
+
+def _bins_first(scope, v) -> tuple:
+    """The axis order of a table over `scope` that moves v's axis first and
+    keeps the others in scope order: `np.moveaxis` as a `transpose`."""
+    i = scope.index(v)
+    return (i, *range(i), *range(i + 1, len(scope)))
 
 
 def _message(nbins, v, others, inputs) -> np.ndarray:
@@ -111,7 +120,7 @@ def _message(nbins, v, others, inputs) -> np.ndarray:
     table = np.zeros([nbins[j] for j in axes])
     for scope, t in inputs:
         # scopes are sorted, so moving v's axis first puts t's axes in clique order
-        t = np.moveaxis(t, scope.index(v), 0)
+        t = t.transpose(_bins_first(scope, v))
         table += t.reshape([nbins[j] if j in scope else 1 for j in axes])
     work = table.reshape(nbins[v], -1)
     top = work.max(axis=0)
@@ -138,12 +147,12 @@ def _forward(model: EnergyModel, regime: RegimeVector):
         return None
     arrays = [factor_table(model, k, regime) for k in range(len(model.ifm.factors))]
     for i, (v, others, inputs, reach) in enumerate(steps):
-        ins = [arrays[src] for _, src in inputs]
+        ins = [arrays[src] for _, src, _ in inputs]
         key = (i, regime.project(reach))
         entry = memo.get(key)
         if entry is None or any(a is not b for a, b in zip(entry[0], ins)):
             msg = _message(model.grid.nbins, v, others,
-                           [(scope, t) for (scope, _), t in zip(inputs, ins)])
+                           [(scope, t) for (scope, _, _), t in zip(inputs, ins)])
             entry = memo[key] = (ins, msg)
         arrays.append(entry[1])
     return arrays, float(sum(arrays[src] for src in rest))
@@ -206,9 +215,8 @@ def sample(model: EnergyModel, regime: RegimeVector, n: int,
     for v, others, inputs, _ in reversed(_plan(model)[1]):
         # (bins, n), or with no other variable in the clique one column for all n
         logp = np.zeros((nbins[v], n if others else 1))
-        for scope, src in inputs:
-            t = np.moveaxis(arrays[src], scope.index(v), 0)
-            logp += _slices(t, [bins[:, j] for j in scope if j != v])
+        for scope, src, order in inputs:
+            logp += _slices(arrays[src].transpose(order), [bins[:, j] for j in scope if j != v])
         bins[:, v] = _inverse_cdf(logp, u[:, v])
     return model.grid.center_rows(bins)
 
@@ -249,7 +257,7 @@ def gibbs_sample(model: EnergyModel, regime: RegimeVector, n: int,
     # per variable r, each factor reading it: (factor, its table with r's axis
     # moved first or None above the cap, the variables indexing the other axes)
     plans = [
-        [(k, np.moveaxis(factor_table(model, k, regime), f.var_scope.index(r), 0)
+        [(k, factor_table(model, k, regime).transpose(_bins_first(f.var_scope, r))
           if tabulated(model, f.var_scope) else None,
           [j for j in f.var_scope if j != r])
          for k, f in enumerate(model.ifm.factors) if r in f.var_scope]

@@ -726,7 +726,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     del truth, calib_x
 
     with _stage("fit density model"):
-        grid = discretize(datasets, bins=cfg["bins"])
+        grid = discretize(datasets, bins=cfg["bins"], names=bundle.ifm.var_names)
         model0 = new_model(bundle.ifm, grid, hidden=cfg["hidden"], seed=fit_seed)
         model, _fitlog = fit_energy(model0, datasets, steps=cfg["fit_steps"], lr=cfg["fit_lr"])
 

@@ -316,7 +316,7 @@ def test_a_variable_that_cannot_be_binned_is_named(workspace, tmp_path, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "internal error" not in err
-    assert f"variable 0 spans [{lo!r}, {hi!r}]" in err
+    assert f"variable 0 (x1) spans [{lo!r}, {hi!r}]" in err
     assert not (tmp_path / "m.json").exists()
 
 
