@@ -87,7 +87,6 @@ _EXPORTS = {
         "RegimeVector",
         "SigmaGraph",
         "normalize_factors",
-        "restrict_regime",
         "sigma_graph",
         "sigma_zero_set",
     ),

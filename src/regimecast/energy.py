@@ -16,12 +16,18 @@ have the same conditionals, so each dataset's rows collapse to its distinct
 bin rows, each weighted by its count. Per factor, the codes of every
 row's sweeps, each packing a level pattern and a scope cell, are ranked to
 find the cells they reach (by marks over the factor's code space, or by
-`np.unique` above `CELL_CAP` codes): one small design per net. Each step
-evaluates every net once on its design, keeping only the outputs; then, per
-variable, one sweep over all datasets' rows gathers the conditional logits
-from the outputs laid end to end, and scatters their count-weighted
-gradient back, one factor at a time. Each net's backward pass recomputes
-its hidden layer, so at most one hidden layer is alive at a time.
+`np.unique` above `CELL_CAP` codes): one small design per net. A sweep's
+index into its factor's cells is stored in the narrowest unsigned type
+that holds the factor's cell count. Each step evaluates every net once on
+its design, keeping only the outputs; then, per variable, one sweep over
+all datasets' rows gathers the conditional logits from the outputs laid
+end to end (by `take`), and scatters their count-weighted gradient back,
+one factor at a time. Each net's backward pass recomputes its hidden
+layer, so at most one hidden layer is alive at a time.
+
+Density ratios bin their rows once for any number of numerator regimes
+(`_log_ratios`), reading each factor's potential once per level pattern;
+`log_ratio_rows` is its one-numerator case.
 """
 
 from __future__ import annotations
@@ -268,22 +274,30 @@ def _prepare(model: EnergyModel, datasets):
     order, form the sweeps' row axis. Per factor, each row's level pattern
     and scope cell pack into one code, pattern * |scope grid| + cell (both
     raveled row-major), and sweeping variable r over its bins steps that
-    code by r's stride. Ranking all of the factor's sweep codes finds the
-    cells they reach, sorted by pattern and then cell. If the factor has at
-    most CELL_CAP codes (patterns times scope cells), the reached codes are
-    marked in a bool array over them, the marks in order are the cells, and
-    each code maps to its mark's position, with no sort; above that, where
-    the marks and ranks (9 bytes a code) could take hundreds of MB, one
-    `np.unique` does the same. Each pattern's cells become its net's design
-    of bin centers, so the designs' outputs lie end to end in one flat
-    vector in key order, and the inverse, cut per variable, places each
-    sweep term from where the factor's nets begin. Returns (designs,
-    sweeps, counts, inverses): sweeps[r] is (observed, starts, index),
-    with each row's observed cell in the flattened (rows, nbins[r]) logits
-    and, for the i-th factor on r, its inverse's (rows, nbins[r]) view
-    index[i], counted from starts[i]; counts[d] counts the rows behind each
-    distinct row of dataset d and inverses[d] maps each raw row of dataset
-    d to its distinct row.
+    code by r's stride. The factor's sweep codes are written into one
+    `intp` buffer, one (rows, nbins[r]) stretch per variable r in its
+    scope. Ranking them finds the cells they reach, sorted by pattern and
+    then cell. If the factor has at most CELL_CAP codes (patterns times
+    scope cells), the reached codes are marked in a bool array over them,
+    the marks in order are the cells, and each code maps to its mark's
+    position, with no sort; above that, where the marks and ranks (9 bytes
+    a code) could take hundreds of MB, one `np.unique` does the same. No
+    rank reaches the factor's cell count, so the inverse is kept in the
+    narrowest unsigned type that holds that count (`np.min_scalar_type`:
+    uint8 up to 255 cells, uint16 up to 65,535). Each pattern's cells
+    become its net's design of bin centers, so the designs' outputs lie end
+    to end in one flat vector in key order, and the inverse, cut per
+    variable, places each sweep term from where the factor's nets begin.
+
+    Returns (designs, sweeps, counts, inverses). designs maps each reached
+    net key to its (cells, len(scope)) column-major design, in key order.
+    sweeps[r] is (observed, starts, index): observed holds each row's
+    observed cell in the flattened (rows, nbins[r]) logits (`intp`), and
+    for the i-th factor on r, index[i] is the (rows, nbins[r]) view of its
+    inverse, in that factor's unsigned type, counted from starts[i] in the
+    flat output vector. counts[d] counts the rows behind each distinct row
+    of dataset d, and inverses[d] maps each raw row of dataset d to its
+    distinct row.
     """
     if not datasets:
         raise InvalidSpec("the pseudo-log-likelihood needs at least one dataset")
@@ -303,9 +317,13 @@ def _prepare(model: EnergyModel, datasets):
         dims = [nbins[j] for j in f.var_scope]
         code = np.ravel_multi_index(
             np.hstack([levels[:, list(f.intv_scope)], bins[:, f.var_scope]]).T, cards + dims)
-        reach = [code[:, None] + math.prod(dims[pos + 1:]) * (np.arange(nbins[r]) - bins[:, [r]])
-                 for pos, r in enumerate(f.var_scope)]
-        codes = np.concatenate(reach, axis=None)
+        # one (rows, nbins[r]) stretch of one buffer per swept variable r
+        codes = np.empty(code.size * sum(dims), dtype=np.intp)
+        bounds = code.size * np.cumsum(dims[:-1])
+        for pos, (r, sweep) in enumerate(zip(f.var_scope, np.split(codes, bounds))):
+            stride = math.prod(dims[pos + 1:])
+            np.add((code - stride * bins[:, r])[:, None], stride * np.arange(dims[pos]),
+                   out=sweep.reshape(code.size, dims[pos]))
         space = math.prod(cards + dims)
         if space <= CELL_CAP:  # rank the reached codes without sorting them
             mark = np.zeros(space, dtype=bool)
@@ -317,10 +335,11 @@ def _prepare(model: EnergyModel, datasets):
             del mark, rank
         else:
             cells, inv = np.unique(codes, return_inverse=True)
-        for r, sweep in zip(f.var_scope, reach):
+        del codes
+        inv = inv.astype(np.min_scalar_type(cells.size))
+        for r, part in zip(f.var_scope, np.split(inv, bounds)):
             sweeps[r][1].append(offset)
-            sweeps[r][2].append(inv[:sweep.size].reshape(sweep.shape))
-            inv = inv[sweep.size:]
+            sweeps[r][2].append(part.reshape(code.size, nbins[r]))
         offset += cells.size
         size = math.prod(dims)
         cuts = np.searchsorted(cells, size * np.arange(1, math.prod(cards)))
@@ -357,9 +376,10 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     for obs, starts, index in sweeps:
         logits = np.zeros(index[0].shape)
         for start, ix in zip(starts, index):  # factor order, as one row's sweep adds them
-            logits += vals[start:][ix]
+            logits += vals[start:].take(ix)
         top = logits.max(axis=1, keepdims=True)
-        p = np.exp(logits - top)
+        p = logits - top
+        np.exp(p, out=p)
         norm = p.sum(axis=1)
         lse = top[:, 0] + np.log(norm)
         total += float(np.sum(cnt * (logits.take(obs) - lse)))
@@ -479,15 +499,32 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
 
 def log_ratio_rows(model: EnergyModel, x, num: RegimeVector, den: RegimeVector) -> np.ndarray:
     """Log unnormalized density ratio, row-wise; basis for stable reweighting."""
-    model.ifm.space.check_regime(num)
-    model.ifm.space.check_regime(den)
-    xm = np.atleast_2d(np.asarray(x, dtype=float))
-    bins = model.grid.bin_rows(xm)
-    delta = np.zeros(bins.shape[0])
+    return _log_ratios(model, x, [num], den)[0]
+
+
+def _log_ratios(model: EnergyModel, x, nums, den: RegimeVector) -> np.ndarray:
+    """`log_ratio_rows` toward each of `nums`, one row per numerator, binning
+    the rows once and reading each factor's potential once per level pattern.
+    Per numerator, each factor adds its numerator term, then subtracts its
+    denominator term, as a one-numerator call does."""
+    for regime in (*nums, den):
+        model.ifm.space.check_regime(regime)
+    bins = model.grid.bin_rows(np.atleast_2d(np.asarray(x, dtype=float)))
+    delta = np.zeros((len(nums), bins.shape[0]))
     for k, f in enumerate(model.ifm.factors):
-        if num.project(f.intv_scope) != den.project(f.intv_scope):
-            delta += potentials(model, k, num, bins)
-            delta -= potentials(model, k, den, bins)
+        base = den.project(f.intv_scope)
+        moved = {}
+        for i, num in enumerate(nums):
+            pattern = num.project(f.intv_scope)
+            if pattern != base:
+                moved.setdefault(pattern, (num, []))[1].append(i)
+        if moved:
+            below = potentials(model, k, den, bins)
+        for num, rows in moved.values():
+            above = potentials(model, k, num, bins)
+            for i in rows:
+                delta[i] += above
+                delta[i] -= below
     return delta
 
 

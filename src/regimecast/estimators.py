@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, log_ratio_rows
+from .energy import EnergyModel, _log_ratios, log_ratio_rows
 from .errors import (
     InsufficientData,
     InvalidSpec,
@@ -156,10 +156,18 @@ def estimate_direct(outcome: OutcomeModel, draws) -> Estimate:
 def regime_weights(model: EnergyModel, ds, target: RegimeVector) -> np.ndarray:
     """Self-normalized density-ratio weights for one dataset's rows. When
     the target is the dataset's own regime, they are uniform."""
-    logr = log_ratio_rows(model, ds.x, target, ds.regime)
-    logr = logr - logr.max()
-    w = np.exp(logr)
-    return w / w.sum()
+    return _weights_toward(model, ds, [target])[0]
+
+
+def _weights_toward(model: EnergyModel, ds, targets) -> list:
+    """`regime_weights` of one dataset toward each target, from one
+    `energy._log_ratios` call: its rows are binned once for all targets."""
+    out = []
+    for logr in _log_ratios(model, ds.x, targets, ds.regime):
+        logr = logr - logr.max()
+        w = np.exp(logr)
+        out.append(w / w.sum())
+    return out
 
 
 def estimate_ipw(datasets, weights) -> Estimate:

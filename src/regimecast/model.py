@@ -355,11 +355,3 @@ def sigma_zero_set(space: InterventionSpace, subset) -> RegimeSet:
         out.append(RegimeVector(tuple(levels)))
     return RegimeSet(tuple(out))
 
-
-def restrict_regime(target: RegimeVector, subset) -> RegimeVector:
-    """Copy of `target` with every entry outside `subset` reset to baseline."""
-    zs = set(int(z) for z in subset)
-    for z in zs:
-        if not 0 <= z < len(target.levels):
-            raise InvalidSpec(f"intervention index {z} out of range")
-    return RegimeVector(tuple(v if i in zs else 0 for i, v in enumerate(target.levels)))

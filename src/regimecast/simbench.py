@@ -748,8 +748,9 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     weights = {}
     if {"ifm_ipw", "ifm_covshift"} & set(cfg["methods"]):
         with _stage("weigh training rows"):
-            for t in targets:
-                weights[t] = [estimators.regime_weights(model, ds, t) for ds in datasets]
+            # one pass over each dataset's rows for every target
+            per_dataset = [estimators._weights_toward(model, ds, targets) for ds in datasets]
+            weights = {t: list(ws) for t, ws in zip(targets, zip(*per_dataset))}
 
     shared = {
         "cfg": cfg,

@@ -593,11 +593,9 @@ def test_each_hidden_layer_is_freed_after_its_backward_pass(monkeypatch, seed):
     assert len(done) == len(prep[0])
 
 
-def test_a_gradient_pass_on_sachs_inputs_stays_small_in_memory():
+def sachs_inputs():
     """`sachs` at 20 bins and hidden 6, 200 baseline rows and 60 per other
-    training regime: about 100k design cells, so the 15 nets' hidden layers
-    together take 4.7 MiB. Holding them all through the sweeps peaks at
-    7.5 MiB above the prepared inputs; holding one at a time, at 4.2 MiB."""
+    training regime: about 100k design cells."""
     bundle = builtin_structure("sachs")
     rng = np.random.default_rng(0)
     m = bundle.ifm.m
@@ -605,6 +603,14 @@ def test_a_gradient_pass_on_sachs_inputs_stays_small_in_memory():
     model = new_model(bundle.ifm, grid, hidden=6, seed=1, out_scale=0.9)
     data = [RegimeDataset(r, rng.normal(0.0, 0.4, size=(200 if r.is_baseline() else 60, m)))
             for r in bundle.train.regimes]
+    return model, data
+
+
+def test_a_gradient_pass_on_sachs_inputs_stays_small_in_memory():
+    """On `sachs_inputs` the 15 nets' hidden layers together take 4.7 MiB.
+    Holding them all through the sweeps peaks at 7.5 MiB above the prepared
+    inputs; holding one at a time, at 4.2 MiB."""
+    model, data = sachs_inputs()
     prep = _prepare(model, data)
     assert sum(x.shape[0] for x in prep[0].values()) > 100_000
     tracemalloc.start()
@@ -615,6 +621,76 @@ def test_a_gradient_pass_on_sachs_inputs_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20, peak
+
+
+def test_preparing_sachs_inputs_keeps_narrow_indices_and_a_small_peak():
+    """Every sweep index is below its factor's cell count (under 65,536
+    here), so uint8 or uint16 indices hold it: 0.5 MiB in all, against
+    2.1 MiB as intp. Writing each factor's sweep codes into one buffer, with
+    no per-variable arrays and no concatenated copy, keeps the traced peak
+    at 5.5 MiB (6.6 MiB with both)."""
+    model, data = sachs_inputs()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        prep = _prepare(model, data)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    indices = sum(ix.nbytes for _, _, index in prep[1] for ix in index)
+    assert indices < 2 ** 20, indices
+    assert peak < 6 * 2 ** 20, peak
+
+
+def reference_sweep_positions(model, datasets, k, r):
+    """For factor k and variable r in its scope: each distinct row's sweep
+    over r's bins, as the position of its (level pattern, scope cell) among
+    all cells any sweep of factor k reaches, sorted (an intp array)."""
+    f = model.ifm.factors[k]
+    rows = []
+    for ds in datasets:
+        pattern = ds.regime.project(f.intv_scope)
+        rows += [(pattern, tuple(b)) for b in distinct_rows(model.grid.bin_rows(ds.x))[0]]
+
+    def reach(row, v, b):
+        cell = list(row[1])
+        cell[v] = b
+        return row[0], tuple(cell[j] for j in f.var_scope)
+    cells = sorted({reach(row, v, b) for row in rows for v in f.var_scope
+                    for b in range(model.grid.nbins[v])})
+    where = {cell: i for i, cell in enumerate(cells)}
+    return len(cells), np.array([[where[reach(row, r, b)] for b in range(model.grid.nbins[r])]
+                                 for row in rows], dtype=np.intp)
+
+
+@pytest.mark.parametrize("cell_cap", [energy.CELL_CAP, 1])
+def test_sweep_indices_take_the_narrowest_unsigned_type(monkeypatch, cell_cap):
+    """A 20 x 20 factor switched by a 2-level intervention reaches over 255
+    cells and takes uint16; the one-variable factors take uint8. Marks
+    (default cap) and `np.unique` (cap 1) give the same values, which equal
+    an intp reference built from sorted (pattern, cell) tuples."""
+    monkeypatch.setattr(energy, "CELL_CAP", cell_cap)
+    space = InterventionSpace(("a", "b"), (2, 3))
+    ifm = IfmStructure(2, space, (FactorSpec((0, 1), (0,)), FactorSpec((0,), (1,)),
+                                  FactorSpec((1,), ())))
+    grid = Grid(tuple(np.linspace(-1.0, 1.0, 21) for _ in range(2)))
+    model = new_model(ifm, grid, hidden=3, seed=2, out_scale=0.9)
+    rng = np.random.default_rng(2)
+    data = [RegimeDataset(RegimeVector(levels), rng.uniform(-1.0, 1.0, size=(25, 2)))
+            for levels in [(0, 0), (1, 1), (0, 2)]]
+    designs, sweeps = _prepare(model, data)[:2]
+    dtypes = set()
+    for r, (_, starts, index) in enumerate(sweeps):
+        on_r = [k for k, f in enumerate(ifm.factors) if r in f.var_scope]
+        assert len(index) == len(on_r)
+        for k, start, ix in zip(on_r, starts, index):
+            ncells, want = reference_sweep_positions(model, data, k, r)
+            assert ncells == sum(x.shape[0] for (kk, _), x in designs.items() if kk == k)
+            assert start == sum(x.shape[0] for (kk, _), x in designs.items() if kk < k)
+            assert ix.dtype == np.min_scalar_type(ncells), (k, r)
+            assert np.array_equal(ix.astype(np.intp), want)
+            dtypes.add(ix.dtype)
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
 
 
 # A constant offset of a factor cancels in every conditional, so the PLL
@@ -809,6 +885,39 @@ def test_log_ratio_rows_cancels_shared_factors():
 
     # antisymmetry
     assert np.allclose(log_ratio_rows(model, x, den, num), -base)
+
+
+def test_weighing_toward_many_targets_reads_each_dataset_once(monkeypatch):
+    """`_log_ratios` toward every `dream` regime equals, bitwise, one
+    `log_ratio_rows` per target and the sum it stands for: per factor whose
+    level pattern differs, the numerator's potential added, then the
+    denominator's subtracted. Each call bins its rows once."""
+    model, data = builtin_model("dream", 3, n=20)
+    targets = list(builtin_structure("dream").test.regimes) + [ds.regime for ds in data]
+    binned = []
+    bin_rows = Grid.bin_rows
+
+    def counted(grid, x):
+        binned.append(len(x))
+        return bin_rows(grid, x)
+    monkeypatch.setattr(Grid, "bin_rows", counted)
+    for ds in data:
+        binned.clear()
+        got = energy._log_ratios(model, ds.x, targets, ds.regime)
+        assert binned == [ds.n]
+        bins = model.grid.bin_rows(ds.x)
+        for row, target in zip(got, targets, strict=True):
+            want = np.zeros(ds.n)
+            for k, f in enumerate(model.ifm.factors):
+                if target.project(f.intv_scope) != ds.regime.project(f.intv_scope):
+                    want += energy.potentials(model, k, target, bins)
+                    want -= energy.potentials(model, k, ds.regime, bins)
+            assert np.array_equal(row, want)
+            assert np.array_equal(row, log_ratio_rows(model, ds.x, target, ds.regime))
+        same = energy._log_ratios(model, ds.x, [ds.regime], ds.regime)
+        assert np.array_equal(same, np.zeros((1, ds.n)))
+    assert energy._log_ratios(model, np.zeros((0, model.ifm.m)), targets,
+                              data[0].regime).shape == (len(targets), 0)
 
 
 def test_pseudo_loglik_and_density_ignore_output_bias():

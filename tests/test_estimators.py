@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regimecast import estimators
-from regimecast.energy import Grid, new_model
+from regimecast.energy import Grid, log_ratio_rows, new_model
 from regimecast.errors import (
     InsufficientData,
     InvalidSpec,
@@ -215,6 +215,20 @@ def test_regime_weights_are_normalized_and_uniform_on_target():
     assert np.all(w >= 0) and w.sum() == pytest.approx(1.0)
     uniform = regime_weights(model, ds, RegimeVector((1, 0)))
     assert np.allclose(uniform, np.full(30, 1.0 / 30))
+
+
+def test_weights_toward_many_targets_are_each_targets_regime_weights():
+    model = make_model(seed=8)
+    rng = np.random.default_rng(10)
+    ds = make_data(rng, [(1, 0)], n=30)[0]
+    targets = [RegimeVector(levels) for levels in [(0, 1), (1, 0), (1, 1), (0, 0), (0, 1)]]
+    got = estimators._weights_toward(model, ds, targets)
+    assert len(got) == len(targets)
+    for w, target in zip(got, targets):
+        logr = log_ratio_rows(model, ds.x, target, ds.regime)
+        want = np.exp(logr - logr.max())
+        assert np.array_equal(w, want / want.sum())
+        assert np.array_equal(w, regime_weights(model, ds, target))
 
 
 def test_estimate_ipw_on_target_regime_is_the_sample_mean():

@@ -12,7 +12,6 @@ from regimecast import (
     RegimeSet,
     RegimeVector,
     normalize_factors,
-    restrict_regime,
     sigma_graph,
     sigma_zero_set,
 )
@@ -200,10 +199,3 @@ def test_sigma_zero_set_order_and_content():
     assert [r.levels for r in rs] == [
         (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1),
     ]
-
-
-def test_restrict_regime_zeroes_outside_subset():
-    r = RegimeVector((1, 0, 2))
-    assert restrict_regime(r, (1, 2)).levels == (0, 0, 2)
-    assert restrict_regime(r, (0,)).levels == (1, 0, 0)
-    assert restrict_regime(r, ()).levels == (0, 0, 0)

@@ -385,13 +385,13 @@ def test_csv_rows_match_the_json_estimates(tmp_path):
 
 def test_run_benchmark_weighs_each_target_once(monkeypatch):
     calls = []
-    weigh = simbench.estimators.regime_weights
+    weigh = simbench.estimators._weights_toward
 
-    def counted(model, ds, target):
-        calls.append((ds.regime, target))
-        return weigh(model, ds, target)
+    def counted(model, ds, targets):
+        calls.extend((ds.regime, target) for target in targets)
+        return weigh(model, ds, targets)
 
-    monkeypatch.setattr(simbench.estimators, "regime_weights", counted)
+    monkeypatch.setattr(simbench.estimators, "_weights_toward", counted)
     report = run_benchmark({**TINY_CONFIG, "methods": ["ifm_ipw", "ifm_covshift"],
                             "outcome_steps": 5})
     # one weight vector per (scored target, training regime), whatever the
