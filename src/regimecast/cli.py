@@ -127,8 +127,7 @@ def _cmd_fit(args) -> int:
     datasets = load_manifest(args.data_manifest, ifm)
     grid = discretize(datasets, bins=args.bins, names=ifm.var_names)
     model0 = new_model(ifm, grid, hidden=args.hidden, seed=args.seed)
-    model, log = fit_energy(model0, datasets, steps=args.steps, lr=args.lr,
-                            batch=args.batch, seed=args.seed)
+    model, log = fit_energy(model0, datasets, steps=args.steps, lr=args.lr, batch=args.batch)
     outcome = None
     if args.outcome_out:
         outcome = fit_outcome(datasets, hidden=args.outcome_hidden,

@@ -355,13 +355,14 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
     """(full-data PLL, gradient or None). The gradient is taken only when
     `drawn` is given, with drawn[d] weighing dataset d's distinct rows;
     rows a minibatch misses weigh 0 and add exact zeros to every sum. It
-    is one flat vector, laid out as `nets.train` lays out the nets in
-    sorted key order; `_per_net` splits it.
+    is one zeroed flat vector written through `_per_net`'s views (the
+    layout `nets.train` uses); unreached nets and every b2 stay 0.
 
     At most one net's hidden layer is alive at a time. The forward pass
-    keeps only the outputs; the gradient pass runs each net forward again
-    on its design just before its backward pass, which is bitwise the same
-    layer, since no parameter changes within a call, and frees it after."""
+    keeps only the outputs, freed after the sweeps; the gradient pass runs
+    each net forward again on its design just before its backward pass,
+    which is bitwise the same layer, since no parameter changes within a
+    call, and frees it after."""
     designs, sweeps, counts = prep[:3]
     vals = np.empty(sum(x.shape[0] for x in designs.values()))
     at = 0
@@ -394,19 +395,17 @@ def _pll_from_prep(model: EnergyModel, prep, drawn=None):
         raise NonFinite("pseudo-log-likelihood is not finite")
     if drawn is None:
         return total, None
-    back = {}
-    at = 0
+    del vals
+    grad = np.zeros(sum(p.size for net in model.nets.values() for p in net.params()))
+    views, at = _per_net(model, grad), 0
     for key, x in designs.items():
         net = model.nets[key]
-        back[key] = mlp_backward(net, x, mlp_forward(net, x)[1], dvals[at:at + x.shape[0]])[:3]
+        gs = mlp_backward(net, x, mlp_forward(net, x)[1], dvals[at:at + x.shape[0]])
+        for view, g in zip(views[key], gs[:3]):  # b2: its offset cancels in every conditional
+            view[...] = g
         at += x.shape[0]
-    parts = []
-    for key in sorted(model.nets):
-        parts += back.get(key) or [np.zeros_like(p) for p in model.nets[key].params()[:3]]
-        parts.append(np.zeros(()))  # b2: a factor's constant offset cancels in every conditional
-    grad = np.concatenate(parts, axis=None)
     if not np.isfinite(grad).all():
-        bad = next(key for key, gs in back.items() if not all(np.isfinite(g).all() for g in gs))
+        bad = next(key for key, gs in views.items() if not all(np.isfinite(g).all() for g in gs))
         raise NonFinite(f"gradient for net {bad} is not finite")
     return total, grad
 
@@ -444,14 +443,14 @@ class FitLog:
 
 
 def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
-        batch: int | None = None, seed: int = 0):
+        batch: int | None = None):
     """Ascend the pseudo-log-likelihood with Adam; returns (model, FitLog).
 
     The input model is untouched; a copy is trained. Full-batch by default;
     with `batch` set, each step draws that many rows (without replacement)
-    from every dataset using the given seed. In both modes the log holds
-    steps + 1 full-data objectives: one before each step's update, then
-    the returned model's.
+    from every dataset, drawn by a generator seeded with `model.seed`. In
+    both modes the log holds steps + 1 full-data objectives: one before
+    each step's update, then the returned model's.
 
     The distinct bin rows and cell designs (see the module docstring) are
     built once per call from all rows. A minibatch step draws raw row
@@ -467,7 +466,6 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
         steps: number of Adam updates.
         lr: Adam learning rate (beta1 0.9, beta2 0.999, eps 1e-8).
         batch: rows per dataset per step; None means all rows.
-        seed: minibatch shuffling seed; unused in full-batch mode.
 
     Raises:
         InvalidSpec: no datasets, negative steps, a learning rate that is
@@ -479,7 +477,7 @@ def fit(model: EnergyModel, datasets, steps: int = 500, lr: float = 1e-3,
     trained = model.copy()
     prep = _prepare(trained, datasets)
     counts, inverses = prep[2:]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(model.seed)
 
     def value_and_grad():
         drawn = counts if batch is None else [

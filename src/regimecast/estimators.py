@@ -65,12 +65,12 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
                 seed: int = 0, weights=None) -> OutcomeModel:
     """Fit the regression net by (optionally weighted) squared error.
 
-    Rows pool across regimes; `weights`, when given, is one nonnegative
-    array per dataset and the loss normalizes by the total weight. The
-    output layer starts at zero, so zero steps means the constant 0. A
-    hidden width below 1, negative steps, a learning rate that is not
-    finite and positive, or weights whose total is 0 or overflows raise
-    InvalidSpec.
+    Rows pool across regimes; `weights` is one nonnegative array per
+    dataset (None: 1 per row, checked and normalized alike), and the loss
+    normalizes by the total weight. The output layer starts at zero, so
+    zero steps means the constant 0. A hidden width below 1, negative
+    steps, a learning rate that is not finite and positive, or weights
+    whose total is 0 or overflows raise InvalidSpec.
 
     Each step runs the net once per distinct row of each dataset (see
     `RegimeDataset.distinct`), not once per row: with W_u the summed weight
@@ -83,18 +83,17 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     m = datasets[0].x.shape[1]
     y = np.concatenate([ds.y for ds in datasets])
     if weights is None:
-        w = np.ones(len(y))
-    else:
-        if len(weights) != len(datasets):
-            raise InvalidSpec("need one weight array per dataset")
-        w = [np.asarray(wi, dtype=float).reshape(-1) for wi in weights]
-        for i, (wi, ds) in enumerate(zip(w, datasets)):
-            if wi.shape[0] != ds.n:
-                raise InvalidSpec(f"weights for dataset {i} have {wi.shape[0]} entries, "
-                                  f"need one per row ({ds.n})")
-        w = np.concatenate(w)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InvalidSpec("weights must be finite and nonnegative")
+        weights = [np.ones(ds.n) for ds in datasets]
+    if len(weights) != len(datasets):
+        raise InvalidSpec("need one weight array per dataset")
+    w = [np.asarray(wi, dtype=float).reshape(-1) for wi in weights]
+    for i, (wi, ds) in enumerate(zip(w, datasets)):
+        if wi.shape[0] != ds.n:
+            raise InvalidSpec(f"weights for dataset {i} have {wi.shape[0]} entries, "
+                              f"need one per row ({ds.n})")
+    w = np.concatenate(w)
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise InvalidSpec("weights must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflowing total is rejected next
         total = w.sum()
     if not np.isfinite(total):

@@ -751,6 +751,9 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
             # one pass over each dataset's rows for every target
             per_dataset = [estimators._weights_toward(model, ds, targets) for ds in datasets]
             weights = {t: list(ws) for t, ws in zip(targets, zip(*per_dataset))}
+    # the problems read only the draws and weights, so the fitted model's
+    # factor tables and elimination memo are freed before them
+    del model, model0, _fitlog
 
     shared = {
         "cfg": cfg,

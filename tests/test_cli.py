@@ -252,7 +252,7 @@ def test_minibatch_fit_follows_the_seed(workspace, tmp_path):
     ifm = load_graph(workspace / "graph.json")
     datasets = load_manifest(workspace / "manifest.json", ifm)
     model0 = new_model(ifm, discretize(datasets, bins=6), hidden=4, seed=7)
-    model, _ = fit(model0, datasets, steps=8, lr=1e-3, batch=10, seed=7)
+    model, _ = fit(model0, datasets, steps=8, lr=1e-3, batch=10)
     save_model(tmp_path / "lib.json", model)
     assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
 

@@ -143,6 +143,15 @@ def test_fit_outcome_on_shared_rows_is_bitwise_the_fresh_fit():
             assert p.tobytes() == q.tobytes()
 
 
+def test_fit_outcome_without_weights_is_bitwise_the_all_ones_fit():
+    data = make_data(np.random.default_rng(24), [(0, 0), (1, 0), (0, 1)], n=30)
+    a = fit_outcome(data, hidden=4, steps=30, lr=3e-2, seed=6)
+    b = fit_outcome(data, hidden=4, steps=30, lr=3e-2, seed=6,
+                    weights=[np.ones(ds.n) for ds in data])
+    for p, q in zip(a.net.params(), b.net.params(), strict=True):
+        assert p.tobytes() == q.tobytes()
+
+
 def test_fit_outcome_steps_see_each_distinct_row_once(monkeypatch):
     rng = np.random.default_rng(22)
     data = []

@@ -449,6 +449,27 @@ def test_the_ifm_simulator_is_freed_before_the_density_fit(monkeypatch):
     assert alive_at_fit == [[False]]
 
 
+def test_the_fitted_density_model_is_freed_before_the_problems(monkeypatch):
+    refs, alive_at_problem = [], []
+    fit, run_problem = simbench.fit_energy, simbench._run_problem
+
+    def kept(model0, *args, **kwargs):
+        model, log = fit(model0, *args, **kwargs)
+        refs.extend([weakref.ref(model0), weakref.ref(model), weakref.ref(log)])
+        return model, log
+
+    def checked(task):
+        alive_at_problem.append([ref() is not None for ref in refs])
+        return run_problem(task)
+
+    monkeypatch.setattr(simbench, "fit_energy", kept)
+    monkeypatch.setattr(simbench, "_run_problem", checked)
+    run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ifm_ipw", "ifm_covshift"]})
+    # the fitted model, with its factor tables and elimination memo, is gone
+    # once the draws and weights are taken
+    assert alive_at_problem == [[False] * 3] * TINY_CONFIG["n_problems"]
+
+
 class _Spy(pickle.Pickler):
     """Pickles like a worker's initargs and keeps every object it meets."""
 
