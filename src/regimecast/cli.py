@@ -172,7 +172,7 @@ def _cmd_estimate(args) -> int:
     import numpy as np
 
     from .energy import load_model
-    from .estimators import (estimate_direct, estimate_ipw, fit_outcome, load_outcome,
+    from .estimators import (ESTIMATORS, EstimatorInputs, fit_outcome, load_outcome,
                              regime_weights)
     from .fileio import load_manifest, parse_regime_text, regime_text
     from .sampling import sample
@@ -181,23 +181,21 @@ def _cmd_estimate(args) -> int:
     datasets = load_manifest(args.data_manifest, model.ifm)
     target = parse_regime_text(args.target, model.ifm.space)
 
-    if args.method == "ipw":
-        est = estimate_ipw(datasets, [regime_weights(model, ds, target) for ds in datasets])
-    else:
-        draw_seed = args.seed
-        if args.method == "covshift":
-            # the refit's seed is drawn first, then the draws'
-            rng = np.random.default_rng(args.seed)
-            fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
-            outcome = fit_outcome(datasets, seed=fit_seed,
-                                  weights=[regime_weights(model, ds, target) for ds in datasets])
-        elif args.outcome:
-            outcome = load_outcome(args.outcome)
-        else:
-            outcome = fit_outcome(datasets, seed=args.seed)
-        draws = sample(model, target, args.nsamples, burn=args.burn, thin=args.thin,
-                       seed=draw_seed)
-        est = estimate_direct(outcome, draws)
+    fit_seed = draw_seed = args.seed
+    if args.method == "covshift":
+        # the refit's seed is drawn first, then the draws'
+        rng = np.random.default_rng(args.seed)
+        fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
+    inputs = EstimatorInputs(
+        datasets,
+        draws=lambda t: sample(model, t, args.nsamples, burn=args.burn, thin=args.thin,
+                               seed=draw_seed),
+        weights=lambda t: [regime_weights(model, ds, t) for ds in datasets],
+        outcome=lambda: (load_outcome(args.outcome) if args.outcome
+                         else fit_outcome(datasets, seed=args.seed)),
+        refit=lambda w: fit_outcome(datasets, seed=fit_seed, weights=w),
+    )
+    est = ESTIMATORS[args.method](inputs, target)
 
     result = {
         "format": ESTIMATE_FORMAT,
@@ -206,13 +204,11 @@ def _cmd_estimate(args) -> int:
         "target": regime_text(target),
         "mu_hat": est.mu,
         "se": est.se,
-        "per_regime": None,
-    }
-    if est.per_regime is not None:
-        result["per_regime"] = [
+        "per_regime": None if est.per_regime is None else [
             {"regime": regime_text(r.regime), "mu": r.mu, "var_proxy": r.var_proxy}
             for r in est.per_regime
-        ]
+        ],
+    }
     _emit(result, args.out)
     return 0
 
@@ -312,46 +308,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome-lr", type=float, default=1e-2)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("sample", help="draw rows from a fitted model under a regime: exact "
-                       "iid draws by variable elimination when every elimination clique can "
-                       "be tabulated, Gibbs chains otherwise")
+    # options shared by several commands are declared once, on parent parsers
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--burn", type=int, default=500,
+                       help="scans each Gibbs chain discards (Gibbs fallback only)")
+    chain.add_argument("--thin", type=int, default=5,
+                       help="scans between kept Gibbs scans (Gibbs fallback only)")
+
+    p = sub.add_parser("sample", parents=[chain], help="draw rows from a fitted model under a "
+                       "regime: exact iid draws by variable elimination when every elimination "
+                       "clique can be tabulated, Gibbs chains otherwise")
     p.add_argument("--model", required=True)
     p.add_argument("--regime", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--burn", type=int, default=500,
-                   help="scans each Gibbs chain discards (Gibbs fallback only)")
-    p.add_argument("--thin", type=int, default=5,
-                   help="scans between kept Gibbs scans (Gibbs fallback only)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("estimate", help="estimate the outcome mean under a target regime")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data-manifest", required=True)
-    p.add_argument("--target", required=True)
+    # estimate and conformal both read a model, its data and a target, and sample
+    shared = argparse.ArgumentParser(add_help=False, parents=[chain])
+    shared.add_argument("--model", required=True)
+    shared.add_argument("--data-manifest", required=True)
+    shared.add_argument("--target", required=True)
+    shared.add_argument("--nsamples", type=int, default=2000)
+    shared.add_argument("--out")
+
+    p = sub.add_parser("estimate", parents=[shared],
+                       help="estimate the outcome mean under a target regime")
     p.add_argument("--method", choices=("direct", "ipw", "covshift"), default="direct")
     p.add_argument("--outcome", help="saved outcome model (direct method only)")
-    p.add_argument("--nsamples", type=int, default=2000)
-    p.add_argument("--burn", type=int, default=500)
-    p.add_argument("--thin", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("conformal", help="weighted split conformal band for a target")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data-manifest", required=True)
-    p.add_argument("--target", required=True)
+    p = sub.add_parser("conformal", parents=[shared],
+                       help="weighted split conformal band for a target")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nsamples", type=int, default=2000)
-    p.add_argument("--burn", type=int, default=500)
-    p.add_argument("--thin", type=int, default=5)
     p.add_argument("--hidden", type=int, default=15)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_conformal)
 
     p = sub.add_parser("benchmark", help="run the simulation benchmark")
@@ -379,6 +374,10 @@ def main(argv=None) -> int:
         # fit, sample, estimate and conformal take a seed; the generators need it >= 0
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise InvalidSpec(f"--seed must be >= 0, got {args.seed}")
+        # no numpy size, index or count can hold a larger integer
+        for key, v in vars(args).items():
+            if isinstance(v, int) and v > sys.maxsize:
+                raise InvalidSpec(f"--{key.replace('_', '-')} must be <= {sys.maxsize}, got {v}")
         return args.func(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 """Outcome-mean estimators for a target regime, built on a fitted model.
 
-Three routes to E[Y; target]: average a regression net over model draws
-under the target (direct, `estimate_direct`), reweight observed outcomes by
-density ratios toward the target (IPW, `estimate_ipw`), or refit the
-regression under those weights and average the refit over the draws
-(covariate shift: `estimate_direct` of `fit_outcome(..., weights=...)`).
-Each estimator takes the draws or weights it reads; callers make them once
-with `sampling.sample` and `regime_weights`. A weighted split conformal
+Three routes to E[Y; target], one table: `ESTIMATORS` maps each name to
+`fn(inputs, target) -> Estimate`, and `regimecast estimate` and the
+benchmark's problems both call it. `direct` averages the plain outcome net
+over model draws under the target (`estimate_direct`), `ipw` reweights
+observed outcomes by density ratios toward the target (`estimate_ipw`), and
+`covshift` refits the net under those weights and averages the refit over
+the draws. An `EstimatorInputs` hands the routes their draws, weights and
+nets; callers make the draws and weights once, with `sampling.sample` and
+`regime_weights`, and choose every seed. A weighted split conformal
 procedure turns the direct estimate into a band whose coverage holds when
 the model's density ratios are exact.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +199,30 @@ def estimate_ipw(datasets, weights) -> Estimate:
         mu = float(np.mean([p.mu for p in per]))
         se = 0.0
     return Estimate(mu, se, per_regime=tuple(per))
+
+
+@dataclass(frozen=True)
+class EstimatorInputs:
+    """What an `ESTIMATORS` entry reads: the datasets with y, the model's
+    draws under a target, the weights toward it (one `regime_weights`
+    array per dataset), the plain outcome net, and a refit under given
+    weights, which owns its seed and sizes."""
+
+    datasets: list
+    draws: Callable[[RegimeVector], np.ndarray]
+    weights: Callable[[RegimeVector], list]
+    outcome: Callable[[], OutcomeModel]
+    refit: Callable[[list], OutcomeModel]
+
+
+# Each entry looks its estimator and callables up when called, so a patched
+# module attribute (bench/spans.py's tracer) is seen.
+ESTIMATORS = {
+    "direct": lambda inputs, target: estimate_direct(inputs.outcome(), inputs.draws(target)),
+    "ipw": lambda inputs, target: estimate_ipw(inputs.datasets, inputs.weights(target)),
+    "covshift": lambda inputs, target: estimate_direct(
+        inputs.refit(inputs.weights(target)), inputs.draws(target)),
+}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -54,11 +55,15 @@ def read_json(path, error=InvalidSpec):
 
 
 def read_int(value, what: str, error=InvalidSpec) -> int:
-    """An integer field: ints and integral floats pass, anything else raises `error`."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer field: ints and integral floats pass, anything else raises
+    `error`, as does a value above sys.maxsize, which no numpy size, index or
+    count can hold."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise error(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value > sys.maxsize:
+        raise error(f"{what} must be <= {sys.maxsize}, got {value!r}")
+    return int(value)
 
 
 def read_list(value, what: str, error=InvalidSpec):

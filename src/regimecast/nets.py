@@ -117,7 +117,8 @@ def mlp_from_dict(obj: dict) -> Mlp:
 
 
 class Adam:
-    """Standard Adam over one flat parameter array, updated in place."""
+    """Standard Adam over one flat parameter array, updated in place; `train`
+    steps it under the `np.errstate` that keeps a diverging update silent."""
 
     def __init__(self, params: np.ndarray, lr: float = 1e-3):
         self.params = params
@@ -129,15 +130,13 @@ class Adam:
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        # a diverging fit overflows here; train reports it as NonFinite
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.m *= b1
-            self.m += (1 - b1) * grads
-            self.v *= b2
-            self.v += (1 - b2) * (grads * grads)
-            mhat = self.m / (1 - b1 ** self.t)
-            vhat = self.v / (1 - b2 ** self.t)
-            self.params -= self.lr * mhat / (np.sqrt(vhat) + eps)
+        self.m *= b1
+        self.m += (1 - b1) * grads
+        self.v *= b2
+        self.v += (1 - b2) * (grads * grads)
+        mhat = self.m / (1 - b1 ** self.t)
+        vhat = self.v / (1 - b2 ** self.t)
+        self.params -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> tuple:
@@ -161,15 +160,18 @@ def train(nets: list, value_and_grad, steps: int, lr: float, what: str) -> tuple
             at += p.size
     opt = Adam(flat, lr=lr)
     trace = []
-    for step in range(steps):
-        try:
-            obj, grads = value_and_grad()
-        except NonFinite as exc:
-            raise NonFinite(f"{exc} (step {step})") from None
-        if not math.isfinite(obj):
-            raise NonFinite(f"{what} is not finite (step {step})")
-        trace.append(obj)
-        opt.step(np.concatenate(grads, axis=None))
+    # a diverging fit overflows in the objective or the update; it is
+    # reported as NonFinite, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(steps):
+            try:
+                obj, grads = value_and_grad()
+            except NonFinite as exc:
+                raise NonFinite(f"{exc} (step {step})") from None
+            if not math.isfinite(obj):
+                raise NonFinite(f"{what} is not finite (step {step})")
+            trace.append(obj)
+            opt.step(np.concatenate(grads, axis=None))
     if steps and not np.isfinite(flat).all():
         raise NonFinite(f"{what} parameters are not finite after step {steps - 1}")
     return tuple(trace)

@@ -579,44 +579,36 @@ def _run_problem(args):
         for ds in sh["datasets"]:
             datasets_y.append(ds.with_y(outcome.draw(ds.x, rng_y)))
 
-    methods = {}
+    sizes = dict(hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"], lr=cfg["outcome_lr"])
     onet = None
     if {"ifm_direct", "dag_direct"} & set(cfg["methods"]):
         with _stage(f"problem {p}: fit outcome net"):
-            onet = estimators.fit_outcome(
-                datasets_y, hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"],
-                lr=cfg["outcome_lr"], seed=seeds["outcome_fit"],
-            )
+            onet = estimators.fit_outcome(datasets_y, seed=seeds["outcome_fit"], **sizes)
+    shift_rng = np.random.default_rng(seeds["covshift"])
+
+    def refit(weights):  # one seed per call: per target, in target order
+        return estimators.fit_outcome(datasets_y, seed=int(shift_rng.integers(2 ** 63)),
+                                      weights=weights, **sizes)
+
+    methods = {}
     for meth in cfg["methods"]:
-        est = {}
         with _stage(f"problem {p}: estimate with {meth}"):
-            if meth == "ifm_direct":
-                for t in targets:
-                    est[t] = estimators.estimate_direct(onet, sh["draws_fit"][t]).mu
-            elif meth == "ifm_ipw":
-                for t in targets:
-                    est[t] = estimators.estimate_ipw(datasets_y, sh["weights"][t]).mu
-            elif meth == "ifm_covshift":
-                shift_rng = np.random.default_rng(seeds["covshift"])
-                for t in targets:
-                    refit = estimators.fit_outcome(
-                        datasets_y, hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"],
-                        lr=cfg["outcome_lr"], seed=int(shift_rng.integers(2 ** 63)),
-                        weights=sh["weights"][t],
-                    )
-                    est[t] = estimators.estimate_direct(refit, sh["draws_fit"][t]).mu
-            elif meth == "ridge":
+            if meth == "ridge":
                 rows = np.vstack([
                     np.tile(np.asarray(ds.regime.levels, dtype=float), (ds.n, 1))
                     for ds in datasets_y
                 ])
                 beta = _ridge_fit(rows, np.concatenate([ds.y for ds in datasets_y]),
                                   cfg["ridge_penalty"])
-                for t in targets:
-                    est[t] = float(beta[0] + np.asarray(t.levels, dtype=float) @ beta[1:])
-            elif meth == "dag_direct":
-                for t in targets:
-                    est[t] = estimators.estimate_direct(onet, sh["draws_dag"][t]).mu
+                est = {t: float(beta[0] + np.asarray(t.levels, dtype=float) @ beta[1:])
+                       for t in targets}
+            else:
+                # "ifm_ipw" is the table's "ipw" on the fitted density model's draws
+                # and weights; "dag_direct" is "direct" on the fitted DAG's draws
+                source, name = meth.split("_")
+                inputs = estimators.EstimatorInputs(datasets_y, sh["draws"][source].__getitem__,
+                                                    sh["weights"].__getitem__, lambda: onet, refit)
+                est = {t: estimators.ESTIMATORS[name](inputs, t).mu for t in targets}
 
         entry = {"estimates": {regime_text(t): est[t] for t in targets}}
         if targets:
@@ -759,8 +751,7 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         "cfg": cfg,
         "targets": targets,
         "datasets": datasets,
-        "draws_fit": draws_fit,
-        "draws_dag": draws_dag,
+        "draws": {"ifm": draws_fit, "dag": draws_dag},
         "weights": weights,
     }
     tasks = [(p, seeds, outcome, {t: moments[t][p] for t in targets})

@@ -7,6 +7,7 @@ from regimecast import (
     FactorSpec,
     IfmStructure,
     InterventionSpace,
+    InvalidSpec,
     PrTransformation,
     RegimeSet,
     RegimeVector,
@@ -163,3 +164,15 @@ def _tables_for(norm, tm, rng):
         for pattern in itertools.product(*[range(c) for c in cards]):
             tables[(k, pattern)] = rng.uniform(0.2, 2.0, size=shape)
     return tables
+
+
+@pytest.mark.parametrize("exponents, route, says", [
+    ((1.0,), "algebraic", "need one exponent per training regime"),
+    ((1.0, float("nan")), "algebraic", "exponents must be finite"),
+    ((1.0, 0.0), "guess", "unknown route 'guess'"),
+], ids=["too-few-exponents", "non-finite-exponent", "unknown-route"])
+def test_each_certificate_check_names_its_defect(exponents, route, says):
+    train = RegimeSet.of([(0, 0), (1, 0)])
+    with pytest.raises(InvalidSpec) as err:
+        PrTransformation(RegimeVector((1, 1)), train, exponents, route)
+    assert says in str(err.value)

@@ -1,8 +1,10 @@
 """End-to-end command-line workflow on a small three-switch problem."""
 
+import argparse
 import importlib.util
 import json
 import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -15,7 +17,8 @@ from regimecast import __version__, cli, energy
 from regimecast.cli import main
 from regimecast.energy import (discretize, fit, load_model, new_model, pseudo_loglik,
                                save_model)
-from regimecast.estimators import estimate_direct, fit_outcome, regime_weights
+from regimecast.estimators import (ESTIMATORS, EstimatorInputs, estimate_direct, fit_outcome,
+                                   regime_weights)
 from regimecast.fileio import graph_to_dict, load_graph, load_manifest, write_dataset_csv
 from regimecast.model import (
     FactorSpec,
@@ -241,6 +244,38 @@ def test_bad_training_settings_are_rejected_input(workspace, tmp_path, capsys):
                  "--target", "1,1,1", "--alpha", "0.2", "--seed", "1",
                  "--hidden", "0"]) == 2
     assert "hidden width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label, flag", [("fit", "--bins"), ("fit", "--hidden"),
+                                         ("sample", "--n"), ("estimate_direct", "--nsamples"),
+                                         ("conformal", "--hidden")])
+def test_an_integer_flag_above_maxsize_is_rejected_input(workspace, tmp_path, capsys, label,
+                                                         flag):
+    argv = {**workflow_argv(workspace, tmp_path),
+            "sample": ["sample", "--model", workspace / "model.json", "--regime", "1,1,1",
+                       "--n", "5", "--seed", "1", "--out", tmp_path / "s.csv"]}[label]
+    # no numpy size can hold it; refused before the command runs, with exit code 2
+    assert main([str(a) for a in argv] + [flag, str(10 ** 24)]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be <= {sys.maxsize}, got {10 ** 24}" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "identify", "fit"])
+def test_a_cardinality_above_maxsize_is_rejected_input(workspace, tmp_path, capsys, command):
+    spec = json.loads((workspace / "graph.json").read_text())
+    spec["interventions"][0]["cardinality"] = 1e30
+    (tmp_path / "graph.json").write_text(json.dumps(spec))
+    argv = {**workflow_argv(workspace, tmp_path),
+            "fit": ["fit", "--data-manifest", workspace / "manifest.json",
+                    "--out", tmp_path / "model.json", "--seed", "1"]}[command]
+    argv = [str(a) for a in argv] + ["--graph", str(tmp_path / "graph.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"intervention 's1' cardinality must be <= {sys.maxsize}, got 1e+30" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_minibatch_fit_follows_the_seed(workspace, tmp_path):
@@ -636,6 +671,42 @@ def test_estimate_direct_fits_the_outcome_when_none_is_given(workspace, capsys):
     assert out["mu_hat"] == want.mu and out["se"] == want.se
 
 
+@pytest.mark.parametrize("method", ["direct", "ipw", "covshift"])
+def test_estimate_prints_the_estimator_table_entry(workspace, capsys, method):
+    argv = ["estimate", "--model", str(workspace / "model.json"),
+            "--data-manifest", str(workspace / "manifest.json"),
+            "--target", "1,1,1", "--method", method]
+    if method != "ipw":
+        argv += ["--seed", "7", "--nsamples", "60", "--burn", "10", "--thin", "1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+
+    # the same datasets, draws and weights, with the seeds the command documents
+    model = load_model(workspace / "model.json")
+    datasets = load_manifest(workspace / "manifest.json", model.ifm)
+    target = RegimeVector((1, 1, 1))
+    fit_seed = draw_seed = 7
+    if method == "covshift":
+        rng = np.random.default_rng(7)
+        fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
+    draws = {target: sample(model, target, 60, burn=10, thin=1, seed=draw_seed)}
+    weights = {target: [regime_weights(model, ds, target) for ds in datasets]}
+    inputs = EstimatorInputs(datasets, draws.__getitem__, weights.__getitem__,
+                             outcome=lambda: fit_outcome(datasets, seed=7),
+                             refit=lambda w: fit_outcome(datasets, seed=fit_seed, weights=w))
+    want = ESTIMATORS[method](inputs, target)
+    assert out["method"] == method
+    assert out["mu_hat"] == want.mu and out["se"] == want.se
+
+
+def test_estimate_method_choices_are_the_estimator_table():
+    # a literal in the parser, since --help loads no numpy; it must name every entry
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in commands.choices["estimate"]._actions if a.dest == "method")
+    assert method.choices == tuple(ESTIMATORS)
+
+
 def test_out_writes_the_json_stdout_would_show(workspace, tmp_path, capsys):
     argv = ["identify", "--graph", str(workspace / "graph.json"),
             "--train", str(workspace / "train.json"), "--target", "1,1,1"]
@@ -775,8 +846,11 @@ def test_traced_commands_see_the_tracer_wrappers(workspace, tmp_path, capsys):
     with tracer.patch():
         assert cli.main([str(a) for a in argv["validate"]]) == 0
         assert cli.main([str(a) for a in argv["fit"]]) == 0
+        assert cli.main([str(a) for a in argv["estimate_direct"]]) == 0
     capsys.readouterr()
     names = [s[spans.NAME] for s in tracer.spans]
-    assert names.count("cli.main") == 2
-    assert names.count("fileio.load_manifest") == 2
+    assert names.count("cli.main") == 3
+    assert names.count("fileio.load_manifest") == 3
     assert names.count("energy.fit") == 1
+    # the estimator table looks its estimator up when called
+    assert names.count("estimators.estimate_direct") == 1

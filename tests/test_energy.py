@@ -1083,3 +1083,36 @@ def test_a_cold_four_variable_table_build_stays_small_in_memory():
         tracemalloc.stop()
     assert table.size == 20 ** 4
     assert peak < 4 * 2 ** 20, peak
+
+
+def _model_dict(edit):
+    obj = model_to_dict(rand_model())
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("build, error, says", [
+    (lambda: small_grid().bin_rows(np.zeros((2, 3))), InvalidSpec,
+     "rows have 3 columns, grid has 2"),
+    (lambda: log_unnorm(rand_model(), np.zeros((2, 3), dtype=int), RegimeVector((0, 0))),
+     InvalidSpec, "bin rows have 3 columns, expected 2"),
+    (lambda: pseudo_loglik(rand_model(), [RegimeDataset(RegimeVector((0, 0)), np.zeros((2, 3)))]),
+     InvalidSpec, "dataset width does not match the structure"),
+    (lambda: discretize(rand_datasets(rand_model(), np.random.default_rng(0)), bins=0),
+     InvalidSpec, "need at least one bin"),
+    (lambda: discretize([]), InvalidSpec, "need at least one dataset"),
+    (lambda: new_model(two_var_ifm(), Grid((np.linspace(0.0, 1.0, 3),))), InvalidSpec,
+     "grid covers 1 variables, structure has 2"),
+    (lambda: model_from_dict(_model_dict(lambda o: o["grid"]["edges"].__setitem__(0, ["a", "b"]))),
+     ModelFormatError, "grid edges must be numeric arrays"),
+    (lambda: model_from_dict(_model_dict(lambda o: o["grid"]["edges"].pop())),
+     ModelFormatError, "grid and graph disagree on the variable count"),
+    (lambda: model_from_dict(_model_dict(lambda o: o.__setitem__("hidden", 5))),
+     ModelFormatError, "has the wrong shape"),
+], ids=["bin-rows-of-the-wrong-width", "bin-indices-of-the-wrong-width",
+        "dataset-of-the-wrong-width", "no-bins", "no-datasets", "grid-of-the-wrong-width",
+        "non-numeric-grid-edges", "grid-and-graph-disagree", "net-of-the-wrong-shape"])
+def test_each_density_model_check_names_its_defect(build, error, says):
+    with pytest.raises(error) as err:
+        build()
+    assert says in str(err.value)

@@ -1,6 +1,7 @@
 """Outcome regression, importance weighting, and conformal bands."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,8 +182,12 @@ def test_fit_outcome_steps_see_each_distinct_row_once(monkeypatch):
 def test_fit_outcome_names_the_diverging_step():
     rng = np.random.default_rng(4)
     data = make_data(rng, [(0, 0)], n=20)
-    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"\(step 1\)"):
+    with warnings.catch_warnings(record=True) as seen, \
+            pytest.raises(NonFinite, match=r"\(step 1\)"):
+        warnings.simplefilter("always")
         fit_outcome(data, hidden=3, steps=5, lr=1e200)
+    # the overflow is reported only as NonFinite
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 def test_predict_outcome_checks_width():

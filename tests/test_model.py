@@ -16,7 +16,7 @@ from regimecast import (
     sigma_zero_set,
 )
 from regimecast import algebraic
-from regimecast.model import distinct_rows
+from regimecast.model import SigmaGraph, distinct_rows
 from regimecast.simbench import builtin_structure
 
 
@@ -199,3 +199,42 @@ def test_sigma_zero_set_order_and_content():
     assert [r.levels for r in rs] == [
         (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1),
     ]
+
+
+def _chain(**kwargs):
+    """A two-variable, two-switch structure with `kwargs` overriding its fields."""
+    fields = {"m": 2, "space": space(2),
+              "factors": (FactorSpec((0,), (0,)), FactorSpec((0, 1), (1,))),
+              "var_names": ("a", "b")}
+    return IfmStructure(**{**fields, **kwargs})
+
+
+@pytest.mark.parametrize("build, says", [
+    (lambda: InterventionSpace((), ()), "need at least one intervention variable"),
+    (lambda: InterventionSpace(("a", "b"), (2,)),
+     "names and cardinalities must have equal length"),
+    (lambda: RegimeVector((0, -1)), "negative level in regime (0, -1)"),
+    (lambda: RegimeSet.of([(0, 0), (0, 0, 1)]), "all regimes in a set must have equal length"),
+    (lambda: FactorSpec((0, 0), ()), "var_scope has repeated indices: (0, 0)"),
+    (lambda: FactorSpec((0,), (-1,)), "intv_scope has negative index: (-1,)"),
+    (lambda: _chain(m=0), "need at least one variable"),
+    (lambda: _chain(factors=()), "need at least one factor"),
+    (lambda: _chain(factors=(FactorSpec((0, 2), (0, 1)),)),
+     "variable index out of range in (0, 2)"),
+    (lambda: _chain(factors=(FactorSpec((0, 1), (0, 2)),)),
+     "intervention index out of range in (0, 2)"),
+    (lambda: _chain(var_names=("a",)), "var_names length must equal m"),
+    (lambda: _chain(var_names=("a", "a")), "var_names must be unique"),
+    (lambda: RegimeDataset(RegimeVector((0, 0)), np.zeros(3)),
+     "x must be a non-empty 2-D array, got shape (3,)"),
+    (lambda: SigmaGraph(2, frozenset({(1, 0)})), "bad edge (1, 0) for 2 vertices"),
+    (lambda: sigma_zero_set(space(2), [2]), "intervention index 2 out of range"),
+], ids=["space-without-names", "space-lengths-differ", "negative-level",
+        "regimes-of-unequal-length", "repeated-factor-index", "negative-factor-index",
+        "no-variables", "no-factors", "variable-index-out-of-range",
+        "intervention-index-out-of-range", "var-names-too-short", "repeated-var-names",
+        "one-dimensional-rows", "bad-sigma-edge", "zero-set-index-out-of-range"])
+def test_each_structure_check_names_its_defect(build, says):
+    with pytest.raises(InvalidSpec) as err:
+        build()
+    assert says in str(err.value)

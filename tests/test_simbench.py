@@ -4,15 +4,16 @@ import csv
 import io
 import json
 import pickle
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from regimecast import junction, simbench
+from regimecast import estimators, junction, simbench
 from regimecast.cli import main
 from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
-from regimecast.fileio import graph_to_dict
+from regimecast.fileio import graph_to_dict, regime_text
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
 from regimecast.simbench import (
@@ -273,8 +274,19 @@ def test_fit_dag_names_the_diverging_step():
     b = builtin_structure("sachs")
     truth = make_dag_truth(b, seed=1)
     data = [RegimeDataset(r, truth.sample(r, 30, seed=2)) for r in list(b.train)[:2]]
-    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"node 0 .*\(step 2\)"):
+    with warnings.catch_warnings(record=True) as seen, \
+            pytest.raises(NonFinite, match=r"node 0 .*\(step 2\)"):
+        warnings.simplefilter("always")
         fit_dag(b, data, hidden=3, steps=5, lr=1e200, seed=3)
+    # the overflow is reported only as NonFinite
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("parents", [((1,), (0,)), ((), (2,), (1,))],
+                         ids=["two-cycle", "cycle-beside-a-root"])
+def test_topological_order_names_a_cycle(parents):
+    with pytest.raises(InvalidSpec, match="parent sets contain a cycle"):
+        simbench._topological_order(parents)
 
 
 def test_resolve_config_checks_keys_and_values():
@@ -320,7 +332,8 @@ def test_benchmark_errors_name_the_failing_stage():
 @pytest.mark.parametrize("bad", [{"ridge_penalty": -1.0}, {"ridge_penalty": -2.0},
                                  {"ridge_penalty": -1e300}, {"methods": ["ridge", "ridge"]},
                                  {"variance_preset": "multiplicative"}, {"truth_span": 0.0},
-                                 {"truth_span": -1.0}, {"truth_scale": -1.0}])
+                                 {"truth_span": -1.0}, {"truth_scale": -1.0},
+                                 {"bins": 1e30}, {"hidden": 1e30}, {"gibbs_n": 1e30}])
 def test_benchmark_command_rejects_config_values_by_key(tmp_path, capsys, bad):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "methods": ["ridge"], "n_problems": 1, **bad}))
@@ -403,6 +416,33 @@ def test_run_benchmark_weighs_each_target_once(monkeypatch):
     calls.clear()
     run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ridge"]})
     assert calls == []
+
+
+def test_benchmark_methods_are_estimator_table_entries(monkeypatch):
+    calls = []
+
+    def spied(name, entry):
+        def call(inputs, target):
+            est = entry(inputs, target)
+            calls.append((name, regime_text(target), est.mu))
+            return est
+        return call
+
+    table = {name: spied(name, entry) for name, entry in estimators.ESTIMATORS.items()}
+    monkeypatch.setattr(estimators, "ESTIMATORS", table)
+    table_name = {"ifm_direct": "direct", "ifm_ipw": "ipw", "ifm_covshift": "covshift",
+                  "dag_direct": "direct"}
+    data = run_benchmark({**TINY_CONFIG, "structure": "sachs", "truth": "dag",
+                          "methods": [*table_name, "ridge"], "n_baseline": 100,
+                          "n_regime": 40, "mc_samples": 100, "dag_hidden": 3, "dag_steps": 2,
+                          "fit_steps": 2, "gibbs_n": 20, "outcome_steps": 2}).data
+    # every estimate but ridge's is the entry's, called per target in target order
+    assert calls == [(table_name[meth], key, pb["methods"][meth]["estimates"][key])
+                     for pb in data["problems"] for meth in table_name
+                     for key in data["scored_regimes"]]
+    # dag_direct averages the same outcome net over the fitted DAG's draws
+    for pb in data["problems"]:
+        assert pb["methods"]["dag_direct"]["estimates"] != pb["methods"]["ifm_direct"]["estimates"]
 
 
 def test_identify_and_run_benchmark_make_one_certify_call(monkeypatch, tmp_path, capsys):
