@@ -47,7 +47,7 @@ def _finite_or_none(v):
 
 
 def _emit(obj, out) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -247,7 +247,7 @@ def _cmd_benchmark(args) -> int:
     report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
-    print(json.dumps(report.data["summary"], indent=2, sort_keys=True))
+    print(json.dumps(report.data["summary"], indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -28,6 +28,7 @@ from .errors import (
     InvalidSpec,
     MissingOutcome,
     ModelFormatError,
+    NonFinite,
     require_keys,
 )
 from .fileio import check_format, read_int, read_json
@@ -110,7 +111,8 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     row = np.concatenate([ds.distinct[1] + off for ds, off in zip(datasets, offsets)])
     wsum = np.bincount(row, weights=w, minlength=x.shape[0])
     wysum = np.bincount(row, weights=w * y, minlength=x.shape[0])
-    const = float(np.sum(w * y * y))
+    with np.errstate(over="ignore"):  # an overflowing loss is rejected in train
+        const = float(np.sum(w * y * y))
 
     rng = np.random.default_rng(seed)
     net = init_mlp(m, hidden, rng, out_scale=0.0)
@@ -180,24 +182,24 @@ def estimate_ipw(datasets, weights) -> Estimate:
     and a variance proxy v_i = sum_j y_j^2 w_j^2; regimes pool by inverse
     variance. Regimes with a zero proxy (all-zero outcomes) are left out of
     the pool; if every regime is left out the unweighted mean of the mu_i is
-    returned.
+    returned. Moments or a pool outside the float range raise NonFinite.
     """
     _check_outcome_data(datasets)
-    per = []
-    for ds, w in zip(datasets, weights, strict=True):
-        mu_i = float(np.sum(ds.y * w))
-        v_i = float(np.sum((ds.y * w) ** 2))
-        per.append(RegimeEstimate(ds.regime, mu_i, v_i))
-
-    usable = [p for p in per if p.var_proxy > 0.0]
-    if usable:
+    # moments or a pool past the float range are rejected after the block
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        per = [RegimeEstimate(ds.regime, float(np.sum(ds.y * w)), float(np.sum((ds.y * w) ** 2)))
+               for ds, w in zip(datasets, weights, strict=True)]
+        usable = [p for p in per if p.var_proxy > 0.0]
         r = np.array([1.0 / p.var_proxy for p in usable])
         mus = np.array([p.mu for p in usable])
-        mu = float(np.sum(r * mus) / np.sum(r))
-        se = float(np.sqrt(1.0 / np.sum(r)))
-    else:
-        mu = float(np.mean([p.mu for p in per]))
-        se = 0.0
+        mu = float(np.sum(r * mus) / np.sum(r)) if usable else float(np.mean([p.mu for p in per]))
+        se = float(np.sqrt(1.0 / np.sum(r))) if usable else 0.0
+    for p in per:
+        if not (math.isfinite(p.mu) and math.isfinite(p.var_proxy)):
+            raise NonFinite(f"IPW moments of regime {p.regime.levels} are not finite")
+    if not (math.isfinite(mu) and math.isfinite(se)):
+        raise NonFinite("IPW inverse-variance pool is not finite: a variance proxy is too "
+                        "small to invert")
     return Estimate(mu, se, per_regime=tuple(per))
 
 

@@ -14,9 +14,10 @@ built. The whole derivation collapses to an integer exponent vector over
 training regimes, which is what gets returned. `certify` takes this route
 when training covers every clique (or when asked to) and `algebraic.solve_pr`
 otherwise. `message_passing_identify` eliminates once per call, whatever the
-number of targets; `certify` on the tree route eliminates once more, in
-`check_conditions` for its report, while `bench/spans.py` wraps both names.
-`sampling` reads the same elimination record on the graph of its variables.
+number of targets, and returns the coverage report read off that elimination
+with the certificates; `check_conditions` is that call with no targets, and
+`certify`'s tree route is one such call. `sampling` reads the same
+elimination record on the graph of its variables.
 """
 
 from __future__ import annotations
@@ -107,30 +108,22 @@ class ConditionReport:
 def check_conditions(ifm: IfmStructure, train: RegimeSet) -> ConditionReport:
     """Report, per clique of the (triangulated) sigma graph, whether training
     covers every level combination over the clique with baseline elsewhere."""
-    return _conditions(ifm, _eliminate(sigma_graph(ifm))[1], train)
+    return message_passing_identify(ifm, train, ())[0]
 
 
-def _conditions(ifm: IfmStructure, cliques: list, train: RegimeSet) -> ConditionReport:
-    """`check_conditions` on the triangulated sigma graph's maximal cliques,
-    which factor normalization would not change: it adds no sigma-graph edge."""
-    entries = []
-    for clique in cliques:
-        missing = tuple(r for r in sigma_zero_set(ifm.space, clique) if r not in train)
-        entries.append(CliqueCondition(clique, missing))
-    return ConditionReport(tuple(entries))
-
-
-def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> list:
+def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> tuple:
     """Derive each target's exponent certificate from one min-fill elimination.
 
-    The chain rule along the order is one signed list of intervention sets,
-    built once per call: +1 at {v} | later for each step (v, later) and -1 at
-    `later` for each but the last step, whose empty `later` cancels p_0. A
-    target's certificate adds each sign at the training regime holding the
-    target's levels on the set and baseline elsewhere, found by its levels.
-    Each set lies in a clique of the filled graph, so clique coverage puts
-    that regime in training; factor normalization adds no sigma-graph edge.
-    A target already in training short-circuits to the one-hot certificate.
+    The same elimination gives the filled graph's maximal cliques, whose
+    training coverage is the returned report; factor normalization would not
+    change them, as it adds no sigma-graph edge. The chain rule along the
+    order is one signed list of intervention sets, built once per call: +1 at
+    {v} | later for each step (v, later) and -1 at `later` for each but the
+    last step, whose empty `later` cancels p_0. A target's certificate adds
+    each sign at the training regime holding the target's levels on the set
+    and baseline elsewhere, found by its levels. Each set lies in a clique of
+    the filled graph, so clique coverage puts that regime in training. A
+    target already in training short-circuits to the one-hot certificate.
 
     Args:
         ifm: factor structure.
@@ -138,16 +131,19 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> li
         targets: regimes to identify.
 
     Returns:
-        Per target, an integer-exponent certificate over `train`, verified
-        before return, or an Unidentifiable when training coverage fails for
-        some clique.
+        The clique-coverage report and, per target, an integer-exponent
+        certificate over `train`, verified before return, or an
+        Unidentifiable when training coverage fails for some clique.
     """
     for target in targets:
         ifm.space.check_regime(target)
     # one elimination of the untriangulated graph gives the filled graph's
     # cliques and the signed sets every certificate reads
     _, cliques, steps = _eliminate(sigma_graph(ifm))
-    bad = [e.clique for e in _conditions(ifm, cliques, train).entries if not e.passed]
+    report = ConditionReport(tuple(
+        CliqueCondition(c, tuple(r for r in sigma_zero_set(ifm.space, c) if r not in train))
+        for c in cliques))
+    bad = [e.clique for e in report.entries if not e.passed]
     signed = [(1, {v, *later}) for v, later in steps] + [(-1, set(later)) for _, later in steps[:-1]]
     position = {r.levels: i for i, r in enumerate(train)}
 
@@ -168,7 +164,7 @@ def message_passing_identify(ifm: IfmStructure, train: RegimeSet, targets) -> li
         if not verify_pr(ifm, cert):
             raise AssertionError("message-passing certificate failed verification")
         results.append(cert)
-    return results
+    return report, results
 
 
 ROUTES = ("auto", "tree", "algebraic")
@@ -179,17 +175,17 @@ def certify(ifm: IfmStructure, train: RegimeSet, targets, route: str = "auto") -
 
     "tree" runs `message_passing_identify` and "algebraic" runs
     `algebraic.solve_pr` per target, both on the normalized structure built
-    here; "auto" takes the tree when training covers every clique. Returns
-    the clique-coverage report (None on the algebraic route) and, per target,
-    a PrTransformation or an Unidentifiable. An unknown route raises
-    InvalidSpec.
+    here; "auto" runs the tree call and keeps its certificates when training
+    covers every clique. Returns the tree call's clique-coverage report (None
+    on the algebraic route) and, per target, a PrTransformation or an
+    Unidentifiable. An unknown route raises InvalidSpec.
     """
     if route not in ROUTES:
         raise InvalidSpec(f"unknown route {route!r}; expected one of {', '.join(ROUTES)}")
     norm = normalize_factors(ifm)
     report = None
     if route != "algebraic":
-        report = check_conditions(norm, train)
+        report, results = message_passing_identify(norm, train, targets)
         if route == "tree" or report.passed:
-            return report, message_passing_identify(norm, train, targets)
+            return report, results
     return report, [algebraic.solve_pr(norm, train, t) for t in targets]

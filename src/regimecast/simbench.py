@@ -263,7 +263,8 @@ def make_ifm_truth(bundle: StructureBundle, seed: int = 0, bins: int = 20,
     strongly level patterns interact. `burn` and `thin` are the simulator's
     Gibbs settings.
     """
-    edges = tuple(np.linspace(-span, span, bins + 1) for _ in range(bundle.ifm.m))
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range
+        edges = tuple(np.linspace(-span, span, bins + 1) for _ in range(bundle.ifm.m))
     model = new_model(bundle.ifm, Grid(edges), hidden=hidden, seed=seed, out_scale=scale)
     return IfmTruth(model, burn, thin)
 
@@ -516,7 +517,7 @@ class BenchmarkReport:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
+        return json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False)
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -610,16 +611,15 @@ def _run_problem(args):
                                                     sh["weights"].__getitem__, lambda: onet, refit)
                 est = {t: estimators.ESTIMATORS[name](inputs, t).mu for t in targets}
 
-        entry = {"estimates": {regime_text(t): est[t] for t in targets}}
-        if targets:
-            ests = [est[t] for t in targets]
-            trus = [true[t][0] for t in targets]
-            entry["prmse"] = prmse(ests, trus, [true[t][1] for t in targets])
-            entry["rcor"] = rcor(ests, trus) if len(targets) >= 2 else None
-        else:
-            entry["prmse"] = None
-            entry["rcor"] = None
-        methods[meth] = entry
+        ests = [est[t] for t in targets]
+        trus = [true[t][0] for t in targets]
+        # rcor is undefined (nan) below two targets and on constant inputs
+        rc = rcor(ests, trus) if len(targets) >= 2 else math.nan
+        methods[meth] = {
+            "estimates": {regime_text(t): est[t] for t in targets},
+            "prmse": prmse(ests, trus, [true[t][1] for t in targets]) if targets else None,
+            "rcor": None if math.isnan(rc) else rc,
+        }
 
     return {
         "problem": p,

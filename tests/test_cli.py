@@ -732,6 +732,62 @@ def test_bands_come_from_conformal_only(workspace, capsys):
     assert "band" not in schema("estimate")["properties"]
 
 
+def scaled_manifest(workspace, tmp_path, factor):
+    """The workspace's datasets with every outcome multiplied by `factor`."""
+    manifest = {}
+    for i, ds in enumerate(load_manifest(workspace / "manifest.json", chain_ifm())):
+        name = f"data_{i}.csv"
+        write_dataset_csv(tmp_path / name, chain_ifm(), ds.with_y(ds.y * factor))
+        manifest[name] = list(ds.regime.levels)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    return tmp_path / "manifest.json"
+
+
+@pytest.mark.parametrize("factor, message", [
+    (1e157, "IPW moments of regime (0, 0, 0) are not finite"),
+    (1e-154, "IPW inverse-variance pool is not finite"),
+], ids=["moments-overflow", "proxy-too-small-to-invert"])
+def test_an_ipw_estimate_outside_the_float_range_is_rejected(workspace, tmp_path, capsys,
+                                                              factor, message):
+    # finite, valid outcomes whose weighted moments leave the float range
+    manifest = scaled_manifest(workspace, tmp_path, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["estimate", "--model", str(workspace / "model.json"),
+                   "--data-manifest", str(manifest), "--target", "1,1,1", "--method", "ipw"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["direct", "covshift", "conformal", "fit"])
+def test_an_outcome_loss_past_the_float_range_prints_no_numpy_warning(workspace, tmp_path,
+                                                                      capsys, command):
+    manifest = scaled_manifest(workspace, tmp_path, 1e200)
+    model = ["--model", str(workspace / "model.json"), "--data-manifest", str(manifest),
+             "--target", "1,1,1", "--seed", "7"]
+    chain = ["--nsamples", "20", "--burn", "5", "--thin", "1"]
+    argv = {
+        "direct": ["estimate", *model, "--method", "direct", *chain],
+        "covshift": ["estimate", *model, "--method", "covshift", *chain],
+        "conformal": ["conformal", *model, "--alpha", "0.1", "--hidden", "4", "--steps", "5",
+                      *chain],
+        "fit": ["fit", "--graph", str(workspace / "graph.json"), "--data-manifest",
+                str(manifest), "--out", str(tmp_path / "m.json"), "--bins", "6",
+                "--hidden", "4", "--steps", "2", "--seed", "1",
+                "--outcome-out", str(tmp_path / "o.json"), "--outcome-steps", "5"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outcome loss is not finite (step 0)" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_conformal_band_command(workspace, capsys):
     rc = main(["conformal", "--model", str(workspace / "model.json"),
                "--data-manifest", str(workspace / "manifest.json"),

@@ -65,8 +65,9 @@ def test_tree_and_algebraic_routes_certify_together(problem):
     # route gives the same answer with or without normalization
     assert sigma_graph(ifm).edges == sigma_graph(norm).edges
     assert check_conditions(ifm, train) == check_conditions(norm, train)
-    (tree,) = message_passing_identify(ifm, train, [target])
-    assert message_passing_identify(norm, train, [target]) == [tree]
+    report, (tree,) = message_passing_identify(ifm, train, [target])
+    assert message_passing_identify(norm, train, [target])[1] == [tree]
+    assert report == check_conditions(ifm, train)
     assert tree.route == "junction-tree"
     if check_conditions(ifm, train).passed:
         alg = solve_pr(norm, train, target)
@@ -78,7 +79,7 @@ def test_tree_and_algebraic_routes_certify_together(problem):
     # every certificate the tree route gives outside training: integer
     # exponents summing to exactly 1 that solve the exponent system
     unseen = [r for r in ifm.space.all_regimes().regimes if r not in train]
-    for cert in message_passing_identify(ifm, train, unseen):
+    for cert in message_passing_identify(ifm, train, unseen)[1]:
         if isinstance(cert, PrTransformation):
             assert all(q == int(q) for q in cert.exponents)
             assert sum(cert.exponents) == 1

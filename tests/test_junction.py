@@ -124,7 +124,7 @@ def test_message_passing_certificate_exponents():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    (cert,) = message_passing_identify(norm, train, [target])
+    (cert,) = message_passing_identify(norm, train, [target])[1]
     assert cert.route == "junction-tree" and verify_pr(norm, cert)
 
     by_regime = dict(zip([r.levels for r in cert.train], cert.exponents))
@@ -146,7 +146,7 @@ def test_message_passing_matches_table_oracle():
     norm = normalize_factors(ifm)
     train = full_train()
     target = RegimeVector(ones_at(tuple(range(8))))
-    (cert,) = message_passing_identify(norm, train, [target])
+    (cert,) = message_passing_identify(norm, train, [target])[1]
 
     rng = np.random.default_rng(7)
     tables = {}
@@ -162,7 +162,7 @@ def test_message_passing_short_circuits_known_target():
     norm = normalize_factors(ifm)
     train = full_train()
     target = train[3]
-    (cert,) = message_passing_identify(norm, train, [target])
+    (cert,) = message_passing_identify(norm, train, [target])[1]
     expected = [0.0] * len(train)
     expected[3] = 1.0
     assert list(cert.exponents) == expected
@@ -173,7 +173,7 @@ def test_message_passing_requires_coverage():
     norm = normalize_factors(ifm)
     train = RegimeSet.of([ones_at(()), ones_at((0,))])
     target = RegimeVector(ones_at((0, 1)))
-    unseen, seen = message_passing_identify(norm, train, [target, train[1]])
+    unseen, seen = message_passing_identify(norm, train, [target, train[1]])[1]
     assert isinstance(unseen, Unidentifiable)
     assert (unseen.target, unseen.train, unseen.route) == (target, train, "junction-tree")
     assert unseen.reason.startswith("training set misses combinations over cliques [(0, 1),")
@@ -207,6 +207,27 @@ def test_identification_eliminates_once(monkeypatch):
     assert report.passed
     assert all(r.route == "junction-tree" and verify_pr(normalize_factors(bundle.ifm), r)
                for r in results)
+
+
+def test_certify_eliminates_once_per_call(monkeypatch):
+    calls = []
+    eliminate = junction._eliminate
+
+    def counted(g):
+        calls.append(g.d)
+        return eliminate(g)
+
+    monkeypatch.setattr(junction, "_eliminate", counted)
+    for name in ("chain3", "triangle", "sachs", "dream"):
+        bundle = builtin_structure(name)
+        calls.clear()
+        report, results = certify(bundle.ifm, bundle.train, bundle.test)
+        # the report and the tree certificates come from the same elimination;
+        # triangle misses coverage, so "auto" solves it algebraically instead
+        assert report.passed == (name != "triangle"), name
+        assert all(r.route == ("junction-tree" if report.passed else "algebraic")
+                   for r in results), name
+        assert len(calls) == 1, name
 
 
 def test_certification_projects_each_training_regime_once(monkeypatch):
@@ -250,7 +271,7 @@ def test_the_tree_route_builds_no_regime_per_target(monkeypatch):
         built.clear()
         _, results = certify(bundle.ifm, bundle.train, targets, route)
         assert all(r.route == "junction-tree" for r in results)
-        # only the clique zero sets, once for the report and once more inside
+        # only the clique zero sets, once for the report inside
         # message_passing_identify; each target's regimes are looked up by levels
         assert len(built) <= 2 * zero_sets, route
 

@@ -6,7 +6,9 @@ import json
 import pickle
 import warnings
 import weakref
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -325,8 +327,29 @@ def test_resolve_config_checks_keys_and_values():
 
 def test_benchmark_errors_name_the_failing_stage():
     # a span that passes the config check but whose bin edges overflow
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="build truth"):
-        run_benchmark({**TINY_CONFIG, "truth_span": 1e308})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="build truth"):
+            run_benchmark({**TINY_CONFIG, "truth_span": 1e308})
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_an_undefined_rank_correlation_is_reported_as_null(tmp_path, capsys):
+    # a penalty this large flattens every slope, so the ridge estimates are
+    # constant over the targets and their rank correlation is undefined
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "methods": ["ridge"], "n_problems": 1,
+                               "ridge_penalty": 1e308}))
+    out = tmp_path / "r.json"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    text = out.read_text()
+    assert "NaN" not in printed and "NaN" not in text
+    assert json.loads(printed)["ridge"]["rcor_mean"] is None
+    report = json.loads(text)
+    assert [pb["methods"]["ridge"]["rcor"] for pb in report["problems"]] == [None]
+    path = resources.files("regimecast") / "schemas" / "benchmark_report.json"
+    jsonschema.validate(report, json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("bad", [{"ridge_penalty": -1.0}, {"ridge_penalty": -2.0},
