@@ -190,7 +190,7 @@ def _cmd_estimate(args) -> int:
         datasets,
         draws=lambda t: sample(model, t, args.nsamples, burn=args.burn, thin=args.thin,
                                seed=draw_seed),
-        weights=lambda t: [regime_weights(model, ds, t) for ds in datasets],
+        weights=lambda t: regime_weights(model, datasets, [t])[0],
         outcome=lambda: (load_outcome(args.outcome) if args.outcome
                          else fit_outcome(datasets, seed=args.seed)),
         refit=lambda w: fit_outcome(datasets, seed=fit_seed, weights=w),
@@ -247,7 +247,7 @@ def _cmd_benchmark(args) -> int:
     report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
-    print(json.dumps(report.data["summary"], indent=2, sort_keys=True, allow_nan=False))
+    _emit(report.data["summary"], None)
     return 0
 
 

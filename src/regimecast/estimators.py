@@ -45,14 +45,13 @@ class OutcomeModel:
     """Regression net x -> y over raw (unbinned) variable values."""
 
     net: object
-    m: int
     seed: int
 
 
 def predict_outcome(outcome: OutcomeModel, x) -> np.ndarray:
     xm = np.atleast_2d(np.asarray(x, dtype=float))
-    if xm.shape[1] != outcome.m:
-        raise InvalidSpec(f"rows have {xm.shape[1]} columns, model expects {outcome.m}")
+    if xm.shape[1] != outcome.net.in_dim:
+        raise InvalidSpec(f"rows have {xm.shape[1]} columns, model expects {outcome.net.in_dim}")
     return mlp_forward(outcome.net, xm)[0]
 
 
@@ -84,7 +83,6 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
     2 (W_u f_u - S_u).
     """
     _check_outcome_data(datasets)
-    m = datasets[0].x.shape[1]
     y = np.concatenate([ds.y for ds in datasets])
     if weights is None:
         weights = [np.ones(ds.n) for ds in datasets]
@@ -115,14 +113,14 @@ def fit_outcome(datasets, hidden: int = 15, steps: int = 2000, lr: float = 1e-2,
         const = float(np.sum(w * y * y))
 
     rng = np.random.default_rng(seed)
-    net = init_mlp(m, hidden, rng, out_scale=0.0)
+    net = init_mlp(x.shape[1], hidden, rng, out_scale=0.0)
 
     def loss_and_grad():
         pred, h = mlp_forward(net, x)
         half = wsum * pred - wysum  # half the loss gradient in each output
         return float(np.sum((half - wysum) * pred)) + const, mlp_backward(net, x, h, 2.0 * half)
     train([net], loss_and_grad, steps, lr, "outcome loss")
-    return OutcomeModel(net, m, seed)
+    return OutcomeModel(net, seed)
 
 
 @dataclass(frozen=True)
@@ -157,28 +155,24 @@ def estimate_direct(outcome: OutcomeModel, draws) -> Estimate:
     return Estimate(float(preds.mean()), se)
 
 
-def regime_weights(model: EnergyModel, ds, target: RegimeVector) -> np.ndarray:
-    """Self-normalized density-ratio weights for one dataset's rows. When
-    the target is the dataset's own regime, they are uniform."""
-    return _weights_toward(model, ds, [target])[0]
-
-
-def _weights_toward(model: EnergyModel, ds, targets) -> list:
-    """`regime_weights` of one dataset toward each target, from one
-    `energy._log_ratios` call: its rows are binned once for all targets."""
-    out = []
-    for logr in _log_ratios(model, ds.x, targets, ds.regime):
-        logr = logr - logr.max()
-        w = np.exp(logr)
-        out.append(w / w.sum())
+def regime_weights(model: EnergyModel, datasets, targets) -> list:
+    """Self-normalized density-ratio weights of each dataset's rows toward
+    each target: one list per target, in `targets` order, of one array per
+    dataset. Toward a dataset's own regime its array is uniform. Each
+    dataset's rows are binned once for all targets (`energy._log_ratios`)."""
+    out = [[] for _ in targets]
+    for ds in datasets:
+        for ws, logr in zip(out, _log_ratios(model, ds.x, targets, ds.regime)):
+            w = np.exp(logr - logr.max())
+            ws.append(w / w.sum())
     return out
 
 
 def estimate_ipw(datasets, weights) -> Estimate:
     """Pool per-regime self-normalized importance-weighted outcome means.
 
-    `weights` holds one array per dataset, each summing to 1, as
-    regime_weights gives them. Each regime contributes mu_i = sum_j y_j w_j
+    `weights` holds one array per dataset, each summing to 1, as one target's
+    list from `regime_weights`. Each regime contributes mu_i = sum_j y_j w_j
     and a variance proxy v_i = sum_j y_j^2 w_j^2; regimes pool by inverse
     variance. Regimes with a zero proxy (all-zero outcomes) are left out of
     the pool; if every regime is left out the unweighted mean of the mu_i is
@@ -206,8 +200,8 @@ def estimate_ipw(datasets, weights) -> Estimate:
 @dataclass(frozen=True)
 class EstimatorInputs:
     """What an `ESTIMATORS` entry reads: the datasets with y, the model's
-    draws under a target, the weights toward it (one `regime_weights`
-    array per dataset), the plain outcome net, and a refit under given
+    draws under a target, the weights toward it (that target's
+    `regime_weights` list), the plain outcome net, and a refit under given
     weights, which owns its seed and sizes."""
 
     datasets: list
@@ -333,7 +327,7 @@ def outcome_to_dict(outcome: OutcomeModel) -> dict:
     obj = {
         "format": OUTCOME_FORMAT,
         "format_version": OUTCOME_FORMAT_VERSION,
-        "m": outcome.m,
+        "m": outcome.net.in_dim,
         "seed": outcome.seed,
     }
     obj.update(mlp_to_dict(outcome.net))
@@ -348,7 +342,7 @@ def outcome_from_dict(obj: dict) -> OutcomeModel:
     net = mlp_from_dict(obj)
     if net.in_dim != m:
         raise ModelFormatError("net width does not match the variable count")
-    return OutcomeModel(net, m, seed)
+    return OutcomeModel(net, seed)
 
 
 def save_outcome(path, outcome: OutcomeModel) -> None:

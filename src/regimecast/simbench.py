@@ -13,6 +13,7 @@ reports per-problem errors plus summaries.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -284,14 +285,15 @@ class OutcomeTruth:
         return mu + self.noise_sd * rng.standard_normal(mu.shape[0])
 
 
-def make_outcome(truth, seed: int = 0, baseline_x=None, n_calib: int = 20000,
-                 signal_range=(0.6, 0.8), preset: str = "additive") -> OutcomeTruth:
+def make_outcome(truth, seed: int = 0, baseline_x=None, signal_range=(0.6, 0.8),
+                 preset: str = "additive") -> OutcomeTruth:
     """Random outcome with the signal variance calibrated under baseline.
 
     The direction lam is standard normal, then rescaled so Var(lam . x) on
-    baseline draws hits a target: a uniform draw from `signal_range` with
-    noise variance 1 minus the target ("additive" preset), or a uniform
-    signal-to-noise ratio in [1.5, 4] with total variance 1 ("ratio").
+    baseline rows (`baseline_x`, or 20,000 draws from the truth) hits a
+    target: a uniform draw from `signal_range` with noise variance 1 minus
+    the target ("additive" preset), or a uniform signal-to-noise ratio in
+    [1.5, 4] with total variance 1 ("ratio").
     Scaling lam by c scales the signal variance by c^2, so one Monte Carlo
     variance estimate calibrates it in closed form.
     """
@@ -310,7 +312,7 @@ def make_outcome(truth, seed: int = 0, baseline_x=None, n_calib: int = 20000,
         raise InvalidSpec("noise variance must be positive")
 
     if baseline_x is None:
-        baseline_x = truth.sample(truth.baseline(), n_calib, seed=int(rng.integers(2 ** 63)))
+        baseline_x = truth.sample(truth.baseline(), 20000, seed=int(rng.integers(2 ** 63)))
     s = np.asarray(baseline_x) @ lam0
     var_s = float(s.var())
     if var_s <= 1e-12:
@@ -444,8 +446,6 @@ DEFAULT_CONFIG = {
     "truth_span": 2.5,
 }
 
-_METHODS = ("ifm_direct", "ifm_ipw", "ifm_covshift", "ridge", "dag_direct")
-
 # smallest value of each integer key: sizes, widths and thinning need one,
 # seeds and step or burn counts may be zero
 _AT_LEAST = {
@@ -496,10 +496,12 @@ def resolve_config(config: dict) -> dict:
             and 0 <= lo_hi[0] <= lo_hi[1] < 1):
         raise InvalidSpec("benchmark config 'signal_range' must be two finite numbers "
                           f"with 0 <= lo <= hi < 1, got {lo_hi!r}")
+    # "ifm_<name>" is each estimator table entry on the fitted density model
+    known = (*(f"ifm_{name}" for name in estimators.ESTIMATORS), "ridge", "dag_direct")
     cfg["methods"] = list(cfg["methods"])
     for i, meth in enumerate(cfg["methods"]):
-        if meth not in _METHODS:
-            raise InvalidSpec(f"unknown method {meth!r}; choose from {_METHODS}")
+        if meth not in known:
+            raise InvalidSpec(f"unknown method {meth!r}; choose from {known}")
         if meth in cfg["methods"][:i]:
             raise InvalidSpec(f"benchmark config 'methods' lists {meth!r} more than once")
     if cfg["variance_preset"] not in ("additive", "ratio"):
@@ -581,10 +583,12 @@ def _run_problem(args):
             datasets_y.append(ds.with_y(outcome.draw(ds.x, rng_y)))
 
     sizes = dict(hidden=cfg["outcome_hidden"], steps=cfg["outcome_steps"], lr=cfg["outcome_lr"])
-    onet = None
-    if {"ifm_direct", "dag_direct"} & set(cfg["methods"]):
-        with _stage(f"problem {p}: fit outcome net"):
-            onet = estimators.fit_outcome(datasets_y, seed=seeds["outcome_fit"], **sizes)
+
+    @functools.cache
+    def outcome_net():  # fitted on first use, with its own seed
+        with _stage("fit outcome net"):
+            return estimators.fit_outcome(datasets_y, seed=seeds["outcome_fit"], **sizes)
+
     shift_rng = np.random.default_rng(seeds["covshift"])
 
     def refit(weights):  # one seed per call: per target, in target order
@@ -606,9 +610,9 @@ def _run_problem(args):
             else:
                 # "ifm_ipw" is the table's "ipw" on the fitted density model's draws
                 # and weights; "dag_direct" is "direct" on the fitted DAG's draws
-                source, name = meth.split("_")
+                source, _, name = meth.partition("_")
                 inputs = estimators.EstimatorInputs(datasets_y, sh["draws"][source].__getitem__,
-                                                    sh["weights"].__getitem__, lambda: onet, refit)
+                                                    sh["weights"].__getitem__, outcome_net, refit)
                 est = {t: estimators.ESTIMATORS[name](inputs, t).mu for t in targets}
 
         ests = [est[t] for t in targets]
@@ -641,13 +645,15 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
     true mean and variance under it from the Monte Carlo rows. The
     simulator and its rows are dropped there, so its factor tables are
     freed before the density model is fitted once. Then draw the fitted
-    model's samples, weigh the training rows toward each scored regime once
-    (when `ifm_ipw` or `ifm_covshift` is asked for; both read these
-    weights), and score `n_problems` independent outcome problems. With
-    jobs > 1 problems run in at most that many worker processes, never more
-    than there are problems; workers receive the fitted state, the training
-    rows and, per problem, one outcome truth with its true means and
-    variances, never the simulator. The merge is by problem index so the
+    model's samples (for `dag_direct`, fit the DAG first and draw from it
+    too), weigh the training rows toward every scored regime in one
+    `estimators.regime_weights` call (when an `ifm_` method other than
+    `ifm_direct` is asked for; they all read these weights), and score
+    `n_problems` independent outcome problems; each fits its plain outcome
+    net on first use. With jobs > 1 problems run in at most that many
+    worker processes, never more than there are problems; workers receive
+    the fitted state, the training rows and, per problem, one outcome truth
+    with its true means and variances, never the simulator. The merge is by problem index so the
     report does not depend on jobs. A jobs below 1 raises InvalidSpec.
     """
     if jobs < 1:
@@ -722,6 +728,13 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
         model0 = new_model(bundle.ifm, grid, hidden=cfg["hidden"], seed=fit_seed)
         model, _fitlog = fit_energy(model0, datasets, steps=cfg["fit_steps"], lr=cfg["fit_lr"])
 
+    if "dag_direct" in cfg["methods"]:
+        with _stage("fit DAG"):
+            fitted_dag = fit_dag(
+                bundle, datasets, hidden=cfg["dag_hidden"], steps=cfg["dag_steps"],
+                lr=cfg["dag_lr"], seed=dag_fit_seed,
+            )
+
     with _stage("draw evaluation samples"):
         draws_fit, draws_dag = {}, {}
         for t, gs in zip(targets, gibbs_seeds):
@@ -730,19 +743,13 @@ def run_benchmark(config: dict, jobs: int = 1) -> BenchmarkReport:
                 thin=cfg["gibbs_thin"], seed=gs,
             )
         if "dag_direct" in cfg["methods"]:
-            fitted_dag = fit_dag(
-                bundle, datasets, hidden=cfg["dag_hidden"], steps=cfg["dag_steps"],
-                lr=cfg["dag_lr"], seed=dag_fit_seed,
-            )
             for t, gs in zip(targets, gibbs_seeds):
                 draws_dag[t] = fitted_dag.sample(t, cfg["gibbs_n"], seed=gs)
 
     weights = {}
-    if {"ifm_ipw", "ifm_covshift"} & set(cfg["methods"]):
+    if any(m.startswith("ifm_") and m != "ifm_direct" for m in cfg["methods"]):
         with _stage("weigh training rows"):
-            # one pass over each dataset's rows for every target
-            per_dataset = [estimators._weights_toward(model, ds, targets) for ds in datasets]
-            weights = {t: list(ws) for t, ws in zip(targets, zip(*per_dataset))}
+            weights = dict(zip(targets, estimators.regime_weights(model, datasets, targets)))
     # the problems read only the draws and weights, so the fitted model's
     # factor tables and elimination memo are freed before them
     del model, model0, _fitlog

@@ -241,7 +241,7 @@ def test_criterion_8_ipw_mean_within_three_standard_errors(acceptance_log):
 
     dens = exact_density(model, target).ravel()
     mu_exact = float(np.sum(dens * outcome_fn(cell_centers(model))))
-    est = estimate_ipw(data, [regime_weights(model, ds, target) for ds in data])
+    est = estimate_ipw(data, regime_weights(model, data, [target])[0])
     elapsed = time.perf_counter() - t0
 
     err = abs(est.mu - mu_exact)

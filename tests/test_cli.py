@@ -647,7 +647,7 @@ def test_estimate_covshift_is_the_weighted_refit(workspace, capsys):
     rng = np.random.default_rng(7)
     fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
     refit = fit_outcome(datasets, seed=fit_seed,
-                        weights=[regime_weights(model, ds, target) for ds in datasets])
+                        weights=regime_weights(model, datasets, [target])[0])
     want = estimate_direct(refit, sample(model, target, 60, burn=10, thin=1, seed=draw_seed))
     assert out["mu_hat"] == want.mu and out["se"] == want.se
 
@@ -690,7 +690,7 @@ def test_estimate_prints_the_estimator_table_entry(workspace, capsys, method):
         rng = np.random.default_rng(7)
         fit_seed, draw_seed = int(rng.integers(2 ** 63)), int(rng.integers(2 ** 63))
     draws = {target: sample(model, target, 60, burn=10, thin=1, seed=draw_seed)}
-    weights = {target: [regime_weights(model, ds, target) for ds in datasets]}
+    weights = {target: regime_weights(model, datasets, [target])[0]}
     inputs = EstimatorInputs(datasets, draws.__getitem__, weights.__getitem__,
                              outcome=lambda: fit_outcome(datasets, seed=7),
                              refit=lambda w: fit_outcome(datasets, seed=fit_seed, weights=w))

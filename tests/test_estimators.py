@@ -57,7 +57,7 @@ def make_data(rng, regimes, n=40, fn=None):
 
 
 def weights_toward(model, data, target):
-    return [regime_weights(model, ds, target) for ds in data]
+    return regime_weights(model, data, [target])[0]
 
 
 def test_fit_outcome_learns_a_smooth_function():
@@ -224,25 +224,36 @@ def test_regime_weights_are_normalized_and_uniform_on_target():
     model = make_model(seed=8)
     rng = np.random.default_rng(9)
     ds = make_data(rng, [(1, 0)], n=30)[0]
-    w = regime_weights(model, ds, RegimeVector((0, 1)))
+    w = regime_weights(model, [ds], [RegimeVector((0, 1))])[0][0]
     assert w.shape == (30,)
     assert np.all(w >= 0) and w.sum() == pytest.approx(1.0)
-    uniform = regime_weights(model, ds, RegimeVector((1, 0)))
+    uniform = regime_weights(model, [ds], [RegimeVector((1, 0))])[0][0]
     assert np.allclose(uniform, np.full(30, 1.0 / 30))
 
 
-def test_weights_toward_many_targets_are_each_targets_regime_weights():
+def test_regime_weights_toward_many_targets_are_one_call_per_target():
     model = make_model(seed=8)
     rng = np.random.default_rng(10)
-    ds = make_data(rng, [(1, 0)], n=30)[0]
+    data = make_data(rng, [(1, 0), (0, 0)], n=30)
     targets = [RegimeVector(levels) for levels in [(0, 1), (1, 0), (1, 1), (0, 0), (0, 1)]]
-    got = estimators._weights_toward(model, ds, targets)
+    got = regime_weights(model, data, targets)
     assert len(got) == len(targets)
-    for w, target in zip(got, targets):
-        logr = log_ratio_rows(model, ds.x, target, ds.regime)
-        want = np.exp(logr - logr.max())
-        assert np.array_equal(w, want / want.sum())
-        assert np.array_equal(w, regime_weights(model, ds, target))
+    for ws, target in zip(got, targets):
+        (one,) = regime_weights(model, data, [target])
+        assert len(ws) == len(one) == len(data)
+        for w, w1, ds in zip(ws, one, data):
+            logr = log_ratio_rows(model, ds.x, target, ds.regime)
+            want = np.exp(logr - logr.max())
+            assert np.array_equal(w, want / want.sum())
+            assert np.array_equal(w, w1)
+
+
+def test_regime_weights_shape_with_no_datasets_or_no_targets():
+    model = make_model(seed=8)
+    data = make_data(np.random.default_rng(10), [(1, 0)], n=30)
+    targets = [RegimeVector((0, 1)), RegimeVector((1, 1))]
+    assert regime_weights(model, [], targets) == [[], []]
+    assert regime_weights(model, data, []) == []
 
 
 def test_estimate_ipw_on_target_regime_is_the_sample_mean():
@@ -265,7 +276,7 @@ def test_estimate_ipw_pools_by_inverse_variance():
 
     mus, inv = [], []
     for ds in data:
-        w = regime_weights(model, ds, target)
+        w = regime_weights(model, [ds], [target])[0][0]
         mus.append(float(np.sum(ds.y * w)))
         inv.append(1.0 / float(np.sum((ds.y * w) ** 2)))
     want = sum(m * r for m, r in zip(mus, inv)) / sum(inv)

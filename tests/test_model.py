@@ -54,6 +54,8 @@ def test_regime_set_keeps_order_and_rejects_duplicates():
     assert [r.levels for r in rs] == [(0, 0), (1, 0), (0, 1)]
     assert rs.index_of(RegimeVector((0, 1))) == 2
     assert RegimeVector((1, 1)) not in rs
+    with pytest.raises(KeyError, match=r"regime \(1, 1\) not in set"):
+        rs.index_of(RegimeVector((1, 1)))
     with pytest.raises(InvalidSpec):
         RegimeSet.of([(0, 0), (0, 0)])
     merged = rs.union(RegimeSet.of([(1, 1), (1, 0)]))

@@ -1,12 +1,14 @@
 """Benchmark structures, simulators, metrics, and the pipeline runner."""
 
 import csv
+import importlib.util
 import io
 import json
 import pickle
 import warnings
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 
 from regimecast import estimators, junction, simbench
 from regimecast.cli import main
-from regimecast.errors import DomainError, InvalidSpec, NonFinite, UnknownStructure
+from regimecast.errors import (DegenerateVariable, DomainError, InvalidSpec, NonFinite,
+                               UnknownStructure)
 from regimecast.fileio import graph_to_dict, regime_text
 from regimecast.model import RegimeDataset, RegimeVector
 from regimecast.sampling import exact_density
@@ -59,6 +62,13 @@ TINY_CONFIG = {
     "truth_bins": 8,
     "truth_hidden": 6,
 }
+
+# the tiny sizes on sachs with a DAG truth
+DAG_CONFIG = {**TINY_CONFIG, "structure": "sachs", "truth": "dag", "n_baseline": 100,
+              "n_regime": 40, "mc_samples": 100, "dag_hidden": 3, "dag_steps": 2,
+              "fit_steps": 2, "gibbs_n": 20, "outcome_steps": 2}
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_builtin_single_variable_structures():
@@ -186,6 +196,16 @@ def test_make_outcome_calibrates_the_signal_variance():
     assert np.array_equal(same.lam, drawn.lam) and same.noise_sd == drawn.noise_sd
 
 
+def test_make_outcome_needs_noise_and_a_varying_baseline_signal():
+    truth = make_ifm_truth(builtin_structure("chain3"), seed=13, bins=8, hidden=6,
+                           burn=20, thin=1)
+    x = np.random.default_rng(17).normal(size=(50, truth.m))
+    with pytest.raises(InvalidSpec, match="noise variance must be positive"):
+        make_outcome(truth, baseline_x=x, signal_range=(1.0, 1.0))
+    with pytest.raises(DegenerateVariable, match="baseline signal variance is zero"):
+        make_outcome(truth, baseline_x=np.zeros((50, truth.m)))
+
+
 def test_monte_carlo_truth_edge_cases():
     # the runner's truth for a regime is the mean of out.mean over the truth's draws
     b = builtin_structure("chain3")
@@ -272,6 +292,13 @@ def test_fit_dag_returns_a_working_simulator():
     assert x.shape == (25, 11) and np.all(np.isfinite(x))
 
 
+def test_fit_dag_needs_a_structure_with_a_dag():
+    b = builtin_structure("chain3")
+    data = [RegimeDataset(b.train.regimes[0], np.zeros((5, 1)))]
+    with pytest.raises(InvalidSpec, match="'chain3' has no DAG"):
+        fit_dag(b, data, hidden=3, steps=1, seed=3)
+
+
 def test_fit_dag_names_the_diverging_step():
     b = builtin_structure("sachs")
     truth = make_dag_truth(b, seed=1)
@@ -332,6 +359,11 @@ def test_benchmark_errors_name_the_failing_stage():
         with pytest.raises(DomainError, match="build truth"):
             run_benchmark({**TINY_CONFIG, "truth_span": 1e308})
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_diverging_dag_fit_is_reported_by_its_own_stage():
+    with pytest.raises(NonFinite, match="^fit DAG: node 0 likelihood is not finite"):
+        run_benchmark({**DAG_CONFIG, "methods": ["dag_direct"], "dag_lr": 1e300})
 
 
 def test_an_undefined_rank_correlation_is_reported_as_null(tmp_path, capsys):
@@ -421,13 +453,13 @@ def test_csv_rows_match_the_json_estimates(tmp_path):
 
 def test_run_benchmark_weighs_each_target_once(monkeypatch):
     calls = []
-    weigh = simbench.estimators._weights_toward
+    weigh = simbench.estimators.regime_weights
 
-    def counted(model, ds, targets):
-        calls.extend((ds.regime, target) for target in targets)
-        return weigh(model, ds, targets)
+    def counted(model, datasets, targets):
+        calls.extend((ds.regime, target) for ds in datasets for target in targets)
+        return weigh(model, datasets, targets)
 
-    monkeypatch.setattr(simbench.estimators, "_weights_toward", counted)
+    monkeypatch.setattr(simbench.estimators, "regime_weights", counted)
     report = run_benchmark({**TINY_CONFIG, "methods": ["ifm_ipw", "ifm_covshift"],
                             "outcome_steps": 5})
     # one weight vector per (scored target, training regime), whatever the
@@ -439,6 +471,34 @@ def test_run_benchmark_weighs_each_target_once(monkeypatch):
     calls.clear()
     run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ridge"]})
     assert calls == []
+
+
+def test_a_new_estimator_table_entry_is_a_benchmark_method(monkeypatch):
+    def twice(inputs, target):
+        return estimators.Estimate(2.0 * estimators.ESTIMATORS["direct"](inputs, target).mu, 0.0)
+
+    monkeypatch.setitem(estimators.ESTIMATORS, "twice", twice)
+    data = run_benchmark({**TINY_CONFIG, "methods": ["ifm_direct", "ifm_twice"]}).data
+    assert list(data["summary"]) == ["ifm_direct", "ifm_twice"]
+    for pb in data["problems"]:
+        direct = pb["methods"]["ifm_direct"]["estimates"]
+        assert pb["methods"]["ifm_twice"]["estimates"] == {k: 2.0 * v for k, v in direct.items()}
+    alone = run_benchmark({**TINY_CONFIG, "methods": ["ifm_twice"]}).data
+    assert alone["problems"] == [{**pb, "methods": {"ifm_twice": pb["methods"]["ifm_twice"]}}
+                                 for pb in data["problems"]]
+
+
+@pytest.mark.parametrize("methods, calls", [(["ifm_ipw"], 1), (["ifm_direct", "ridge"], 0)],
+                         ids=["ipw", "no-weights"])
+def test_a_traced_run_weighs_in_one_regime_weights_call(methods, calls):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.patch():
+        run_benchmark({**TINY_CONFIG, "methods": methods})
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("estimators.regime_weights") == calls
 
 
 def test_benchmark_methods_are_estimator_table_entries(monkeypatch):
@@ -455,10 +515,7 @@ def test_benchmark_methods_are_estimator_table_entries(monkeypatch):
     monkeypatch.setattr(estimators, "ESTIMATORS", table)
     table_name = {"ifm_direct": "direct", "ifm_ipw": "ipw", "ifm_covshift": "covshift",
                   "dag_direct": "direct"}
-    data = run_benchmark({**TINY_CONFIG, "structure": "sachs", "truth": "dag",
-                          "methods": [*table_name, "ridge"], "n_baseline": 100,
-                          "n_regime": 40, "mc_samples": 100, "dag_hidden": 3, "dag_steps": 2,
-                          "fit_steps": 2, "gibbs_n": 20, "outcome_steps": 2}).data
+    data = run_benchmark({**DAG_CONFIG, "methods": [*table_name, "ridge"]}).data
     # every estimate but ridge's is the entry's, called per target in target order
     assert calls == [(table_name[meth], key, pb["methods"][meth]["estimates"][key])
                      for pb in data["problems"] for meth in table_name
@@ -546,9 +603,7 @@ class _Spy(pickle.Pickler):
 
 @pytest.mark.parametrize("config", [
     {**TINY_CONFIG, "methods": ["ifm_direct", "ifm_ipw", "ridge"]},
-    {**TINY_CONFIG, "structure": "sachs", "truth": "dag", "methods": ["dag_direct", "ridge"],
-     "n_baseline": 100, "n_regime": 40, "mc_samples": 100, "dag_hidden": 3, "dag_steps": 2,
-     "fit_steps": 2, "gibbs_n": 20, "outcome_steps": 2},
+    {**DAG_CONFIG, "methods": ["dag_direct", "ridge"]},
 ], ids=["ifm", "dag"])
 def test_the_shared_state_holds_no_simulator(monkeypatch, config):
     truths, drawn, states = [], [], []
